@@ -4,6 +4,7 @@
 #include <functional>
 #include <iomanip>
 #include <ostream>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,74 +61,104 @@ void FoldSketch(QuantileSketch* into, QuantileSketch&& from) {
   }
 }
 
-}  // namespace
-
-FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
-  FleetSummary out;
-  out.homes = repo.homes().size();
-  out.rows = repo.total_rows();
-
-  int max_id = -1;
-  for (const collect::HomeInfo& info : repo.homes()) {
-    max_id = std::max(max_id, info.id.value);
-  }
-  std::vector<HomeAgg> agg(static_cast<std::size_t>(max_id + 1));
-  const auto slot = [&agg, max_id](collect::HomeId id) -> HomeAgg* {
-    if (id.value < 0 || id.value > max_id) return nullptr;
-    return &agg[static_cast<std::size_t>(id.value)];
-  };
-  const auto country = CountryByHomeId(repo, max_id);
-  SeedCountries(repo, &out);
-
-  repo.for_each_row<collect::HeartbeatRun>([&](const collect::HeartbeatRun& run) {
-    if (HomeAgg* a = slot(run.home)) {
-      a->covered_ms += static_cast<double>((run.end - run.start).ms);
-      ++a->heartbeat_runs;
-    }
-  });
-  repo.for_each_row<collect::DeviceCountRecord>([&](const collect::DeviceCountRecord& rec) {
-    if (HomeAgg* a = slot(rec.home)) {
-      a->max_unique_devices = std::max(a->max_unique_devices, rec.unique_total);
-    }
-  });
-  repo.for_each_row<collect::CapacityRecord>([&](const collect::CapacityRecord& rec) {
-    out.capacity_down_mbps.add(rec.downstream.mbps());
-    out.capacity_up_mbps.add(rec.upstream.mbps());
-    if (rec.home.value >= 0 && rec.home.value <= max_id) {
-      if (const std::string* code = country[static_cast<std::size_t>(rec.home.value)]) {
-        CountryCapacity& cc = out.capacity_by_country[*code];
-        cc.down_mbps.add(rec.downstream.mbps());
-        cc.up_mbps.add(rec.upstream.mbps());
-      }
-    }
-  });
-  repo.for_each_row<collect::WifiScanRecord>([&](const collect::WifiScanRecord& rec) {
-    out.visible_aps.add(static_cast<double>(rec.visible_aps));
-    out.associated_clients.add(static_cast<double>(rec.associated_clients));
-  });
-  repo.for_each_row<collect::ThroughputMinute>([&](const collect::ThroughputMinute& rec) {
-    out.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
-  });
-  repo.for_each_row<collect::TrafficFlowRecord>([&](const collect::TrafficFlowRecord& rec) {
-    out.flow_kbytes.add(rec.total_bytes().kb());
-  });
-
+/// The per-home distributions (Figs 3-4, 7, 10), from per-home totals
+/// indexed by dense home id.
+void AddPerHomeSamples(const collect::DataRepository& repo,
+                       const std::vector<double>& covered_ms,
+                       const std::vector<std::uint32_t>& heartbeat_runs,
+                       const std::vector<int>& max_unique_devices, FleetSummary* out) {
   const Interval hb = repo.windows().heartbeats;
   const double window_ms = static_cast<double>((hb.end - hb.start).ms);
   const double window_days = window_ms / (24.0 * 3600.0 * 1000.0);
   for (const collect::HomeInfo& info : repo.homes()) {
-    const HomeAgg& a = agg[static_cast<std::size_t>(info.id.value)];
+    const auto i = static_cast<std::size_t>(info.id.value);
     if (info.reports_uptime && window_ms > 0.0) {
-      out.availability_fraction.add(std::min(1.0, a.covered_ms / window_ms));
-      if (a.heartbeat_runs > 0 && window_days > 0.0) {
-        out.downtimes_per_day.add(static_cast<double>(a.heartbeat_runs - 1) / window_days);
+      out->availability_fraction.add(std::min(1.0, covered_ms[i] / window_ms));
+      if (heartbeat_runs[i] > 0 && window_days > 0.0) {
+        out->downtimes_per_day.add(static_cast<double>(heartbeat_runs[i] - 1) / window_days);
       }
     }
-    if (info.reports_devices && a.max_unique_devices >= 0) {
-      out.unique_devices.add(static_cast<double>(a.max_unique_devices));
+    if (info.reports_devices && max_unique_devices[i] >= 0) {
+      out->unique_devices.add(static_cast<double>(max_unique_devices[i]));
     }
   }
-  return out;
+}
+
+}  // namespace
+
+FleetSummarizer::FleetSummarizer(collect::FinishPass& pass) : repo_(pass.repository()) {
+  out_.homes = repo_.homes().size();
+  out_.rows = repo_.total_rows();
+  for (const collect::HomeInfo& info : repo_.homes()) max_id_ = std::max(max_id_, info.id.value);
+  const auto homes = static_cast<std::size_t>(max_id_ + 1);
+  covered_ms_.assign(homes, 0.0);
+  heartbeat_runs_.assign(homes, 0);
+  max_unique_devices_.assign(homes, -1);
+  country_ = CountryByHomeId(repo_, max_id_);
+  SeedCountries(repo_, &out_);
+
+  // Rows of homes outside the roster are skipped, as in the parallel path.
+  const int max_id = max_id_;
+  const auto known = [max_id](collect::HomeId id) { return id.value >= 0 && id.value <= max_id; };
+  pass.add<collect::HeartbeatRun>([this, known](std::span<const collect::HeartbeatRun> rows) {
+    for (const collect::HeartbeatRun& run : rows) {
+      if (!known(run.home)) continue;
+      const auto i = static_cast<std::size_t>(run.home.value);
+      covered_ms_[i] += static_cast<double>((run.end - run.start).ms);
+      ++heartbeat_runs_[i];
+    }
+  });
+  pass.add<collect::DeviceCountRecord>(
+      [this, known](std::span<const collect::DeviceCountRecord> rows) {
+        for (const collect::DeviceCountRecord& rec : rows) {
+          if (!known(rec.home)) continue;
+          const auto i = static_cast<std::size_t>(rec.home.value);
+          max_unique_devices_[i] = std::max(max_unique_devices_[i], rec.unique_total);
+        }
+      });
+  pass.add<collect::CapacityRecord>([this, known](std::span<const collect::CapacityRecord> rows) {
+    for (const collect::CapacityRecord& rec : rows) {
+      out_.capacity_down_mbps.add(rec.downstream.mbps());
+      out_.capacity_up_mbps.add(rec.upstream.mbps());
+      if (!known(rec.home)) continue;
+      const std::string* code = country_[static_cast<std::size_t>(rec.home.value)];
+      if (code == nullptr) continue;
+      CountryCapacity& cc = out_.capacity_by_country[*code];
+      cc.down_mbps.add(rec.downstream.mbps());
+      cc.up_mbps.add(rec.upstream.mbps());
+    }
+  });
+  // The two wifi sketches read the largest kind: one consumer each.
+  pass.add<collect::WifiScanRecord>([this](std::span<const collect::WifiScanRecord> rows) {
+    for (const collect::WifiScanRecord& rec : rows) {
+      out_.visible_aps.add(static_cast<double>(rec.visible_aps));
+    }
+  });
+  pass.add<collect::WifiScanRecord>([this](std::span<const collect::WifiScanRecord> rows) {
+    for (const collect::WifiScanRecord& rec : rows) {
+      out_.associated_clients.add(static_cast<double>(rec.associated_clients));
+    }
+  });
+  pass.add<collect::ThroughputMinute>([this](std::span<const collect::ThroughputMinute> rows) {
+    for (const collect::ThroughputMinute& rec : rows) {
+      out_.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
+    }
+  });
+  pass.add<collect::TrafficFlowRecord>([this](std::span<const collect::TrafficFlowRecord> rows) {
+    for (const collect::TrafficFlowRecord& rec : rows) out_.flow_kbytes.add(rec.total_bytes().kb());
+  });
+}
+
+FleetSummary FleetSummarizer::take() {
+  AddPerHomeSamples(repo_, covered_ms_, heartbeat_runs_, max_unique_devices_, &out_);
+  return std::move(out_);
+}
+
+FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
+  collect::FinishPass pass(repo, 1);
+  FleetSummarizer summarizer(pass);
+  pass.run();
+  return summarizer.take();
 }
 
 namespace {
@@ -260,17 +291,19 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
   // Stripe-order merge. HomeAgg folds are exact-integer sums and maxes
   // (order-free); the sketch folds are order-sensitive, hence the fixed
   // iteration.
-  std::vector<HomeAgg> agg(static_cast<std::size_t>(max_id + 1));
+  const auto homes = static_cast<std::size_t>(max_id + 1);
+  std::vector<double> covered_ms(homes, 0.0);
+  std::vector<std::uint32_t> heartbeat_runs(homes, 0);
+  std::vector<int> max_unique_devices(homes, -1);
   for (const auto& part : hb_parts) {
-    for (std::size_t i = 0; i < agg.size(); ++i) {
-      agg[i].covered_ms += part[i].covered_ms;
-      agg[i].heartbeat_runs += part[i].heartbeat_runs;
+    for (std::size_t i = 0; i < homes; ++i) {
+      covered_ms[i] += part[i].covered_ms;
+      heartbeat_runs[i] += part[i].heartbeat_runs;
     }
   }
   for (const auto& part : dev_parts) {
-    for (std::size_t i = 0; i < agg.size(); ++i) {
-      agg[i].max_unique_devices =
-          std::max(agg[i].max_unique_devices, part[i].max_unique_devices);
+    for (std::size_t i = 0; i < homes; ++i) {
+      max_unique_devices[i] = std::max(max_unique_devices[i], part[i].max_unique_devices);
     }
   }
   for (SketchPartial& p : cap_parts) {
@@ -289,21 +322,7 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
   for (SketchPartial& p : tp_parts) FoldSketch(&out.throughput_down_mbps, std::move(p.a));
   for (SketchPartial& p : flow_parts) FoldSketch(&out.flow_kbytes, std::move(p.a));
 
-  const Interval hb = repo.windows().heartbeats;
-  const double window_ms = static_cast<double>((hb.end - hb.start).ms);
-  const double window_days = window_ms / (24.0 * 3600.0 * 1000.0);
-  for (const collect::HomeInfo& info : repo.homes()) {
-    const HomeAgg& a = agg[static_cast<std::size_t>(info.id.value)];
-    if (info.reports_uptime && window_ms > 0.0) {
-      out.availability_fraction.add(std::min(1.0, a.covered_ms / window_ms));
-      if (a.heartbeat_runs > 0 && window_days > 0.0) {
-        out.downtimes_per_day.add(static_cast<double>(a.heartbeat_runs - 1) / window_days);
-      }
-    }
-    if (info.reports_devices && a.max_unique_devices >= 0) {
-      out.unique_devices.add(static_cast<double>(a.max_unique_devices));
-    }
-  }
+  AddPerHomeSamples(repo, covered_ms, heartbeat_runs, max_unique_devices, &out);
   return out;
 }
 

@@ -13,7 +13,9 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "collect/finish.h"
 #include "collect/repository.h"
 #include "core/stats.h"
 
@@ -61,7 +63,34 @@ struct FleetSummary {
   std::map<std::string, CountryCapacity> capacity_by_country;
 };
 
-/// One streaming pass per data set over `repo` (resident or spilled).
+/// The fleet summary's accumulators as finish-pass consumers
+/// (collect/finish.h): one sequential consumer per sketch, or per group of
+/// sketches fed by the same rows, so every sketch sees the canonical row
+/// order at any worker count. Construct before the pass runs; take() once
+/// it has.
+class FleetSummarizer {
+ public:
+  explicit FleetSummarizer(collect::FinishPass& pass);
+  FleetSummarizer(const FleetSummarizer&) = delete;  // the pass holds `this`
+  FleetSummarizer& operator=(const FleetSummarizer&) = delete;
+
+  /// Fold the per-home accumulators into the summary and hand it over.
+  [[nodiscard]] FleetSummary take();
+
+ private:
+  const collect::DataRepository& repo_;
+  int max_id_{-1};
+  std::vector<const std::string*> country_;  // by dense home id
+  // Per-home accumulators, one array per consumer (no shared cache lines
+  // between the heartbeat and the device consumer).
+  std::vector<double> covered_ms_;
+  std::vector<std::uint32_t> heartbeat_runs_;
+  std::vector<int> max_unique_devices_;
+  FleetSummary out_;
+};
+
+/// One streaming pass per data set over `repo` (resident, spilled or
+/// column-backed): a finish pass with only the summary, run inline.
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo);
 
 /// Parallel variant. On a column-backed repository (collect/

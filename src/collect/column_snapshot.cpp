@@ -1,6 +1,7 @@
 #include "collect/column_snapshot.h"
 
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -8,7 +9,6 @@
 #include "collect/binio.h"
 #include "collect/snapshot.h"
 #include "core/crc32c.h"
-#include "core/thread_pool.h"
 
 namespace bismark::collect {
 
@@ -152,81 +152,84 @@ struct StripeBuilder {
   }
 };
 
-/// Stream kind T out of `repo` into <dir>/<kind>.bsmkcol. Throws
-/// std::runtime_error on any I/O failure (the parallel driver rethrows).
-template <typename T>
-ColumnKindMeta WriteKindColumns(const DataRepository& repo, const std::string& dir) {
-  ColumnKindMeta meta;
-  meta.rows = repo.row_count<T>();
-  if (meta.rows == 0) return meta;
-  meta.file = std::string(Schema<T>::kKindName) + kColumnFileSuffix;
-
-  core::CheckedFile file;
-  if (!file.open(dir + "/" + meta.file)) Throw(file.error());
-
-  std::string header;
-  StoreLe<4>(header, kColumnFileMagic);
-  StoreLe<4>(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
-  StoreLe<4>(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
-  StoreLe<4>(header, 0);
-  file.write(header);
-  std::uint64_t offset = header.size();
-
-  StripeBuilder<T> builder;
-  repo.for_each_row<T>([&](const T& row) {
-    builder.add(row);
-    if (builder.rows >= kColumnStripeRows || builder.bytes >= kColumnStripeBytes) {
-      meta.stripes.push_back(builder.flush_to(file, offset, meta.stripes.size()));
-    }
-  });
-  if (builder.rows > 0) {
-    meta.stripes.push_back(builder.flush_to(file, offset, meta.stripes.size()));
-  }
-  if (!file.sync() || !file.close()) Throw(file.error());
-  return meta;
-}
-
 }  // namespace
 
-bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
-                        std::string* error, std::size_t workers) {
-  const auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why.rfind("snapshot: ", 0) == 0 ? why : "snapshot: " + why;
-    return false;
-  };
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return fail("cannot create " + dir + ": " + ec.message());
+struct ColumnSnapshotWriter::KindFile {
+  virtual ~KindFile() = default;
+};
 
-  // One task per kind; each owns its file, so output bytes are identical
-  // at any worker count.
-  std::array<ColumnKindMeta, kRecordKinds> kinds;
-  std::vector<std::function<void()>> tasks;
-  ForEachRecordType([&](auto tag) {
-    using T = typename decltype(tag)::type;
-    tasks.push_back([&kinds, &repo, &dir] {
-      kinds[kRecordIndexOf<T>] = WriteKindColumns<T>(repo, dir);
-    });
-  });
-  try {
-    bismark::ThreadPool pool(static_cast<int>(workers));
-    pool.parallel_for(tasks.size(), [&tasks](std::size_t i, int) { tasks[i](); });
-  } catch (const std::exception& e) {
-    return fail(e.what());
+/// Kind T's column file: the pass's rows of T, buffered one stripe at a
+/// time and framed into <dir>/<kind>.bsmkcol. Throws std::runtime_error on
+/// any I/O failure.
+template <typename T>
+struct ColumnSnapshotWriter::KindColumns final : KindFile {
+  KindColumns(const std::string& dir, ColumnKindMeta* kind_meta) : meta(kind_meta) {
+    if (!file.open(dir + "/" + meta->file)) Throw(file.error());
+    std::string header;
+    StoreLe<4>(header, kColumnFileMagic);
+    StoreLe<4>(header, static_cast<std::uint32_t>(kRecordIndexOf<T>));
+    StoreLe<4>(header, static_cast<std::uint32_t>(TableView<T>::kNumFields));
+    StoreLe<4>(header, 0);
+    file.write(header);
+    offset = header.size();
   }
 
+  void add(std::span<const T> rows) {
+    for (const T& row : rows) {
+      builder.add(row);
+      if (builder.rows >= kColumnStripeRows || builder.bytes >= kColumnStripeBytes) {
+        meta->stripes.push_back(builder.flush_to(file, offset, meta->stripes.size()));
+      }
+    }
+  }
+
+  void finish() {
+    if (builder.rows > 0) {
+      meta->stripes.push_back(builder.flush_to(file, offset, meta->stripes.size()));
+    }
+    if (!file.sync() || !file.close()) Throw(file.error());
+  }
+
+  ColumnKindMeta* meta;
+  core::CheckedFile file;
+  std::uint64_t offset{0};
+  StripeBuilder<T> builder;
+};
+
+ColumnSnapshotWriter::ColumnSnapshotWriter(FinishPass& pass, std::string dir)
+    : repo_(pass.repository()), dir_(std::move(dir)) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec) Throw("cannot create " + dir_ + ": " + ec.message());
+  ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    ColumnKindMeta& meta = kinds_[kRecordIndexOf<T>];
+    meta.rows = repo_.row_count<T>();
+    if (meta.rows == 0) return;  // no rows, no file
+    meta.file = std::string(Schema<T>::kKindName) + kColumnFileSuffix;
+    auto file = std::make_unique<KindColumns<T>>(dir_, &meta);
+    KindColumns<T>& kind = *file;
+    files_.push_back(std::move(file));
+    pass.add<T>([&kind](std::span<const T> rows) { kind.add(rows); },
+                [&kind] { kind.finish(); });
+  });
+}
+
+ColumnSnapshotWriter::~ColumnSnapshotWriter() = default;
+
+void ColumnSnapshotWriter::commit() {
   BinWriter w;
   w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u32(kColumnSnapshotVersion);
-  const DatasetWindows& windows = repo.windows();
+  const DatasetWindows& windows = repo_.windows();
   PutInterval(w, windows.heartbeats);
   PutInterval(w, windows.uptime);
   PutInterval(w, windows.capacity);
   PutInterval(w, windows.devices);
   PutInterval(w, windows.wifi);
   PutInterval(w, windows.traffic);
-  w.u32(static_cast<std::uint32_t>(repo.homes().size()));
-  for (const HomeInfo& home : repo.homes()) PutHome(w, home);
+  w.u32(static_cast<std::uint32_t>(repo_.homes().size()));
+  for (const HomeInfo& home : repo_.homes()) PutHome(w, home);
   w.u32(static_cast<std::uint32_t>(kRecordKinds));
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
@@ -234,7 +237,7 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
     constexpr std::uint32_t kFields = std::tuple_size_v<decltype(Schema<T>::Fields())>;
     w.u32(kFields);
     std::apply([&w](const auto&... field) { (w.str(field.name), ...); }, Schema<T>::Fields());
-    const ColumnKindMeta& km = kinds[kRecordIndexOf<T>];
+    const ColumnKindMeta& km = kinds_[kRecordIndexOf<T>];
     w.u64(km.rows);
     w.str(km.file);
     w.u32(static_cast<std::uint32_t>(km.stripes.size()));
@@ -252,12 +255,26 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
 
   // Meta last, fsynced: a directory with a valid meta file is complete.
   core::CheckedFile file;
-  if (!file.open(dir + "/" + kColumnMetaFile)) return fail(file.error());
+  if (!file.open(dir_ + "/" + kColumnMetaFile)) Throw(file.error());
   file.write(w.buffer());
   std::string trailer;
   StoreLe<4>(trailer, crc);
   file.write(trailer);
-  if (!file.sync() || !file.close()) return fail(file.error());
+  if (!file.sync() || !file.close()) Throw(file.error());
+}
+
+bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
+                        std::string* error, std::size_t workers) {
+  try {
+    FinishPass pass(repo, workers);
+    ColumnSnapshotWriter writer(pass, dir);
+    pass.run();
+    writer.commit();
+  } catch (const std::exception& e) {
+    const std::string why = e.what();
+    if (error != nullptr) *error = why.rfind("snapshot: ", 0) == 0 ? why : "snapshot: " + why;
+    return false;
+  }
   return true;
 }
 

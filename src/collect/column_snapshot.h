@@ -35,11 +35,12 @@
 // core::IoReadStats counters, which is how tests prove a single-figure
 // query touched only its own kind segments.
 //
-// The writer streams through DataRepository::for_each_row, so it works
-// from the in-RAM store, a spill directory (bounded by one stripe of
-// buffered columns — fleet mode under --memory-budget-mb), or another
-// snapshot, and writes kinds in parallel on bismark::ThreadPool (each kind
-// owns its file, so bytes are identical at any worker count).
+// The writer is a set of finish-pass consumers (collect/finish.h), one per
+// non-empty kind, so it works from the in-RAM store, a spill directory
+// (bounded by one stripe of buffered columns — fleet mode under
+// --memory-budget-mb), or another snapshot, and shares the pass's single
+// merge with the fleet summary and the CSV exports. Each kind owns its
+// file, so bytes are identical at any worker count.
 #pragma once
 
 #include <array>
@@ -53,6 +54,7 @@
 #include <vector>
 
 #include "collect/column_view.h"
+#include "collect/finish.h"
 #include "collect/repository.h"
 #include "core/io.h"
 
@@ -91,11 +93,36 @@ struct ColumnKindMeta {
   std::vector<ColumnStripeMeta> stripes;
 };
 
+/// The v3 writer as finish-pass consumers: construction creates `dir` and
+/// registers one column-file writer per non-empty kind on `pass`; commit()
+/// writes and fsyncs the meta file once the pass has run. Every failure
+/// throws std::runtime_error ("snapshot: ..."), from the constructor, out
+/// of FinishPass::run(), or from commit(). Partial output may remain, but
+/// the meta file is written last, so a directory with a valid meta is
+/// complete. A pass whose writer failed to construct must not be run.
+class ColumnSnapshotWriter {
+ public:
+  ColumnSnapshotWriter(FinishPass& pass, std::string dir);
+  ~ColumnSnapshotWriter();
+  ColumnSnapshotWriter(const ColumnSnapshotWriter&) = delete;
+  ColumnSnapshotWriter& operator=(const ColumnSnapshotWriter&) = delete;
+
+  void commit();
+
+ private:
+  struct KindFile;  // one kind's column file and stripe builder
+  template <typename T>
+  struct KindColumns;
+  const DataRepository& repo_;
+  std::string dir_;
+  std::array<ColumnKindMeta, kRecordKinds> kinds_;
+  std::vector<std::unique_ptr<KindFile>> files_;
+};
+
 /// Write `repo` as a v3 snapshot directory (created if missing; existing
-/// snapshot files are overwritten). Kind files are written in parallel on
-/// `workers` threads. Returns false with *error on any I/O or encoding
-/// failure — partial output may remain, but the meta file is written last
-/// and fsynced, so a directory with a valid meta is complete.
+/// snapshot files are overwritten): a finish pass with one output, kinds
+/// written concurrently on `workers` threads. Returns false with *error on
+/// any I/O or encoding failure.
 bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
                         std::string* error, std::size_t workers = 1);
 

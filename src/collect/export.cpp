@@ -1,111 +1,83 @@
 #include "collect/export.h"
 
-#include <array>
 #include <filesystem>
-#include <fstream>
-#include <functional>
+#include <span>
 #include <stdexcept>
-#include <vector>
+#include <string_view>
+#include <tuple>
 
 #include "core/csv.h"
-#include "core/thread_pool.h"
+#include "core/io.h"
 
 namespace bismark::collect {
 
 namespace {
-/// The release view, generated from Schema<T>::Release() — byte-identical
-/// to the original per-dataset exporters.
-template <typename T>
-std::size_t WriteReleaseCsv(const DataRepository& repo, std::ostream& out) {
+
+template <typename T, CsvView V>
+void WriteHeader(CsvWriter& csv) {
+  if constexpr (V == CsvView::kRelease) {
+    for (const auto& c : Schema<T>::Release()) csv.cell(c.name);
+  } else {
+    std::apply([&csv](const auto&... field) { (csv.cell(field.name), ...); },
+               Schema<T>::Fields());
+  }
+  csv.end_row();
+}
+
+/// The release view comes from Schema<T>::Release(), byte-identical to the
+/// original per-dataset exporters; the full view encodes every field with
+/// its exact codec.
+template <typename T, CsvView V>
+void WriteRows(CsvWriter& csv, std::span<const T> rows) {
+  for (const T& r : rows) {
+    if constexpr (V == CsvView::kRelease) {
+      for (const auto& c : Schema<T>::Release()) csv.cell(c.encode(r));
+    } else {
+      std::apply(
+          [&csv, &r](const auto&... field) { (csv.cell(CsvEncode(r.*(field.member))), ...); },
+          Schema<T>::Fields());
+    }
+    csv.end_row();
+  }
+}
+
+/// One kind's CSV into a stream, as a one-output finish pass.
+template <typename T, CsvView V>
+std::size_t ExportToStream(const DataRepository& repo, std::ostream& out) {
   CsvWriter csv(out);
-  const auto& cols = Schema<T>::Release();
-  std::vector<std::string> cells;
-  cells.reserve(cols.size());
-  for (const auto& c : cols) cells.emplace_back(c.name);
-  csv.write_row(cells);
-  repo.for_each_row<T>([&](const T& r) {
-    cells.clear();
-    for (const auto& c : cols) cells.push_back(c.encode(r));
-    csv.write_row(cells);
-  });
+  WriteHeader<T, V>(csv);
+  FinishPass pass(repo, 1);
+  pass.add<T>([&csv](std::span<const T> rows) { WriteRows<T, V>(csv, rows); });
+  pass.run();
   return csv.rows_written() - 1;
 }
+
+[[noreturn]] void Fail(const std::string& why) { throw std::runtime_error("export: " + why); }
+
 }  // namespace
 
 std::size_t ExportHeartbeats(const DataRepository& repo, std::ostream& out) {
-  return WriteReleaseCsv<HeartbeatRun>(repo, out);
+  return ExportToStream<HeartbeatRun, CsvView::kRelease>(repo, out);
 }
 std::size_t ExportUptime(const DataRepository& repo, std::ostream& out) {
-  return WriteReleaseCsv<UptimeRecord>(repo, out);
+  return ExportToStream<UptimeRecord, CsvView::kRelease>(repo, out);
 }
 std::size_t ExportCapacity(const DataRepository& repo, std::ostream& out) {
-  return WriteReleaseCsv<CapacityRecord>(repo, out);
+  return ExportToStream<CapacityRecord, CsvView::kRelease>(repo, out);
 }
 std::size_t ExportDevices(const DataRepository& repo, std::ostream& out) {
-  return WriteReleaseCsv<DeviceCountRecord>(repo, out);
+  return ExportToStream<DeviceCountRecord, CsvView::kRelease>(repo, out);
 }
 std::size_t ExportWifi(const DataRepository& repo, std::ostream& out) {
-  return WriteReleaseCsv<WifiScanRecord>(repo, out);
+  return ExportToStream<WifiScanRecord, CsvView::kRelease>(repo, out);
 }
 std::size_t ExportTrafficFlows(const DataRepository& repo, std::ostream& out) {
-  return WriteReleaseCsv<TrafficFlowRecord>(repo, out);
-}
-
-namespace {
-/// Run one file-writing task per kind on `workers` threads and sum the row
-/// counts in fixed slot order. Each kind owns its output file, so the bytes
-/// on disk are identical at any worker count; parallel_for rethrows the
-/// first exception, preserving the throw-on-open-failure contract.
-std::size_t RunExportTasks(std::vector<std::function<std::size_t()>>& tasks,
-                           std::size_t workers) {
-  std::array<std::size_t, kRecordKinds> counts{};
-  ThreadPool pool(static_cast<int>(workers));
-  pool.parallel_for(tasks.size(),
-                    [&](std::size_t i, int) { counts[i] = tasks[i](); });
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) total += counts[i];
-  return total;
-}
-}  // namespace
-
-std::size_t ExportPublicDatasets(const DataRepository& repo, const std::string& directory,
-                                 std::size_t workers) {
-  namespace fs = std::filesystem;
-  fs::create_directories(directory);
-  std::vector<std::function<std::size_t()>> tasks;
-  ForEachRecordType([&](auto tag) {
-    using T = typename decltype(tag)::type;
-    if constexpr (Schema<T>::kHasRelease && Schema<T>::kPublicRelease) {
-      tasks.emplace_back([&repo, &directory]() -> std::size_t {
-        std::ofstream out(fs::path(directory) / Schema<T>::kCsvFile);
-        if (!out) {
-          throw std::runtime_error(std::string("cannot open ") + Schema<T>::kCsvFile +
-                                   " for writing");
-        }
-        return WriteReleaseCsv<T>(repo, out);
-      });
-    }
-  });
-  return RunExportTasks(tasks, workers);
+  return ExportToStream<TrafficFlowRecord, CsvView::kRelease>(repo, out);
 }
 
 template <typename T>
 std::size_t ExportDatasetCsv(const DataRepository& repo, std::ostream& out) {
-  CsvWriter csv(out);
-  std::vector<std::string> cells;
-  std::apply([&cells](const auto&... field) { (cells.emplace_back(field.name), ...); },
-             Schema<T>::Fields());
-  csv.write_row(cells);
-  repo.for_each_row<T>([&](const T& r) {
-    cells.clear();
-    std::apply(
-        [&cells, &r](const auto&... field) {
-          (cells.push_back(CsvEncode(r.*(field.member))), ...);
-        },
-        Schema<T>::Fields());
-    csv.write_row(cells);
-  });
-  return csv.rows_written() - 1;
+  return ExportToStream<T, CsvView::kFull>(repo, out);
 }
 
 // One instantiation per registered record kind.
@@ -119,24 +91,68 @@ template std::size_t ExportDatasetCsv<ThroughputMinute>(const DataRepository&, s
 template std::size_t ExportDatasetCsv<DnsLogRecord>(const DataRepository&, std::ostream&);
 template std::size_t ExportDatasetCsv<DeviceTrafficRecord>(const DataRepository&,
                                                            std::ostream&);
+template std::size_t ExportDatasetCsv<CgnEventRecord>(const DataRepository&, std::ostream&);
+
+/// One CSV file: a CsvWriter whose chunks go through a CheckedFile. Members
+/// are destroyed writer first, so an abandoned file still gets its bytes.
+struct CsvExport::File {
+  explicit File(const std::string& path) {
+    if (!out.open(path)) Fail("cannot open " + out.error());
+  }
+
+  void close() {
+    csv.flush();
+    if (!out.close()) Fail(out.error());
+  }
+
+  core::CheckedFile out;
+  CsvWriter csv{[this](std::string_view bytes) {
+    if (!out.write(bytes.data(), bytes.size())) Fail(out.error());
+  }};
+};
+
+CsvExport::CsvExport(FinishPass& pass, const std::string& directory, CsvView view) {
+  namespace fs = std::filesystem;
+  fs::create_directories(directory);
+  const auto add = [&]<typename T, CsvView V>() {
+    File& file = *files_.emplace_back(
+        std::make_unique<File>((fs::path(directory) / Schema<T>::kCsvFile).string()));
+    WriteHeader<T, V>(file.csv);
+    pass.add<T>([&file](std::span<const T> rows) { WriteRows<T, V>(file.csv, rows); },
+                [&file] { file.close(); });
+  };
+  ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    if (view == CsvView::kFull) {
+      add.template operator()<T, CsvView::kFull>();
+    } else if constexpr (Schema<T>::kHasRelease && Schema<T>::kPublicRelease) {
+      add.template operator()<T, CsvView::kRelease>();
+    }
+  });
+}
+
+CsvExport::~CsvExport() = default;
+
+std::size_t CsvExport::rows() const {
+  std::size_t total = 0;
+  for (const auto& file : files_) total += file->csv.rows_written() - 1;
+  return total;
+}
+
+std::size_t ExportPublicDatasets(const DataRepository& repo, const std::string& directory,
+                                 std::size_t workers) {
+  FinishPass pass(repo, workers);
+  const CsvExport out(pass, directory, CsvView::kRelease);
+  pass.run();
+  return out.rows();
+}
 
 std::size_t ExportAllDatasets(const DataRepository& repo, const std::string& directory,
                               std::size_t workers) {
-  namespace fs = std::filesystem;
-  fs::create_directories(directory);
-  std::vector<std::function<std::size_t()>> tasks;
-  ForEachRecordType([&](auto tag) {
-    using T = typename decltype(tag)::type;
-    tasks.emplace_back([&repo, &directory]() -> std::size_t {
-      std::ofstream out(fs::path(directory) / Schema<T>::kCsvFile);
-      if (!out) {
-        throw std::runtime_error(std::string("cannot open ") + Schema<T>::kCsvFile +
-                                 " for writing");
-      }
-      return ExportDatasetCsv<T>(repo, out);
-    });
-  });
-  return RunExportTasks(tasks, workers);
+  FinishPass pass(repo, workers);
+  const CsvExport out(pass, directory, CsvView::kFull);
+  pass.run();
+  return out.rows();
 }
 
 }  // namespace bismark::collect

@@ -17,9 +17,13 @@
 //    (collect/snapshot.h) is not wanted.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "collect/finish.h"
 #include "collect/repository.h"
 
 namespace bismark::collect {
@@ -34,12 +38,37 @@ std::size_t ExportWifi(const DataRepository& repo, std::ostream& out);
 /// Anonymised traffic flows — PII-bearing, not part of the public release.
 std::size_t ExportTrafficFlows(const DataRepository& repo, std::ostream& out);
 
+/// Which CSV view a file carries (see the file comment).
+enum class CsvView { kRelease, kFull };
+
+/// CSV files fed by a finish pass (collect/finish.h): the five public data
+/// sets' release view (heartbeats.csv, uptime.csv, capacity.csv,
+/// devices.csv, wifi.csv), or every kind's full-fidelity view, one
+/// Schema<T>::kCsvFile per kind, in `directory` (created if needed). Each
+/// file is written through core::CheckedFile: a failed open, write, flush
+/// or close throws std::runtime_error with the path and errno, from the
+/// constructor or out of FinishPass::run(). There is no fsync. A pass
+/// whose CsvExport failed to construct must not be run.
+class CsvExport {
+ public:
+  CsvExport(FinishPass& pass, const std::string& directory, CsvView view);
+  ~CsvExport();
+  CsvExport(const CsvExport&) = delete;
+  CsvExport& operator=(const CsvExport&) = delete;
+
+  /// Rows written across every file (headers excluded), once the pass ran.
+  [[nodiscard]] std::size_t rows() const;
+
+ private:
+  struct File;
+  std::vector<std::unique_ptr<File>> files_;
+};
+
 /// Write the five public data sets into `directory` (created if needed) as
 /// heartbeats.csv, uptime.csv, capacity.csv, devices.csv, wifi.csv.
 /// Returns total rows written; throws std::runtime_error on I/O failure.
-/// `workers` > 1 exports kinds in parallel (each kind owns its file, and a
-/// spilled repository reduces one kind into scratch at a time under the
-/// merge lock, so the per-file bytes are identical at any worker count).
+/// A finish pass with one output: `workers` > 1 writes kinds concurrently,
+/// with byte-identical files at any worker count.
 std::size_t ExportPublicDatasets(const DataRepository& repo, const std::string& directory,
                                  std::size_t workers = 1);
 
@@ -51,7 +80,7 @@ std::size_t ExportDatasetCsv(const DataRepository& repo, std::ostream& out);
 /// Full-fidelity export of all registered data sets into `directory`
 /// (created if needed), one Schema<T>::kCsvFile per kind. Returns total
 /// rows written; throws std::runtime_error on I/O failure. `workers` > 1
-/// exports kinds in parallel with byte-identical per-file output.
+/// exports kinds concurrently with byte-identical per-file output.
 std::size_t ExportAllDatasets(const DataRepository& repo, const std::string& directory,
                               std::size_t workers = 1);
 

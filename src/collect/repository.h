@@ -194,9 +194,10 @@ class DataRepository final : public RecordSink {
     return store_.rows<T>();
   }
 
-  /// Stream every row of kind T in canonical order, resident or spilled.
-  /// The only repository read path that works at fleet scale; export and
-  /// the snapshot writer are built on it. Requires
+  /// Stream every row of kind T in canonical order, resident, spilled or
+  /// column-backed; each call on a spilled repository is one merge. The
+  /// summary, export and snapshot writers read through one FinishPass
+  /// (collect/finish.h) instead, so they share that merge. Requires
   /// finalize_deterministic_order() first on the in-RAM path.
   template <typename T, typename Fn>
   void for_each_row(Fn&& fn) const {

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -258,10 +257,14 @@ namespace {
 /// footer at exhaustion — every merge pass re-checks every byte it reads.
 class SectionCursor {
  public:
-  static constexpr std::size_t kBufferBytes = 64 * 1024;
+  // 16 KiB keeps a full fan-in (256 live cursors) at ~4 MiB of buffers.
+  static constexpr std::size_t kBufferBytes = 16 * 1024;
 
   SectionCursor(std::string path, const SectionRef& ref, bool verify)
       : path_(std::move(path)), ref_(ref), verify_(verify) {
+    // Unbuffered: reads land straight in buf_, so a cursor costs one
+    // kBufferBytes buffer, not that plus a stream buffer.
+    in_.rdbuf()->pubsetbuf(nullptr, 0);
     in_.open(path_, std::ios::binary);
     if (!in_) throw std::runtime_error("spill: cannot reopen segment file " + path_);
     if (verify_) {
@@ -334,7 +337,7 @@ class SectionCursor {
     buf_.erase(0, pos_);
     pos_ = 0;
     const std::size_t have = buf_.size();
-    std::size_t read_more = kBufferBytes;
+    std::size_t read_more = have < kBufferBytes ? kBufferBytes - have : 0;
     if (have + read_more < n) read_more = n - have;  // oversized row (long string)
     if (read_more > remaining_file_) read_more = static_cast<std::size_t>(remaining_file_);
     buf_.resize(have + read_more);
@@ -366,50 +369,99 @@ bool StreamOrder(const SectionRef& a, const SectionRef& b) {
   return a.run < b.run;
 }
 
-/// Merge a run of sections (already in canonical stream order) into `emit`,
-/// called once per row in merged order.
+/// K-way merge of a contiguous run of sections (already in canonical stream
+/// order). Each cursor's current row lives in `heads_`; the heap holds only
+/// (key, position) pairs, so the winning row is moved out, never copied,
+/// and its slot is refilled in place.
 template <typename T>
-void MergeGroup(SpillDir& dir, const std::vector<SectionRef>& sections, std::size_t begin,
-                std::size_t end, const std::function<void(const T&)>& emit) {
-  struct Head {
-    T row;
-    decltype(Schema<T>::SortKey(std::declval<const T&>())) key;
-    std::size_t order;  // position in the canonical stream order
-  };
-  struct HeadGreater {
-    bool operator()(const Head& a, const Head& b) const {
-      if (a.key != b.key) return b.key < a.key;
-      return a.order > b.order;
+class KWayMerge {
+ public:
+  KWayMerge(SpillDir& dir, const std::vector<SectionRef>& sections, std::size_t begin,
+            std::size_t end)
+      : heads_(end - begin) {
+    const bool verify = dir.config().verify_checksums;
+    cursors_.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      cursors_.push_back(
+          std::make_unique<SectionCursor>(dir.file_path(sections[i].file), sections[i], verify));
     }
+    for (std::uint32_t order = 0; order < cursors_.size(); ++order) {
+      if (load(order)) heap_.push_back({Schema<T>::SortKey(heads_[order]), order});
+    }
+    std::make_heap(heap_.begin(), heap_.end(), After);
+  }
+
+  /// Move the next row in merged order into `out`; false once exhausted.
+  bool next(std::vector<T>& out) {
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), After);
+    const std::uint32_t order = heap_.back().order;
+    out.push_back(std::move(heads_[order]));
+    if (load(order)) {
+      heap_.back().key = Schema<T>::SortKey(heads_[order]);
+      std::push_heap(heap_.begin(), heap_.end(), After);
+    } else {
+      heap_.pop_back();
+    }
+    return true;
+  }
+
+ private:
+  struct Entry {
+    decltype(Schema<T>::SortKey(std::declval<const T&>())) key;
+    std::uint32_t order;  // position in the canonical stream order
   };
 
-  const bool verify = dir.config().verify_checksums;
-  std::vector<std::unique_ptr<SectionCursor>> cursors;
-  cursors.reserve(end - begin);
-  std::priority_queue<Head, std::vector<Head>, HeadGreater> heap;
-  const auto advance = [&](std::size_t order) {
-    auto [data, len] = cursors[order]->next_row();
-    if (data == nullptr) return;
-    Head head;
+  /// Heap order (the smallest entry on top): SortKey, then stream position.
+  static bool After(const Entry& a, const Entry& b) {
+    if (a.key != b.key) return b.key < a.key;
+    return a.order > b.order;
+  }
+
+  /// Decode cursor `order`'s next row into its head slot.
+  bool load(std::uint32_t order) {
+    auto [data, len] = cursors_[order]->next_row();
+    if (data == nullptr) return false;
     BinReader r(data, len);
-    DecodeRow(r, head.row);
+    DecodeRow(r, heads_[order]);
     if (r.failed() || !r.at_end()) throw std::runtime_error("spill: corrupt row");
-    head.key = Schema<T>::SortKey(head.row);
-    head.order = order;
-    heap.push(std::move(head));
-  };
+    return true;
+  }
 
-  for (std::size_t i = begin; i < end; ++i) {
-    const SectionRef& ref = sections[i];
-    cursors.push_back(std::make_unique<SectionCursor>(dir.file_path(ref.file), ref, verify));
-    advance(cursors.size() - 1);
+  std::vector<std::unique_ptr<SectionCursor>> cursors_;
+  std::vector<T> heads_;
+  std::vector<Entry> heap_;
+};
+
+/// Merge sections[begin, end) into one scratch section tagged
+/// (group, level). The caller holds the merge lock.
+template <typename T>
+SectionRef ReduceGroup(SpillDir& dir, const std::vector<SectionRef>& sections,
+                       std::size_t begin, std::size_t end, std::uint32_t group,
+                       std::uint32_t level) {
+  SegmentLog& scratch = dir.scratch_log();
+  scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>), group, level);
+  KWayMerge<T> merge(dir, sections, begin, end);
+  std::uint64_t rows = 0;
+  BinWriter row_w;
+  std::string chunk;
+  std::vector<T> row;
+  while (merge.next(row)) {
+    row_w.clear();
+    EncodeRow(row_w, row.back());
+    row.clear();
+    char prefix[4];
+    PutU32(prefix, static_cast<std::uint32_t>(row_w.size()));
+    chunk.append(prefix, 4);
+    chunk.append(row_w.buffer());
+    ++rows;
+    if (chunk.size() >= 1 << 20) {
+      scratch.write(chunk.data(), chunk.size());
+      chunk.clear();
+    }
   }
-  while (!heap.empty()) {
-    Head head = heap.top();
-    heap.pop();
-    emit(head.row);
-    advance(head.order);
-  }
+  if (!chunk.empty()) scratch.write(chunk.data(), chunk.size());
+  return scratch.end_section(rows);
 }
 
 }  // namespace
@@ -417,67 +469,81 @@ void MergeGroup(SpillDir& dir, const std::vector<SectionRef>& sections, std::siz
 // --- hierarchical merge -----------------------------------------------------
 
 template <typename T>
-void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn) {
+class SpilledRowStream<T>::Merge : public KWayMerge<T> {
+ public:
+  using KWayMerge<T>::KWayMerge;
+};
+
+template <typename T>
+SpilledRowStream<T>::SpilledRowStream(SpillDir& dir) {
   std::vector<SectionRef> sections = dir.sections_of_kind(kRecordIndexOf<T>);
-  if (sections.empty()) return;
   std::sort(sections.begin(), sections.end(), StreamOrder);
 
-  // Merge passes share the scratch log, so the flush and any hierarchical
-  // reduce happen under the merge lock — but the *final* merge below reads
-  // committed, immutable section bytes through private cursors, so the lock
-  // is dropped first. That is what lets the parallel per-kind export and
-  // snapshot writers stream different kinds concurrently: at most one kind
-  // reduces into scratch at a time, then they all merge in parallel.
+  // Reduces share the scratch log, so the flush and any reduce happen under
+  // the merge lock — but the final merge reads committed, immutable section
+  // bytes through private cursors, so the lock is dropped first: at most
+  // one kind reduces into scratch at a time, then every kind merges in
+  // parallel.
   std::unique_lock<std::mutex> lock(dir.merge_mutex());
   dir.flush_all();  // make every log's buffered tail visible to cursors
 
-  const std::size_t fan_in = dir.config().merge_fan_in < 2 ? 2 : dir.config().merge_fan_in;
-  std::uint32_t level = 0;
-  while (sections.size() > fan_in) {
-    // Reduce one level: merge adjacent groups of fan_in sections into single
-    // scratch sections. Groups partition the canonical stream order into
-    // contiguous ranges, so tagging each output with its group index keeps
-    // ties ordered at the next level.
-    std::vector<SectionRef> next;
-    next.reserve(sections.size() / fan_in + 1);
-    SegmentLog& scratch = dir.scratch_log();
-    for (std::size_t begin = 0; begin < sections.size(); begin += fan_in) {
-      const std::size_t end = std::min(begin + fan_in, sections.size());
-      scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>),
-                            static_cast<std::uint32_t>(begin / fan_in), /*run=*/level);
-      std::uint64_t rows = 0;
-      BinWriter row_w;
-      std::string chunk;
-      const std::function<void(const T&)> spool = [&](const T& row) {
-        row_w.clear();
-        EncodeRow(row_w, row);
-        std::uint32_t len = static_cast<std::uint32_t>(row_w.size());
-        char prefix[4];
-        PutU32(prefix, len);
-        chunk.append(prefix, 4);
-        chunk.append(row_w.buffer());
-        ++rows;
-        if (chunk.size() >= 1 << 20) {
-          scratch.write(chunk.data(), chunk.size());
-          chunk.clear();
-        }
-      };
-      MergeGroup<T>(dir, sections, begin, end, spool);
-      if (!chunk.empty()) scratch.write(chunk.data(), chunk.size());
-      next.push_back(scratch.end_section(rows));
+  const std::size_t fan_in = std::max<std::size_t>(dir.config().merge_fan_in, 2);
+  for (std::uint32_t level = 0; sections.size() > fan_in; ++level) {
+    // Reduce just enough of a contiguous prefix, in groups of at most
+    // fan_in, that the remainder fits one merge: g groups cut the count by
+    // g·(fan_in − 1) at most. Past fan_in² sections no single level can get
+    // there, so every section is reduced. Each group's output takes the
+    // group's place in the canonical stream order, so ties still resolve
+    // exactly as in the unreduced merge.
+    const std::size_t n = sections.size();
+    std::size_t reduce = n;  // sections to fold, from the front
+    if (n <= fan_in * fan_in) {
+      const std::size_t excess = n - fan_in;
+      const std::size_t groups = (excess + fan_in - 2) / (fan_in - 1);
+      reduce = excess + groups;
     }
-    scratch.flush();
+    std::vector<SectionRef> next;
+    next.reserve(n - reduce + reduce / fan_in + 1);
+    std::uint32_t group = 0;
+    for (std::size_t begin = 0; begin < reduce; begin += fan_in, ++group) {
+      const std::size_t end = std::min(begin + fan_in, reduce);
+      next.push_back(ReduceGroup<T>(dir, sections, begin, end, group, level));
+    }
+    next.insert(next.end(), sections.begin() + static_cast<std::ptrdiff_t>(reduce),
+                sections.end());
+    dir.scratch_log().flush();
     sections = std::move(next);
-    ++level;
   }
-  // Committed sections never move once flushed (scratch appends only), so
-  // the k-way merge itself needs no lock.
   lock.unlock();
-  MergeGroup<T>(dir, sections, 0, sections.size(), fn);
+  merge_ = std::make_unique<Merge>(dir, sections, 0, sections.size());
+}
+
+template <typename T>
+SpilledRowStream<T>::~SpilledRowStream() = default;
+
+template <typename T>
+std::size_t SpilledRowStream<T>::read(std::vector<T>& out, std::size_t max_rows) {
+  std::size_t n = 0;
+  while (n < max_rows && merge_->next(out)) ++n;
+  return n;
+}
+
+template <typename T>
+void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn) {
+  constexpr std::size_t kBatch = 4096;
+  SpilledRowStream<T> stream(dir);
+  std::vector<T> batch;
+  std::size_t n = 0;
+  do {
+    batch.clear();
+    n = stream.read(batch, kBatch);
+    for (const T& row : batch) fn(row);
+  } while (n == kBatch);
 }
 
 // One instantiation per registered record kind.
 #define BISMARK_SPILL_INSTANTIATE(T) \
+  template class SpilledRowStream<T>; \
   template void ForEachSpilledRow<T>(SpillDir&, const std::function<void(const T&)>&);
 BISMARK_SPILL_INSTANTIATE(HeartbeatRun)
 BISMARK_SPILL_INSTANTIATE(UptimeRecord)

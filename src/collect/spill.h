@@ -18,8 +18,10 @@
 // Scale: a 100k-home run makes ~25k shards, so a kind can have tens of
 // thousands of sections. The merge is hierarchical with a bounded fan-in:
 // adjacent (in canonical order) sections are merged in groups into scratch
-// sections until one level fits, keeping open files and buffers bounded
-// regardless of N.
+// sections until the rest fits one merge, keeping open files and buffers
+// bounded regardless of N. Only as many groups are reduced as that takes
+// (a contiguous prefix), so a kind just past the fan-in rewrites a
+// fraction of its rows into scratch, not all of them.
 //
 // Durability (segment format v2, DESIGN §12): every section is framed — a
 // 16-byte header (magic, kind, shard, run) before the body, a 24-byte
@@ -201,11 +203,32 @@ class SpillDir {
   std::mutex merge_mu_;
 };
 
-/// Stream every row of kind T in canonical repository order — exactly the
-/// sequence `rows<T>()` holds after `finalize_deterministic_order()` on the
-/// in-RAM path. Bounded memory: at most `merge_fan_in` open sections and
-/// one scratch section per merge group at a time. Throws with a precise
-/// diagnostic if any section fails its CRC or framing check.
+/// Pull-based reader of kind T's rows in canonical repository order —
+/// exactly the sequence `rows<T>()` holds after
+/// `finalize_deterministic_order()` on the in-RAM path. Construction
+/// flushes the logs and runs the bounded reduce into the scratch log under
+/// merge_mutex(); it then holds at most `merge_fan_in` open sections, and
+/// reading needs no lock. Throws with a precise diagnostic if any section
+/// fails its CRC or framing check.
+template <typename T>
+class SpilledRowStream {
+ public:
+  explicit SpilledRowStream(SpillDir& dir);
+  ~SpilledRowStream();
+  SpilledRowStream(const SpilledRowStream&) = delete;
+  SpilledRowStream& operator=(const SpilledRowStream&) = delete;
+
+  /// Append up to `max_rows` rows to `out`; returns how many. Fewer than
+  /// `max_rows` means the stream is exhausted.
+  std::size_t read(std::vector<T>& out, std::size_t max_rows);
+
+ private:
+  class Merge;  // the k-way merge over the final level (spill.cpp)
+  std::unique_ptr<Merge> merge_;
+};
+
+/// Stream every row of kind T in canonical repository order through a
+/// SpilledRowStream, one callback per row.
 template <typename T>
 void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn);
 

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -26,6 +27,7 @@
 #include "analysis/utilization.h"
 #include "collect/column_snapshot.h"
 #include "collect/export.h"
+#include "collect/finish.h"
 #include "collect/import.h"
 #include "collect/manifest.h"
 #include "collect/snapshot.h"
@@ -158,19 +160,59 @@ void PrintRecovery(const home::Deployment& study) {
   }
 }
 
-/// Fleet summary with the checkpoint sketch cache: a resumed, already-clean
-/// run reloads the serialized sketches instead of re-streaming every
-/// segment; a computed summary is checkpointed for the next resume.
-void PrintFleetSummary(home::Deployment& study) {
+/// The end of a run: one finish pass (collect/finish.h) reads every kind
+/// once and feeds the fleet summary, the public and full-fidelity exports
+/// and the column snapshot together, whichever of them were asked for. The
+/// summary (fleet mode only) keeps its checkpoint cache: a resumed,
+/// already-clean run reloads the serialized sketches instead of
+/// re-streaming every segment, and a computed summary is checkpointed for
+/// the next resume. Outputs are reported in a fixed order once all are
+/// written.
+void FinishRun(home::Deployment& study, const ArgParser& args, bool fleet_summary) {
+  const collect::DataRepository& repo = study.repository();
+  const int workers = study.options().workers;
+  collect::FinishPass pass(repo, workers > 0 ? static_cast<std::size_t>(workers)
+                                            : static_cast<std::size_t>(
+                                                  ThreadPool::HardwareWorkers()));
   analysis::FleetSummary summary;
-  const std::string cached = study.recovered_fleet_summary_blob();
-  if (!cached.empty() && analysis::DeserializeFleetSummary(cached, &summary)) {
-    std::printf("fleet summary restored from checkpoint sketches\n");
-  } else {
-    summary = analysis::SummarizeFleet(study.repository());
-    study.save_fleet_summary_checkpoint(analysis::SerializeFleetSummary(summary));
+  bool restored = false;
+  std::optional<analysis::FleetSummarizer> summarizer;
+  if (fleet_summary) {
+    const std::string cached = study.recovered_fleet_summary_blob();
+    restored = !cached.empty() && analysis::DeserializeFleetSummary(cached, &summary);
+    if (!restored) summarizer.emplace(pass);
   }
-  analysis::WriteFleetSummary(summary, std::cout);
+  const auto export_dir = args.get("export");
+  const auto full_dir = args.get("export-full");
+  const auto snapshot_dir = args.get("snapshot-out");
+  std::optional<collect::CsvExport> public_csv, full_csv;
+  if (export_dir) public_csv.emplace(pass, *export_dir, collect::CsvView::kRelease);
+  if (full_dir) full_csv.emplace(pass, *full_dir, collect::CsvView::kFull);
+  std::optional<collect::ColumnSnapshotWriter> snapshot;
+  // Columnar v3 directory: streamed kind by kind, so this works from spill
+  // segments under --memory-budget-mb without materialising the repository.
+  if (snapshot_dir) snapshot.emplace(pass, *snapshot_dir);
+  pass.run();
+  if (snapshot) snapshot->commit();
+
+  if (fleet_summary) {
+    if (restored) {
+      std::printf("fleet summary restored from checkpoint sketches\n");
+    } else {
+      summary = summarizer->take();
+      study.save_fleet_summary_checkpoint(analysis::SerializeFleetSummary(summary));
+    }
+    analysis::WriteFleetSummary(summary, std::cout);
+  }
+  if (public_csv) {
+    std::printf("exported %zu public rows to %s (Traffic withheld, as in the paper)\n",
+                public_csv->rows(), export_dir->c_str());
+  }
+  if (full_csv) {
+    std::printf("exported %zu rows (every data set, full fidelity) to %s\n", full_csv->rows(),
+                full_dir->c_str());
+  }
+  if (snapshot) std::printf("wrote columnar snapshot to %s/\n", snapshot_dir->c_str());
 }
 
 int CmdRun(const ArgParser& args) {
@@ -228,37 +270,9 @@ int CmdRun(const ArgParser& args) {
                 FormatDuration(study->collector_outages().total()).c_str());
   }
 
-  if (options.memory_budget_bytes > 0) {
-    // Fleet mode: rows live in spill segments, so the headline
-    // distributions come from one streaming sketch pass per data set (or
-    // the checkpointed sketches of an already-complete resumed run).
-    PrintFleetSummary(*study);
-  }
-
-  const std::size_t workers = options.workers > 0
-                                  ? static_cast<std::size_t>(options.workers)
-                                  : static_cast<std::size_t>(ThreadPool::HardwareWorkers());
-  if (const auto dir = args.get("export")) {
-    const std::size_t rows = collect::ExportPublicDatasets(study->repository(), *dir, workers);
-    std::printf("exported %zu public rows to %s (Traffic withheld, as in the paper)\n", rows,
-                dir->c_str());
-  }
-  if (const auto dir = args.get("export-full")) {
-    const std::size_t rows = collect::ExportAllDatasets(study->repository(), *dir, workers);
-    std::printf("exported %zu rows (every data set, full fidelity) to %s\n", rows,
-                dir->c_str());
-  }
-  if (const auto path = args.get("snapshot-out")) {
-    // Columnar v3 directory: streamed kind-by-kind through for_each_row, so
-    // this works from spill segments under --memory-budget-mb without ever
-    // materialising the repository in RAM.
-    std::string error;
-    if (!collect::SaveColumnSnapshot(study->repository(), *path, &error, workers)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("wrote columnar snapshot to %s/\n", path->c_str());
-  }
+  // Fleet mode: rows live in spill segments, so the headline distributions
+  // come from streaming sketches over the finish pass.
+  FinishRun(*study, args, options.memory_budget_bytes > 0);
   return WriteObsOutputs(*study, args, "bismark_study run");
 }
 
@@ -274,7 +288,7 @@ int CmdReport(const ArgParser& args) {
     // empty when records live in spill segments; fleet mode reports the
     // streaming-sketch distributions instead.
     PrintBanner("Fleet distributions (streaming)");
-    PrintFleetSummary(*study);
+    FinishRun(*study, args, /*fleet_summary=*/true);
     return WriteObsOutputs(*study, args, "bismark_study report");
   }
 

@@ -389,10 +389,9 @@ void WriteFleetSummary(const FleetSummary& summary, std::ostream& out) {
 
 namespace {
 
-// v2 appends the per-country capacity table; v1 blobs (older checkpoints)
-// still deserialize, with an empty table.
+// Version 2 carries the per-country capacity table. Any other magic fails
+// closed, so a checkpoint from an older build is recomputed, not loaded.
 constexpr char kSummaryMagic[4] = {'F', 'L', 'S', '2'};
-constexpr char kSummaryMagicV1[4] = {'F', 'L', 'S', '1'};
 
 /// The nine sketches in one fixed order, shared by both codec directions so
 /// they cannot drift.
@@ -436,13 +435,10 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
   collect::BinReader r(blob.data(), blob.size());
   char magic[sizeof(kSummaryMagic)] = {};
   for (auto& c : magic) c = static_cast<char>(r.u8());
-  const auto is = [&magic](const char (&want)[4]) {
-    return std::string_view(magic, sizeof(magic)) == std::string_view(want, sizeof(want));
-  };
-  if (r.failed() || (!is(kSummaryMagic) && !is(kSummaryMagicV1))) {
+  if (r.failed() || std::string_view(magic, sizeof(magic)) !=
+                        std::string_view(kSummaryMagic, sizeof(kSummaryMagic))) {
     return fail("bad magic");
   }
-  const bool v1 = is(kSummaryMagicV1);
   FleetSummary summary;
   summary.homes = static_cast<std::size_t>(r.u64());
   summary.rows = r.u64();
@@ -455,19 +451,17 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
     ok = QuantileSketch::Deserialize(r.str(), &s);
   });
   if (!ok || r.failed()) return fail("malformed sketch blob");
-  if (!v1) {
-    const std::uint32_t countries = r.u32();
-    if (r.failed()) return fail("malformed country table");
-    for (std::uint32_t i = 0; i < countries && ok; ++i) {
-      std::string code = r.str();
-      CountryCapacity cc;
-      cc.homes = static_cast<std::size_t>(r.u64());
-      ok = !r.failed() && QuantileSketch::Deserialize(r.str(), &cc.down_mbps) &&
-           QuantileSketch::Deserialize(r.str(), &cc.up_mbps);
-      if (ok) summary.capacity_by_country.emplace(std::move(code), std::move(cc));
-    }
-    if (!ok || r.failed()) return fail("malformed country table");
+  const std::uint32_t countries = r.u32();
+  if (r.failed()) return fail("malformed country table");
+  for (std::uint32_t i = 0; i < countries && ok; ++i) {
+    std::string code = r.str();
+    CountryCapacity cc;
+    cc.homes = static_cast<std::size_t>(r.u64());
+    ok = !r.failed() && QuantileSketch::Deserialize(r.str(), &cc.down_mbps) &&
+         QuantileSketch::Deserialize(r.str(), &cc.up_mbps);
+    if (ok) summary.capacity_by_country.emplace(std::move(code), std::move(cc));
   }
+  if (!ok || r.failed()) return fail("malformed country table");
   if (!r.at_end()) return fail("trailing bytes");
   *out = std::move(summary);
   return true;

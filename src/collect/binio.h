@@ -1,24 +1,28 @@
 // Shared little-endian binary codec for record persistence.
 //
-// One writer/reader pair serves both durable formats derived from the
-// schema layer: the BSMKSNAP snapshot (collect/snapshot.h) and the
-// fleet-scale spill segments (collect/spill.h). The `value()` overload set
-// is the single list of serialisable member types; a record field of a new
-// type fails to compile in both formats until an overload is added here,
-// so the formats cannot drift apart.
+// One writer/reader pair serves every durable format derived from the
+// schema layer: the fleet-scale spill segments (collect/spill.h), the
+// write-ahead manifest (collect/manifest.h), the v3 snapshot meta file
+// (collect/column_snapshot.h), the resume options blob and the fleet
+// summary checkpoint. `value()` encodes one reflected member type by
+// forwarding to ColumnCodec<V> (collect/column_view.h), the single table
+// of serialisable member types: a record field of a new type fails to
+// compile until its codec is added there, and a value's row bytes are its
+// column bytes by construction. Only std::string differs between the two
+// layouts: a row carries it u32-length-prefixed, a column as offsets plus
+// a blob.
 //
 // All integers are encoded little-endian byte-by-byte, independent of host
-// endianness. Strings are u32-length-prefixed. Doubles are IEEE-754 bit
-// patterns in a u64.
+// endianness. Doubles are IEEE-754 bit patterns in a u64.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <tuple>
+#include <type_traits>
 
+#include "collect/column_view.h"
 #include "collect/schema.h"
 
 namespace bismark::collect {
@@ -26,56 +30,35 @@ namespace bismark::collect {
 class BinWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { fixed(v); }
-  void u32(std::uint32_t v) { fixed(v); }
-  void u64(std::uint64_t v) { fixed(v); }
-  void i32(std::int32_t v) { fixed(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { fixed(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fixed(bits);
-  }
+  void u16(std::uint16_t v) { coldetail::StoreLe<2>(buf_, v); }
+  void u32(std::uint32_t v) { coldetail::StoreLe<4>(buf_, v); }
+  void u64(std::uint64_t v) { coldetail::StoreLe<8>(buf_, v); }
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { value(v); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s);
   }
   void raw(const char* data, std::size_t n) { buf_.append(data, n); }
 
-  // Field-value overloads, one per reflected member type.
-  void value(bool v) { u8(v ? 1 : 0); }
-  void value(int v) { i32(v); }
-  void value(std::uint16_t v) { u16(v); }
-  void value(std::uint64_t v) { u64(v); }
-  void value(double v) { f64(v); }
-  void value(const std::string& v) { str(v); }
-  void value(HomeId v) { i32(v.value); }
-  void value(TimePoint v) { i64(v.ms); }
-  void value(Duration v) { i64(v.ms); }
-  void value(Bytes v) { i64(v.count); }
-  void value(BitRate v) { f64(v.bps); }
-  void value(net::FlowId v) { u64(v.value); }
-  void value(net::MacAddress v) {
-    for (const auto octet : v.octets()) u8(octet);
+  /// One reflected member value, in its ColumnCodec encoding.
+  template <typename V>
+  void value(const V& v) {
+    ColumnCodec<V>::Store(buf_, v);
   }
-  void value(net::Protocol v) { u8(static_cast<std::uint8_t>(v)); }
-  void value(wireless::Band v) { u8(static_cast<std::uint8_t>(v)); }
-  void value(net::VendorClass v) { i32(static_cast<int>(v)); }
+  void value(const std::string& v) { str(v); }
 
   [[nodiscard]] const std::string& buffer() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   void clear() { buf_.clear(); }
 
  private:
-  template <typename U>
-  void fixed(U v) {
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
   std::string buf_;
 };
 
+/// Reads what BinWriter wrote. A read past the end returns zero values and
+/// latches failed(); callers check it once after a whole record.
 class BinReader {
  public:
   BinReader(const char* data, std::size_t size) : p_(data), end_(data + size) {}
@@ -83,19 +66,15 @@ class BinReader {
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] bool at_end() const { return p_ == end_; }
 
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return static_cast<std::uint8_t>(*p_++);
-  }
-  std::uint16_t u16() { return fixed<std::uint16_t>(); }
-  std::uint32_t u32() { return fixed<std::uint32_t>(); }
-  std::uint64_t u64() { return fixed<std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(fixed<std::uint32_t>()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(fixed<std::uint64_t>()); }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(fixed<1>()); }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(fixed<2>()); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(fixed<4>()); }
+  std::uint64_t u64() { return fixed<8>(); }
+  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
-    const std::uint64_t bits = fixed<std::uint64_t>();
     double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
+    value(v);
     return v;
   }
   std::string str() {
@@ -106,36 +85,23 @@ class BinReader {
     return s;
   }
 
-  void value(bool& v) { v = u8() != 0; }
-  void value(int& v) { v = i32(); }
-  void value(std::uint16_t& v) { v = u16(); }
-  void value(std::uint64_t& v) { v = u64(); }
-  void value(double& v) { v = f64(); }
-  void value(std::string& v) { v = str(); }
-  void value(HomeId& v) { v.value = i32(); }
-  void value(TimePoint& v) { v.ms = i64(); }
-  void value(Duration& v) { v.ms = i64(); }
-  void value(Bytes& v) { v.count = i64(); }
-  void value(BitRate& v) { v.bps = f64(); }
-  void value(net::MacAddress& v) {
-    std::array<std::uint8_t, 6> octets{};
-    for (auto& octet : octets) octet = u8();
-    v = net::MacAddress(octets);
+  template <typename V>
+  void value(V& v) {
+    if (!need(ColumnCodec<V>::kWidth)) {
+      v = V{};
+      return;
+    }
+    v = ColumnCodec<V>::Load(p_);
+    p_ += ColumnCodec<V>::kWidth;
   }
-  void value(net::FlowId& v) { v.value = u64(); }
-  void value(net::Protocol& v) { v = static_cast<net::Protocol>(u8()); }
-  void value(wireless::Band& v) { v = static_cast<wireless::Band>(u8()); }
-  void value(net::VendorClass& v) { v = static_cast<net::VendorClass>(i32()); }
+  void value(std::string& v) { v = str(); }
 
  private:
-  template <typename U>
-  U fixed() {
-    if (!need(sizeof(U))) return 0;
-    U v = 0;
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      v |= static_cast<U>(static_cast<std::uint8_t>(p_[i])) << (8 * i);
-    }
-    p_ += sizeof(U);
+  template <unsigned W>
+  std::uint64_t fixed() {
+    if (!need(W)) return 0;
+    const std::uint64_t v = coldetail::LoadLe<W>(p_);
+    p_ += W;
     return v;
   }
   bool need(std::size_t n) {
@@ -152,7 +118,7 @@ class BinReader {
 };
 
 /// Encode one row field-by-field in Schema<T>::Fields() order (the row
-/// layout both the snapshot body and spill sections use).
+/// layout of spill sections).
 template <typename T>
 void EncodeRow(BinWriter& w, const T& row) {
   std::apply([&w, &row](const auto&... field) { (w.value(row.*(field.member)), ...); },
@@ -163,6 +129,28 @@ template <typename T>
 void DecodeRow(BinReader& r, T& row) {
   std::apply([&r, &row](const auto&... field) { (r.value(row.*(field.member)), ...); },
              Schema<T>::Fields());
+}
+
+/// The Table 2 windows in their durable order, each stored as start then
+/// end. The v3 snapshot meta file and the resume options blob share it.
+inline constexpr Interval DatasetWindows::*kWindowFields[] = {
+    &DatasetWindows::heartbeats, &DatasetWindows::uptime, &DatasetWindows::capacity,
+    &DatasetWindows::devices,    &DatasetWindows::wifi,   &DatasetWindows::traffic};
+
+inline void EncodeWindows(BinWriter& w, const DatasetWindows& windows) {
+  for (const auto member : kWindowFields) {
+    w.value((windows.*member).start);
+    w.value((windows.*member).end);
+  }
+}
+
+inline DatasetWindows DecodeWindows(BinReader& r) {
+  DatasetWindows windows;
+  for (const auto member : kWindowFields) {
+    r.value((windows.*member).start);
+    r.value((windows.*member).end);
+  }
+  return windows;
 }
 
 /// Approximate in-memory footprint of one row: the struct itself plus any

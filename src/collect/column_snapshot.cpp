@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "collect/binio.h"
-#include "collect/snapshot.h"
 #include "core/crc32c.h"
 
 namespace bismark::collect {
@@ -16,55 +15,6 @@ namespace {
 
 using coldetail::LoadLe;
 using coldetail::StoreLe;
-
-// The meta file shares the v2 snapshot's framing for windows and homes;
-// the Put/Get pairs are private to each format, so they are restated here.
-
-void PutInterval(BinWriter& w, const Interval& ival) {
-  w.i64(ival.start.ms);
-  w.i64(ival.end.ms);
-}
-
-Interval GetInterval(BinReader& r) {
-  Interval ival;
-  ival.start.ms = r.i64();
-  ival.end.ms = r.i64();
-  return ival;
-}
-
-void PutHome(BinWriter& w, const HomeInfo& h) {
-  w.i32(h.id.value);
-  w.str(h.country_code);
-  w.value(h.developed);
-  w.i64(h.utc_offset.ms);
-  w.value(h.reports_uptime);
-  w.value(h.reports_devices);
-  w.value(h.reports_wifi);
-  w.value(h.consented_traffic);
-  w.value(h.has_always_wired);
-  w.value(h.has_always_wireless);
-  w.f64(h.true_down_mbps);
-  w.f64(h.true_up_mbps);
-  w.i32(h.power_mode);
-}
-
-HomeInfo GetHome(BinReader& r) {
-  HomeInfo h;
-  h.id.value = r.i32();
-  h.country_code = r.str();
-  r.value(h.developed);
-  h.utc_offset.ms = r.i64();
-  r.value(h.reports_uptime);
-  r.value(h.reports_devices);
-  r.value(h.reports_wifi);
-  r.value(h.consented_traffic);
-  r.value(h.has_always_wired);
-  r.value(h.has_always_wireless);
-  h.true_down_mbps = r.f64();
-  h.true_up_mbps = r.f64();
-  h.power_mode = r.i32();
-  return h;
-}
 
 [[noreturn]] void Throw(const std::string& why) { throw std::runtime_error("snapshot: " + why); }
 
@@ -221,15 +171,9 @@ void ColumnSnapshotWriter::commit() {
   BinWriter w;
   w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u32(kColumnSnapshotVersion);
-  const DatasetWindows& windows = repo_.windows();
-  PutInterval(w, windows.heartbeats);
-  PutInterval(w, windows.uptime);
-  PutInterval(w, windows.capacity);
-  PutInterval(w, windows.devices);
-  PutInterval(w, windows.wifi);
-  PutInterval(w, windows.traffic);
+  EncodeWindows(w, repo_.windows());
   w.u32(static_cast<std::uint32_t>(repo_.homes().size()));
-  for (const HomeInfo& home : repo_.homes()) PutHome(w, home);
+  for (const HomeInfo& home : repo_.homes()) EncodeHomeInfo(w, home);
   w.u32(static_cast<std::uint32_t>(kRecordKinds));
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
@@ -320,16 +264,10 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
   BinReader r(data, body_bytes);
   for (std::size_t i = 0; i < kHeaderBytes; ++i) (void)r.u8();  // magic + version
 
-  snap->windows_.heartbeats = GetInterval(r);
-  snap->windows_.uptime = GetInterval(r);
-  snap->windows_.capacity = GetInterval(r);
-  snap->windows_.devices = GetInterval(r);
-  snap->windows_.wifi = GetInterval(r);
-  snap->windows_.traffic = GetInterval(r);
-
+  snap->windows_ = DecodeWindows(r);
   const std::uint32_t home_count = r.u32();
   for (std::uint32_t i = 0; i < home_count && !r.failed(); ++i) {
-    snap->homes_.push_back(GetHome(r));
+    snap->homes_.push_back(DecodeHomeInfo(r));
   }
 
   const std::uint32_t kind_count = r.u32();

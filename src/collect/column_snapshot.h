@@ -1,17 +1,30 @@
 // BSMKSNAP v3: the columnar snapshot substrate (DESIGN §14).
 //
-// v1/v2 snapshots are one row-oriented blob: loading any figure's input
-// means decoding every row of every data set. v3 turns the snapshot into
-// the native analytical layout — a *directory* with one meta file plus one
-// column file per non-empty kind, so `analyze` maps only the kinds a
-// figure needs and scans them without a decode pass:
+// A snapshot is the native analytical layout — a *directory* with one meta
+// file plus one column file per non-empty kind, so `analyze` maps only the
+// kinds a figure needs and scans them without a decode pass:
 //
 //   <dir>/snapshot.bsmkmeta      magic/version/windows/homes + the full
-//                                per-kind section table, CRC32C-trailed
-//                                exactly like the v2 snapshot
+//                                per-kind section table, then a trailing
+//                                CRC32C of every preceding byte
 //   <dir>/<kind>.bsmkcol         one file per kind with rows, e.g.
 //                                capacity.bsmkcol — stripes of per-field
 //                                column sections
+//
+// Meta file layout (all integers little-endian):
+//
+//   magic "BSMKSNAP" | u32 version | windows (EncodeWindows)
+//   | u32 home count, then each home (EncodeHomeInfo)
+//   | u32 kind count, then per kind: kind name, u32 field count, field
+//     names, u64 rows, column file name, u32 stripe count, per stripe u64
+//     rows and per field u64 body offset | u64 body bytes | u32 CRC32C
+//     | u32 encoding
+//   | u32 CRC32C of every preceding byte
+//
+// The meta file is self-describing and the reader is strict: after the
+// magic, version and CRC it checks every kind and field name, and refuses
+// a snapshot whose schema does not match the build reading it. Snapshots
+// are caches of a deterministic run, regenerated rather than migrated.
 //
 // Column file layout (all integers little-endian):
 //
@@ -60,6 +73,7 @@
 
 namespace bismark::collect {
 
+inline constexpr char kSnapshotMagic[8] = {'B', 'S', 'M', 'K', 'S', 'N', 'A', 'P'};
 inline constexpr std::uint32_t kColumnSnapshotVersion = 3;
 inline constexpr char kColumnMetaFile[] = "snapshot.bsmkmeta";
 inline constexpr char kColumnFileSuffix[] = ".bsmkcol";

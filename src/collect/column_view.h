@@ -6,11 +6,11 @@
 // one concatenated blob. The view types here sit directly on those mapped
 // bytes — no decode pass, no row materialisation unless asked for:
 //
-//   ColumnCodec<V>   — per-member-type width + load/store, mirroring the
-//                      BinWriter::value() overload set exactly; a record
-//                      field of a new type fails to compile here until its
-//                      codec is added, so the row and columnar formats
-//                      cannot drift apart.
+//   ColumnCodec<V>   — per-member-type width + load/store: the one table
+//                      of serialisable member types. BinWriter/BinReader
+//                      (collect/binio.h) forward their value() to it, so a
+//                      record field of a new type fails to compile in every
+//                      durable format until its codec is added here.
 //   ColumnView<V>    — typed random access over one fixed-width column.
 //   StringColumnView — string_view access over an offsets+blob column.
 //   TableView<T>     — all of a stripe's columns; row(i) materialises a
@@ -60,7 +60,7 @@ inline void StoreLe(std::string& out, std::uint64_t v) {
 /// Per-member-type column codec. kWidth is the on-disk bytes per value;
 /// Load reads one value from a column body, Store appends one.
 template <typename V>
-struct ColumnCodec;  // one specialisation per BinWriter::value() overload
+struct ColumnCodec;  // one specialisation per serialisable member type
 
 template <>
 struct ColumnCodec<bool> {
@@ -215,8 +215,9 @@ struct ColumnCodec<net::VendorClass> {
 };
 
 /// Strings are not fixed-width; their sections carry encoding 0 and the
-/// offsets+blob body StringColumnView reads. The codec exists only so
-/// compile-time width tables can expand over every field uniformly.
+/// offsets+blob body StringColumnView reads (rows length-prefix them, see
+/// BinWriter::str). The codec exists only so compile-time width tables can
+/// expand over every field uniformly.
 template <>
 struct ColumnCodec<std::string> {
   static constexpr std::uint32_t kWidth = 0;

@@ -13,8 +13,8 @@
 //  * The *full-fidelity* view (Schema<T>::Fields()) — every field with
 //    lossless codecs, for all nine data sets. `ExportAllDatasets` +
 //    `ImportAllDatasets` reproduce a repository exactly (tested), which is
-//    what archival hand-off between studies uses when the binary snapshot
-//    (collect/snapshot.h) is not wanted.
+//    what archival hand-off between studies uses when the columnar
+//    snapshot (collect/column_snapshot.h) is not wanted.
 #pragma once
 
 #include <cstddef>

@@ -143,9 +143,6 @@ std::size_t ImportDevices(DataRepository& repo, std::istream& in, ImportReport& 
 std::size_t ImportWifi(DataRepository& repo, std::istream& in, ImportReport& report) {
   return DriveReleaseCsv<WifiScanRecord>(repo, in, report);
 }
-std::size_t ImportTrafficFlows(DataRepository& repo, std::istream& in, ImportReport& report) {
-  return DriveReleaseCsv<TrafficFlowRecord>(repo, in, report);
-}
 
 template <typename T>
 std::size_t ImportDatasetCsv(DataRepository& repo, std::istream& in, ImportReport& report) {

@@ -60,8 +60,6 @@ std::size_t ImportUptime(DataRepository& repo, std::istream& in, ImportReport& r
 std::size_t ImportCapacity(DataRepository& repo, std::istream& in, ImportReport& report);
 std::size_t ImportDevices(DataRepository& repo, std::istream& in, ImportReport& report);
 std::size_t ImportWifi(DataRepository& repo, std::istream& in, ImportReport& report);
-/// Release-view traffic flows (the withheld set; internal use only).
-std::size_t ImportTrafficFlows(DataRepository& repo, std::istream& in, ImportReport& report);
 
 /// Schema-generated full-fidelity importer for one data set (the
 /// ExportDatasetCsv format: every field, exact codecs).

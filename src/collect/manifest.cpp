@@ -27,40 +27,6 @@ enum RecordType : std::uint8_t {
   kCheckpointRecord = 5,
 };
 
-void PutHomeInfo(BinWriter& w, const HomeInfo& home) {
-  w.i32(home.id.value);
-  w.str(home.country_code);
-  w.u8(home.developed ? 1 : 0);
-  w.i64(home.utc_offset.ms);
-  w.u8(home.reports_uptime ? 1 : 0);
-  w.u8(home.reports_devices ? 1 : 0);
-  w.u8(home.reports_wifi ? 1 : 0);
-  w.u8(home.consented_traffic ? 1 : 0);
-  w.u8(home.has_always_wired ? 1 : 0);
-  w.u8(home.has_always_wireless ? 1 : 0);
-  w.f64(home.true_down_mbps);
-  w.f64(home.true_up_mbps);
-  w.i32(home.power_mode);
-}
-
-HomeInfo GetHomeInfo(BinReader& r) {
-  HomeInfo home;
-  home.id.value = r.i32();
-  home.country_code = r.str();
-  home.developed = r.u8() != 0;
-  home.utc_offset.ms = r.i64();
-  home.reports_uptime = r.u8() != 0;
-  home.reports_devices = r.u8() != 0;
-  home.reports_wifi = r.u8() != 0;
-  home.consented_traffic = r.u8() != 0;
-  home.has_always_wired = r.u8() != 0;
-  home.has_always_wireless = r.u8() != 0;
-  home.true_down_mbps = r.f64();
-  home.true_up_mbps = r.f64();
-  home.power_mode = r.i32();
-  return home;
-}
-
 }  // namespace
 
 std::uint64_t SchemaFingerprint() {
@@ -150,7 +116,7 @@ void ManifestWriter::shard_done(std::uint32_t shard, const std::vector<HomeInfo>
   BinWriter w;
   w.u32(shard);
   w.u32(static_cast<std::uint32_t>(homes.size()));
-  for (const HomeInfo& home : homes) PutHomeInfo(w, home);
+  for (const HomeInfo& home : homes) EncodeHomeInfo(w, home);
   append(kShardDoneRecord, w.buffer());
 }
 
@@ -303,7 +269,7 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
         std::vector<HomeInfo> homes;
         homes.reserve(count);
         for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-          homes.push_back(GetHomeInfo(r));
+          homes.push_back(DecodeHomeInfo(r));
         }
         if (r.failed() || !r.at_end()) return stop("malformed shard-done record");
         out->shard_homes[shard] = Replay::DoneShard{out->current_gen, std::move(homes)};

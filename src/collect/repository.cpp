@@ -1,10 +1,32 @@
 #include "collect/repository.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "collect/manifest.h"
 
 namespace bismark::collect {
+
+namespace {
+
+/// HomeInfo's fields in their durable order.
+constexpr auto kHomeInfoFields = std::make_tuple(
+    &HomeInfo::id, &HomeInfo::country_code, &HomeInfo::developed, &HomeInfo::utc_offset,
+    &HomeInfo::reports_uptime, &HomeInfo::reports_devices, &HomeInfo::reports_wifi,
+    &HomeInfo::consented_traffic, &HomeInfo::has_always_wired, &HomeInfo::has_always_wireless,
+    &HomeInfo::true_down_mbps, &HomeInfo::true_up_mbps, &HomeInfo::power_mode);
+
+}  // namespace
+
+void EncodeHomeInfo(BinWriter& w, const HomeInfo& home) {
+  std::apply([&](auto... member) { (w.value(home.*member), ...); }, kHomeInfoFields);
+}
+
+HomeInfo DecodeHomeInfo(BinReader& r) {
+  HomeInfo home;
+  std::apply([&](auto... member) { (r.value(home.*member), ...); }, kHomeInfoFields);
+  return home;
+}
 
 DatasetWindows DatasetWindows::Paper() {
   DatasetWindows w;

@@ -60,6 +60,11 @@ struct HomeInfo {
   friend bool operator==(const HomeInfo&, const HomeInfo&) = default;
 };
 
+/// HomeInfo's one durable encoding, shared by the manifest's shard-done
+/// records and the v3 snapshot meta file.
+void EncodeHomeInfo(BinWriter& w, const HomeInfo& home);
+[[nodiscard]] HomeInfo DecodeHomeInfo(BinReader& r);
+
 /// A per-shard staging buffer: the same write API and window clipping as
 /// the repository, but entirely thread-private. A parallel deployment run
 /// gives each shard one batch; the shard's producers write into it without

@@ -57,7 +57,4 @@ class RecordSink {
   void add_cgn_event(CgnEventRecord rec) { add(std::move(rec)); }
 };
 
-/// Replay one record into a sink.
-inline void DeliverRecord(RecordSink& sink, const Record& r) { sink.add_record(r); }
-
 }  // namespace bismark::collect

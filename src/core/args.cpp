@@ -77,25 +77,27 @@ std::string ArgParser::get_or(const std::string& name, const std::string& fallba
   return get(name).value_or(fallback);
 }
 
-std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) const {
+std::optional<std::int64_t> ArgParser::parse_int(const std::string& name) const {
   const auto value = get(name);
-  if (!value) return fallback;
+  if (!value) return std::nullopt;
   std::int64_t out{};
   const char* begin = value->data();
   const char* end = begin + value->size();
   const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return (ec == std::errc() && ptr == end) ? out : fallback;
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
 }
 
-double ArgParser::get_double(const std::string& name, double fallback) const {
+std::optional<double> ArgParser::parse_double(const std::string& name) const {
   const auto value = get(name);
-  if (!value) return fallback;
+  if (!value) return std::nullopt;
   try {
     std::size_t pos = 0;
     const double out = std::stod(*value, &pos);
-    return pos == value->size() ? out : fallback;
+    if (pos != value->size()) return std::nullopt;
+    return out;
   } catch (...) {
-    return fallback;
+    return std::nullopt;
   }
 }
 

@@ -31,9 +31,17 @@ class ArgParser {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name, const std::string& fallback) const;
+  /// Strict numeric parses: nullopt when the value is missing or is not
+  /// entirely a number.
+  [[nodiscard]] std::optional<std::int64_t> parse_int(const std::string& name) const;
+  [[nodiscard]] std::optional<double> parse_double(const std::string& name) const;
   /// Numeric accessors; return fallback on missing/malformed values.
-  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const {
+    return parse_int(name).value_or(fallback);
+  }
+  [[nodiscard]] double get_double(const std::string& name, double fallback) const {
+    return parse_double(name).value_or(fallback);
+  }
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& error() const { return error_; }

@@ -11,7 +11,7 @@ namespace {
 
 // Little-endian scalar codec for the sketch checkpoint blobs. Kept local:
 // core cannot depend on collect's BinWriter, and the blobs are opaque to
-// everything but these two classes.
+// everything but QuantileSketch.
 void PutU64(std::string& out, std::uint64_t v) {
   char b[8];
   for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -270,116 +270,6 @@ bool QuantileSketch::Deserialize(const std::string& blob, QuantileSketch* out) {
 double QuantileSketch::min() const { return tuples_.empty() ? 0.0 : tuples_.front().v; }
 
 double QuantileSketch::max() const { return tuples_.empty() ? 0.0 : tuples_.back().v; }
-
-P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void P2Quantile::add(double v) {
-  if (n_ < 5) {
-    heights_[n_] = v;
-    ++n_;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) positions_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-  // Locate the cell containing v and clamp the extreme markers.
-  int k;
-  if (v < heights_[0]) {
-    heights_[0] = v;
-    k = 0;
-  } else if (v >= heights_[4]) {
-    heights_[4] = v;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && v >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  ++n_;
-  // Adjust interior markers toward their desired positions (parabolic, with
-  // linear fallback when the parabola would break monotonicity).
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double below = positions_[i] - positions_[i - 1];
-    const double above = positions_[i + 1] - positions_[i];
-    if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      const double hp =
-          heights_[i] + s / (positions_[i + 1] - positions_[i - 1]) *
-                            ((below + s) * (heights_[i + 1] - heights_[i]) / above +
-                             (above - s) * (heights_[i] - heights_[i - 1]) / below);
-      if (heights_[i - 1] < hp && hp < heights_[i + 1]) {
-        heights_[i] = hp;
-      } else {
-        const int j = i + static_cast<int>(s);
-        heights_[i] += s * (heights_[j] - heights_[i]) / (positions_[j] - positions_[i]);
-      }
-      positions_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (n_ == 0) return 0.0;
-  if (n_ < 5) {
-    double copy[5];
-    std::copy(heights_, heights_ + n_, copy);
-    std::sort(copy, copy + n_);
-    return QuantileSorted(std::span<const double>(copy, n_), q_);
-  }
-  return heights_[2];
-}
-
-std::string P2Quantile::Serialize() const {
-  std::string out;
-  out.reserve(180);
-  out.append("P2Q1", 4);
-  PutF64(out, q_);
-  PutU64(out, n_);
-  for (double h : heights_) PutF64(out, h);
-  for (double p : positions_) PutF64(out, p);
-  for (double d : desired_) PutF64(out, d);
-  for (double i : increments_) PutF64(out, i);
-  return out;
-}
-
-bool P2Quantile::Deserialize(const std::string& blob, P2Quantile* out) {
-  BlobReader r{blob.data(), blob.size()};
-  if (!r.tag("P2Q1")) return false;
-  P2Quantile est(0.5);
-  std::uint64_t n = 0;
-  if (!r.f64(&est.q_) || !r.u64(&n)) return false;
-  if (!(est.q_ >= 0.0 && est.q_ <= 1.0)) return false;  // rejects NaN too
-  est.n_ = static_cast<std::size_t>(n);
-  for (double& h : est.heights_) {
-    if (!r.f64(&h)) return false;
-  }
-  for (double& p : est.positions_) {
-    if (!r.f64(&p)) return false;
-  }
-  for (double& d : est.desired_) {
-    if (!r.f64(&d)) return false;
-  }
-  for (double& i : est.increments_) {
-    if (!r.f64(&i)) return false;
-  }
-  if (r.left != 0) return false;
-  *out = est;
-  return true;
-}
 
 void Sample::ensure_sorted() const {
   if (dirty_) {

@@ -102,32 +102,6 @@ class QuantileSketch {
   std::vector<Tuple> tuples_;  // sorted by v
 };
 
-/// P² (Jain/Chlamtac) single-quantile estimator: five markers, O(1) memory,
-/// no rank-error guarantee but excellent accuracy on smooth distributions.
-/// Used where one fixed percentile is tracked per key (e.g. per-home p95
-/// utilisation) and even a GK sketch per key would be too heavy.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double v);
-  [[nodiscard]] std::size_t count() const { return n_; }
-  /// Current estimate; exact while n <= 5.
-  [[nodiscard]] double value() const;
-
-  /// Marker-state blob; same contract as QuantileSketch::Serialize.
-  [[nodiscard]] std::string Serialize() const;
-  static bool Deserialize(const std::string& blob, P2Quantile* out);
-
- private:
-  double q_;
-  std::size_t n_{0};
-  double heights_[5]{};
-  double positions_[5]{};
-  double desired_[5]{};
-  double increments_[5]{};
-};
-
 /// Convenience: collect values, then answer quantile queries repeatedly.
 class Sample {
  public:

@@ -13,18 +13,6 @@ constexpr char kBlobMagic[4] = {'B', 'S', 'O', 'P'};
 // output destination, not record content (and resume rejects it anyway).
 constexpr std::uint32_t kBlobVersion = 2;
 
-void PutInterval(collect::BinWriter& w, const Interval& ival) {
-  w.i64(ival.start.ms);
-  w.i64(ival.end.ms);
-}
-
-Interval GetInterval(collect::BinReader& r) {
-  Interval ival;
-  ival.start.ms = r.i64();
-  ival.end.ms = r.i64();
-  return ival;
-}
-
 bool Fail(std::string* error, const std::string& reason) {
   if (error) *error = "resume options: " + reason;
   return false;
@@ -40,12 +28,7 @@ std::string EncodeResumableOptions(const DeploymentOptions& o) {
   w.u64(o.seed);
   w.u64(o.fault_seed);
 
-  PutInterval(w, o.windows.heartbeats);
-  PutInterval(w, o.windows.uptime);
-  PutInterval(w, o.windows.capacity);
-  PutInterval(w, o.windows.devices);
-  PutInterval(w, o.windows.wifi);
-  PutInterval(w, o.windows.traffic);
+  collect::EncodeWindows(w, o.windows);
 
   w.i64(o.heartbeat.period.ms);
   w.f64(o.heartbeat.loss_prob);
@@ -99,12 +82,7 @@ bool DecodeResumableOptions(const std::string& blob, DeploymentOptions* out,
   o.seed = r.u64();
   o.fault_seed = r.u64();
 
-  o.windows.heartbeats = GetInterval(r);
-  o.windows.uptime = GetInterval(r);
-  o.windows.capacity = GetInterval(r);
-  o.windows.devices = GetInterval(r);
-  o.windows.wifi = GetInterval(r);
-  o.windows.traffic = GetInterval(r);
+  o.windows = collect::DecodeWindows(r);
 
   o.heartbeat.period.ms = r.i64();
   o.heartbeat.loss_prob = r.f64();

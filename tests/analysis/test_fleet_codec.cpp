@@ -74,23 +74,22 @@ TEST(FleetSummaryCodec, RoundTripPreservesEveryDistribution) {
   }
 }
 
-TEST(FleetSummaryCodec, V1BlobWithoutCountryTableStillLoads) {
-  // FLS1 checkpoints predate the per-country capacity table; a resume of an
-  // old fleet run must reload the nine sketches and simply recompute the
-  // regional breakdown.
+TEST(FleetSummaryCodec, VersionOneBlobIsRejected) {
+  // Version 1 checkpoints predate the per-country capacity table. They are
+  // not decoded: a resume fails closed on them and recomputes the summary,
+  // as it does for any damaged blob.
   FleetSummary original = MakeSummary();
   original.capacity_by_country.clear();
   std::string blob = SerializeFleetSummary(original);
   ASSERT_EQ(blob.compare(0, 4, "FLS2"), 0);
-  blob[3] = '1';                    // rewrite the magic to FLS1...
-  blob.resize(blob.size() - 4);     // ...and drop the empty country count
+  blob[3] = '1';                 // the version 1 magic...
+  blob.resize(blob.size() - 4);  // ...and layout: no country count
   FleetSummary loaded;
+  loaded.homes = 99;
   std::string error;
-  ASSERT_TRUE(DeserializeFleetSummary(blob, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.homes, original.homes);
-  EXPECT_EQ(loaded.rows, original.rows);
-  EXPECT_EQ(loaded.flow_kbytes.count(), original.flow_kbytes.count());
-  EXPECT_TRUE(loaded.capacity_by_country.empty());
+  EXPECT_FALSE(DeserializeFleetSummary(blob, &loaded, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  EXPECT_EQ(loaded.homes, 99u) << "a rejected blob must leave *out untouched";
 }
 
 TEST(FleetSummaryCodec, FailsClosedOnMalformedCountryTable) {

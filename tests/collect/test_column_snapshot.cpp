@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "analysis/fleet.h"
 #include "collect/column_snapshot.h"
 #include "collect/repository.h"
+#include "core/crc32c.h"
 #include "core/io.h"
 #include "core/rng.h"
 
@@ -322,6 +324,16 @@ TEST_F(ColumnSnapshotTest, TruncatedColumnFileFailsClosed) {
   }
 }
 
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST_F(ColumnSnapshotTest, DamagedMetaFailsClosed) {
   DataRepository repo(WideWindows());
   Populate(repo);
@@ -329,28 +341,84 @@ TEST_F(ColumnSnapshotTest, DamagedMetaFailsClosed) {
   std::string error;
   ASSERT_TRUE(SaveColumnSnapshot(repo, dir, &error)) << error;
 
+  // Seeded bit flips and a prefix sweep over the meta file live in
+  // CorruptionFuzz.SnapshotBitFlipsAlwaysRejected; these are the fixed
+  // positions: magic, version, mid-body and the trailing CRC32C.
   const fs::path meta = fs::path(dir) / kColumnMetaFile;
-  std::string pristine;
-  {
-    std::ifstream in(meta, std::ios::binary);
-    pristine.assign((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  }
+  const std::string pristine = ReadBytes(meta);
   for (const std::size_t pos :
        {std::size_t{0}, std::size_t{4}, pristine.size() / 2, pristine.size() - 2}) {
     std::string bent = pristine;
     bent[pos] = static_cast<char>(bent[pos] ^ 0x01);
-    std::ofstream(meta, std::ios::binary | std::ios::trunc)
-        .write(bent.data(), static_cast<std::streamsize>(bent.size()));
+    WriteBytes(meta, bent);
     EXPECT_EQ(OpenColumnSnapshot(dir, &error), nullptr) << "flip at " << pos;
   }
   // Truncated meta: the directory no longer parses; fail closed, not crash.
-  std::ofstream(meta, std::ios::binary | std::ios::trunc)
-      .write(pristine.data(), static_cast<std::streamsize>(pristine.size() / 3));
+  WriteBytes(meta, pristine.substr(0, pristine.size() / 3));
   EXPECT_EQ(OpenColumnSnapshot(dir, &error), nullptr);
+  WriteBytes(meta, pristine);
+  EXPECT_NE(OpenColumnSnapshot(dir, &error), nullptr) << error;
   // A directory without the meta file is simply not a snapshot dir.
   fs::remove(meta);
   EXPECT_FALSE(IsColumnSnapshotDir(dir));
+}
+
+// --- strict meta parsing: forged meta files with a valid CRC ----------------
+
+/// Write a populated snapshot to `dir`, rewrite its meta body with `edit`
+/// and recompute the trailing CRC32C, so the forgery reaches the parse-layer
+/// check a test targets instead of stopping at the checksum. Returns the
+/// diagnostic of the refused open.
+std::string OpenForgedMeta(const std::string& dir,
+                           const std::function<void(std::string&)>& edit) {
+  DataRepository repo(WideWindows());
+  Populate(repo);
+  std::string error;
+  EXPECT_TRUE(SaveColumnSnapshot(repo, dir, &error)) << error;
+
+  const fs::path meta = fs::path(dir) / kColumnMetaFile;
+  std::string bytes = ReadBytes(meta);
+  bytes.resize(bytes.size() - 4);
+  edit(bytes);
+  const std::uint32_t crc = core::Crc32c(bytes.data(), bytes.size());
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  WriteBytes(meta, bytes);
+
+  EXPECT_EQ(OpenColumnSnapshot(dir, &error), nullptr) << "forged meta opened";
+  return error;
+}
+
+/// Flip the first byte of the first occurrence of `name` in the meta body.
+std::function<void(std::string&)> RenameFirst(const std::string& name) {
+  return [name](std::string& meta) {
+    const auto pos = meta.find(name);
+    ASSERT_NE(pos, std::string::npos) << name;
+    meta[pos] = 'X';
+  };
+}
+
+TEST_F(ColumnSnapshotTest, MetaRejectsFutureVersion) {
+  const std::string error = OpenForgedMeta(snap_dir("version"), [](std::string& meta) {
+    meta[sizeof(kSnapshotMagic)] = static_cast<char>(kColumnSnapshotVersion + 1);  // LE u32
+  });
+  EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+}
+
+TEST_F(ColumnSnapshotTest, MetaRejectsKindNameDrift) {
+  // The first kind's name precedes its column file name in the meta table.
+  const std::string error = OpenForgedMeta(snap_dir("kind"), RenameFirst("heartbeat_run"));
+  EXPECT_NE(error.find("kind name mismatch"), std::string::npos) << error;
+}
+
+TEST_F(ColumnSnapshotTest, MetaRejectsFieldNameDrift) {
+  const std::string error = OpenForgedMeta(snap_dir("field"), RenameFirst("run_start_ms"));
+  EXPECT_NE(error.find("field name mismatch"), std::string::npos) << error;
+}
+
+TEST_F(ColumnSnapshotTest, MetaRejectsTrailingBytes) {
+  const std::string error =
+      OpenForgedMeta(snap_dir("trailing"), [](std::string& meta) { meta += "junk"; });
+  EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
 }
 
 // --- parallel analysis determinism ------------------------------------------

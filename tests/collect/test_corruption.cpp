@@ -1,8 +1,8 @@
 // Corruption property suite (DESIGN §12): random bit flips and truncations
-// over segment files and binary snapshots must always be *detected* — reads
-// fail closed with a diagnostic, never return silently wrong rows — and a
-// quarantined spill directory must be usable again after recovery re-runs
-// the dropped shards.
+// over segment files and snapshot meta files must always be *detected* —
+// reads fail closed with a diagnostic, never return silently wrong rows —
+// and a quarantined spill directory must be usable again after recovery
+// re-runs the dropped shards.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "collect/column_snapshot.h"
 #include "collect/manifest.h"
 #include "collect/repository.h"
-#include "collect/snapshot.h"
 #include "core/rng.h"
 
 namespace bismark::collect {
@@ -204,10 +204,15 @@ TEST(CorruptionFuzz, SnapshotBitFlipsAlwaysRejected) {
   }
   repo.finalize_deterministic_order();
 
-  std::stringstream buf;
+  const auto dir = FreshDir("snapshot");
   std::string error;
-  ASSERT_TRUE(SaveSnapshot(repo, buf, &error)) << error;
-  const std::string clean = buf.str();
+  ASSERT_TRUE(SaveColumnSnapshot(repo, dir.string(), &error)) << error;
+  const fs::path meta = dir / kColumnMetaFile;
+  const std::string clean = Slurp(meta);
+  const auto opens = [&](const std::string& bytes, std::string* why) {
+    Dump(meta, bytes);
+    return OpenColumnSnapshot(dir.string(), why) != nullptr;
+  };
 
   Rng rng(7);
   for (int trial = 0; trial < 48; ++trial) {
@@ -216,9 +221,8 @@ TEST(CorruptionFuzz, SnapshotBitFlipsAlwaysRejected) {
     const int bit = static_cast<int>(rng.uniform_int(0, 7));
     std::string bent = clean;
     bent[byte] = static_cast<char>(bent[byte] ^ (1 << bit));
-    std::stringstream in(bent);
     std::string why;
-    EXPECT_EQ(LoadSnapshot(in, &why), nullptr)
+    EXPECT_FALSE(opens(bent, &why))
         << "flip at byte " << byte << " bit " << bit << " loaded silently";
     EXPECT_FALSE(why.empty());
   }
@@ -232,13 +236,13 @@ TEST(CorruptionFuzz, SnapshotBitFlipsAlwaysRejected) {
         rng.uniform_int(0, static_cast<std::int64_t>(clean.size()) - 1)));
   }
   for (const std::size_t cut : cuts) {
-    std::stringstream in(clean.substr(0, cut));
     std::string why;
-    EXPECT_EQ(LoadSnapshot(in, &why), nullptr) << "prefix of " << cut << " bytes";
+    EXPECT_FALSE(opens(clean.substr(0, cut), &why)) << "prefix of " << cut << " bytes";
+    EXPECT_FALSE(why.empty());
   }
 
-  std::stringstream ok(clean);
-  EXPECT_NE(LoadSnapshot(ok, &error), nullptr) << error;
+  EXPECT_TRUE(opens(clean, &error)) << error;
+  fs::remove_all(dir);
 }
 
 TEST(CorruptionFuzz, RecoveredDirectoryIsUsableAfterQuarantine) {

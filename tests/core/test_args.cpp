@@ -65,6 +65,19 @@ TEST(ArgParserTest, NumericFallbacks) {
   EXPECT_DOUBLE_EQ(args2.get_double("seed", 0.0), 3.5);
 }
 
+TEST(ArgParserTest, StrictParsesRejectPartialNumbers) {
+  ArgParser args = MakeParser();
+  ASSERT_TRUE(args.parse({"--seed", "1e3"}));
+  EXPECT_FALSE(args.parse_int("seed").has_value());
+  EXPECT_EQ(args.parse_double("seed"), 1000.0);
+  ASSERT_TRUE(args.parse({"--seed", "12abc"}));
+  EXPECT_FALSE(args.parse_int("seed").has_value());
+  EXPECT_FALSE(args.parse_double("seed").has_value());
+  ASSERT_TRUE(args.parse({"--seed", "-7"}));
+  EXPECT_EQ(args.parse_int("seed"), -7);
+  EXPECT_FALSE(args.parse_int("export").has_value());  // no value, no default
+}
+
 TEST(ArgParserTest, HelpListsEverything) {
   ArgParser args = MakeParser();
   const std::string help = args.help("tool");

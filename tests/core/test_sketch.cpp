@@ -1,6 +1,6 @@
-// Property tests for the streaming quantile estimators: the GK sketch's
-// rank-error guarantee against exact order statistics, merge error
-// budgeting, and the P² single-quantile estimator on smooth input.
+// Property tests for the streaming quantile sketch: the GK rank-error
+// guarantee against exact order statistics, merge error budgeting, and the
+// checkpoint codec.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -127,24 +127,6 @@ TEST(QuantileSketch, MinMaxExact) {
   EXPECT_DOUBLE_EQ(sketch.max(), hi);
 }
 
-TEST(P2Quantile, TracksSmoothDistribution) {
-  Rng rng(7007);
-  P2Quantile p95(0.95);
-  std::vector<double> data;
-  for (int i = 0; i < 50000; ++i) {
-    const double v = rng.uniform(0.0, 1.0);
-    data.push_back(v);
-    p95.add(v);
-  }
-  EXPECT_NEAR(p95.value(), Quantile(data, 0.95), 0.01);
-}
-
-TEST(P2Quantile, ExactForTinySamples) {
-  P2Quantile median(0.5);
-  for (const double v : {5.0, 1.0, 3.0}) median.add(v);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-}
-
 TEST(QuantileSketch, SerializeRoundTripAnswersIdentically) {
   Rng rng(7010);
   QuantileSketch sketch(0.01);
@@ -190,26 +172,6 @@ TEST(QuantileSketch, DeserializeFailsClosedOnDamage) {
   // A failed load leaves *out untouched.
   EXPECT_DOUBLE_EQ(out.eps(), 0.5);
   EXPECT_TRUE(out.empty());
-}
-
-TEST(P2Quantile, SerializeRoundTripContinuesIdentically) {
-  Rng rng(7011);
-  P2Quantile p95(0.95);
-  for (int i = 0; i < 10000; ++i) p95.add(rng.normal(10.0, 3.0));
-
-  P2Quantile loaded(0.5);
-  ASSERT_TRUE(P2Quantile::Deserialize(p95.Serialize(), &loaded));
-  EXPECT_EQ(loaded.count(), p95.count());
-  EXPECT_DOUBLE_EQ(loaded.value(), p95.value());
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(0.0, 20.0);
-    p95.add(v);
-    loaded.add(v);
-  }
-  EXPECT_DOUBLE_EQ(loaded.value(), p95.value());
-
-  P2Quantile out(0.5);
-  EXPECT_FALSE(P2Quantile::Deserialize("junk", &out));
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 //
 //   bismark_study run      --seed 42 --weeks 8 [--no-traffic] [--export DIR]
 //   bismark_study report   --seed 42 [--weeks N]     # paper-style digest
-//   bismark_study analyze  <release-dir>             # from released CSVs
+//   bismark_study analyze  <snapshot-dir|release-dir>
 //   bismark_study --help
 //
 // `run` simulates a deployment and prints dataset volumes; `report` adds
-// the Section 4-6 headline numbers; `analyze` consumes a directory written
-// by `run --export` (or examples/world_deployment) using only the public
-// CSVs.
+// the Section 4-6 headline numbers; `analyze` reads either a v3 snapshot
+// directory written by `run --snapshot-out` or a CSV release directory
+// written by `run --export` (or examples/world_deployment).
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -30,7 +32,6 @@
 #include "collect/finish.h"
 #include "collect/import.h"
 #include "collect/manifest.h"
-#include "collect/snapshot.h"
 #include "core/args.h"
 #include "core/io.h"
 #include "core/table.h"
@@ -347,19 +348,25 @@ int CmdReport(const ArgParser& args) {
 
 int CmdAnalyze(const ArgParser& args) {
   if (args.positional().size() < 2) {
-    std::fprintf(stderr,
-                 "usage: bismark_study analyze <release-dir|snapshot-file|snapshot-dir>\n");
+    std::fprintf(stderr, "usage: bismark_study analyze <snapshot-dir|release-dir>\n");
     return 2;
   }
   const std::string path = args.positional()[1];
+  if (std::filesystem::is_regular_file(path)) {
+    std::fprintf(stderr,
+                 "error: analyze reads a v3 snapshot directory (run --snapshot-out) or a "
+                 "CSV release directory (run --export); %s is a file\n",
+                 path.c_str());
+    return 2;
+  }
   const auto workers_arg = args.get_int("workers", 1);
   const std::size_t workers = workers_arg > 0
                                   ? static_cast<std::size_t>(workers_arg)
                                   : static_cast<std::size_t>(ThreadPool::HardwareWorkers());
 
-  // A columnar snapshot directory maps per-kind segments lazily; a regular
-  // file is a v1/v2 binary snapshot (homes and windows included); any other
-  // directory is a public CSV release that needs bare home registration.
+  // A columnar snapshot directory maps per-kind segments lazily (homes and
+  // windows included); any other directory is a public CSV release that
+  // needs bare home registration.
   std::unique_ptr<collect::DataRepository> repo;
   if (collect::IsColumnSnapshotDir(path)) {
     std::string error;
@@ -369,15 +376,6 @@ int CmdAnalyze(const ArgParser& args) {
       return 1;
     }
     std::printf("opened columnar snapshot %s (%zu rows, %zu homes)\n", path.c_str(),
-                repo->total_rows(), repo->homes().size());
-  } else if (std::filesystem::is_regular_file(path)) {
-    std::string error;
-    repo = collect::LoadSnapshotFile(path, &error);
-    if (!repo) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("loaded snapshot %s (%zu rows, %zu homes)\n", path.c_str(),
                 repo->total_rows(), repo->homes().size());
   } else {
     repo = std::make_unique<collect::DataRepository>(collect::DatasetWindows::Paper());
@@ -410,6 +408,66 @@ int CmdAnalyze(const ArgParser& args) {
     analysis::WriteFleetSummary(analysis::SummarizeFleet(*repo, workers), std::cout);
   }
   return 0;
+}
+
+/// Every numeric option, its type and its accepted range. main() checks
+/// each given value once, before dispatch, whichever subcommand runs.
+struct NumericOption {
+  enum Kind { kNonNegativeInt, kPositiveInt, kNonNegative, kPositive, kProbability };
+  const char* name;
+  Kind kind;
+  std::int64_t max{0};  // integer kinds: inclusive upper bound, 0 = none
+};
+
+constexpr std::int64_t kIntMax = INT32_MAX;  // options stored as int
+
+constexpr NumericOption kNumericOptions[] = {
+    {"seed", NumericOption::kNonNegativeInt},
+    {"fault-seed", NumericOption::kNonNegativeInt},
+    {"weeks", NumericOption::kNonNegativeInt, kIntMax},
+    {"homes", NumericOption::kPositiveInt, kIntMax},
+    {"workers", NumericOption::kNonNegativeInt, kIntMax},
+    {"memory-budget-mb", NumericOption::kNonNegativeInt},
+    {"checkpoint-every", NumericOption::kNonNegativeInt},
+    {"spool-capacity", NumericOption::kPositiveInt},
+    {"cgn-port-block", NumericOption::kPositiveInt, UINT16_MAX},
+    {"cgn-max-ports-per-home", NumericOption::kPositiveInt, UINT32_MAX},
+    {"scale", NumericOption::kPositive},
+    {"collector-outages-per-month", NumericOption::kNonNegative},
+    {"heartbeat-loss", NumericOption::kProbability},
+    {"upload-loss", NumericOption::kProbability},
+    {"ack-loss", NumericOption::kProbability},
+};
+
+/// The usage error for a malformed or out-of-range value of `opt`, or ""
+/// when the value is absent or valid.
+std::string CheckNumericOption(const ArgParser& args, const NumericOption& opt) {
+  if (!args.has(opt.name)) return "";
+  bool ok = false;
+  std::string rule;
+  if (opt.kind == NumericOption::kNonNegativeInt || opt.kind == NumericOption::kPositiveInt) {
+    const std::int64_t min = opt.kind == NumericOption::kPositiveInt ? 1 : 0;
+    const auto v = args.parse_int(opt.name);
+    ok = v && *v >= min && (opt.max == 0 || *v <= opt.max);
+    rule = min == 1 ? "a positive integer" : "a non-negative integer";
+    if (opt.max != 0) rule += " (max " + std::to_string(opt.max) + ")";
+  } else {
+    const auto v = args.parse_double(opt.name);
+    const double x = v && std::isfinite(*v) ? *v : -1.0;
+    if (opt.kind == NumericOption::kNonNegative) {
+      ok = x >= 0.0;
+      rule = "a non-negative number";
+    } else if (opt.kind == NumericOption::kPositive) {
+      ok = x > 0.0;
+      rule = "a positive number";
+    } else {
+      ok = x >= 0.0 && x <= 1.0;
+      rule = "a probability in [0, 1]";
+    }
+  }
+  if (ok) return "";
+  return std::string("--") + opt.name + " must be " + rule + ", got '" + *args.get(opt.name) +
+         "'";
 }
 
 }  // namespace
@@ -483,33 +541,21 @@ int main(int argc, char** argv) {
     return args.has("help") ? 0 : 2;
   }
 
-  // Scale-axis validation: a zero/negative/garbled --homes or a negative
-  // budget is a usage error, not a 0-home run.
-  if (const auto homes = args.get("homes")) {
-    if (args.get_int("homes", -1) <= 0) {
-      std::fprintf(stderr, "error: --homes must be a positive integer (got '%s')\n\n",
-                   homes->c_str());
-      std::fputs(args.help("bismark_study <run|report|analyze>").c_str(), stderr);
-      return 2;
-    }
-  }
-  if (args.get_int("memory-budget-mb", -1) < 0) {
-    std::fprintf(stderr, "error: --memory-budget-mb must be a non-negative integer\n\n");
-    std::fputs(args.help("bismark_study <run|report|analyze>").c_str(), stderr);
-    return 2;
-  }
   const auto usage_error = [&args](const std::string& message) {
     std::fprintf(stderr, "error: %s\n\n", message.c_str());
     std::fputs(args.help("bismark_study <run|report|analyze>").c_str(), stderr);
     return 2;
   };
-  // Crash-safety knobs (DESIGN §12): a malformed cadence, a --resume that
-  // contradicts the manifest-owned options, or an unusable spill directory
-  // is a usage error at startup, never a failure half-way into a run.
-  if (args.get_int("checkpoint-every", 0) < 0 ||
-      (args.has("checkpoint-every") && args.get_int("checkpoint-every", -1) < 0)) {
-    return usage_error("--checkpoint-every must be a non-negative integer");
+  // A malformed or out-of-range number is a usage error, never a silent
+  // default (a garbled --homes is not a 0-home run).
+  for (const NumericOption& opt : kNumericOptions) {
+    if (const std::string error = CheckNumericOption(args, opt); !error.empty()) {
+      return usage_error(error);
+    }
   }
+  // Crash-safety knobs (DESIGN §12): a --resume that contradicts the
+  // manifest-owned options or an unusable spill directory is a usage error
+  // at startup, never a failure half-way into a run.
   if (args.get_int("checkpoint-every", 0) > 0 && args.get_int("memory-budget-mb", 0) <= 0 &&
       !args.has("resume")) {
     return usage_error(
@@ -518,19 +564,10 @@ int main(int argc, char** argv) {
   if (args.has("spill-dir") && args.get_int("memory-budget-mb", 0) <= 0) {
     return usage_error("--spill-dir requires fleet mode (--memory-budget-mb > 0)");
   }
-  // NAT444 knobs: the sub-options only mean something with the tier on, and
-  // a malformed block size is a usage error before any simulation starts.
-  if (args.has("cgn-port-block")) {
-    if (!args.has("cgn")) return usage_error("--cgn-port-block requires --cgn");
-    const auto block = args.get_int("cgn-port-block", -1);
-    if (block <= 0 || block > 65535) {
-      return usage_error("--cgn-port-block must be a positive integer (max 65535)");
-    }
-  }
-  if (args.has("cgn-max-ports-per-home")) {
-    if (!args.has("cgn")) return usage_error("--cgn-max-ports-per-home requires --cgn");
-    if (args.get_int("cgn-max-ports-per-home", -1) <= 0) {
-      return usage_error("--cgn-max-ports-per-home must be a positive integer");
+  // NAT444 knobs only mean something with the tier on.
+  for (const char* name : {"cgn-port-block", "cgn-max-ports-per-home"}) {
+    if (args.has(name) && !args.has("cgn")) {
+      return usage_error(std::string("--") + name + " requires --cgn");
     }
   }
   if (args.has("pcap-out") && args.has("resume")) {

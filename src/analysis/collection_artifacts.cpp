@@ -58,12 +58,15 @@ CollectionOutageReport DetectCollectionOutages(const collect::DataRepository& re
 std::vector<HomeAvailability> AnalyzeAvailabilityCorrected(
     const collect::DataRepository& repo, const CollectionOutageReport& artifacts,
     const DowntimeOptions& options) {
-  // Start from the raw analysis, then re-examine each home's gaps.
-  std::vector<HomeAvailability> homes = AnalyzeAvailability(repo, options);
+  // Start from the raw analysis, then re-examine each home's gaps. Both
+  // read the runs of one pass over the data set.
+  const RunsByHome runs_by_home = HeartbeatRunsByHome(repo);
+  std::vector<HomeAvailability> homes = AvailabilityFromRuns(repo, runs_by_home, options);
   const Interval window = repo.windows().heartbeats;
 
   for (auto& home : homes) {
-    const auto runs = repo.heartbeat_runs_for(home.home);
+    // Every analysed home has runs.
+    const auto& runs = runs_by_home.at(home.home.value);
     const auto downtimes = ExtractDowntimes(runs, window, options.threshold);
 
     int kept = 0;

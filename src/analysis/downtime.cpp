@@ -33,14 +33,23 @@ std::vector<Downtime> ExtractDowntimes(const std::vector<collect::HeartbeatRun>&
   return out;
 }
 
-std::vector<HomeAvailability> AnalyzeAvailability(const collect::DataRepository& repo,
-                                                  const DowntimeOptions& options) {
-  const Interval window = repo.windows().heartbeats;
-  std::map<int, std::vector<collect::HeartbeatRun>> runs_by_home;
+RunsByHome HeartbeatRunsByHome(const collect::DataRepository& repo) {
+  RunsByHome runs_by_home;
   repo.for_each_row<collect::HeartbeatRun>([&](const collect::HeartbeatRun& run) {
     runs_by_home[run.home.value].push_back(run);
   });
+  return runs_by_home;
+}
 
+std::vector<HomeAvailability> AnalyzeAvailability(const collect::DataRepository& repo,
+                                                  const DowntimeOptions& options) {
+  return AvailabilityFromRuns(repo, HeartbeatRunsByHome(repo), options);
+}
+
+std::vector<HomeAvailability> AvailabilityFromRuns(const collect::DataRepository& repo,
+                                                   const RunsByHome& runs_by_home,
+                                                   const DowntimeOptions& options) {
+  const Interval window = repo.windows().heartbeats;
   std::vector<HomeAvailability> out;
   for (const auto& info : repo.homes()) {
     const auto it = runs_by_home.find(info.id.value);

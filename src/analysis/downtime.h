@@ -5,6 +5,7 @@
 // definition, with no access to the simulator's ground truth.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,9 +51,18 @@ struct DowntimeOptions {
 [[nodiscard]] std::vector<Downtime> ExtractDowntimes(
     const std::vector<collect::HeartbeatRun>& runs, Interval window, Duration threshold);
 
+/// Every home's heartbeat runs in canonical order, from one read of the
+/// Heartbeats data set.
+using RunsByHome = std::map<int, std::vector<collect::HeartbeatRun>>;
+[[nodiscard]] RunsByHome HeartbeatRunsByHome(const collect::DataRepository& repo);
+
 /// Per-home availability stats for all qualifying homes.
 [[nodiscard]] std::vector<HomeAvailability> AnalyzeAvailability(
     const collect::DataRepository& repo, const DowntimeOptions& options = {});
+/// The same from runs already grouped by HeartbeatRunsByHome.
+[[nodiscard]] std::vector<HomeAvailability> AvailabilityFromRuns(
+    const collect::DataRepository& repo, const RunsByHome& runs_by_home,
+    const DowntimeOptions& options);
 
 /// Fig. 3 / Fig. 4 presentation: a CDF per region.
 struct RegionalCdfs {

@@ -1,10 +1,12 @@
 #include "analysis/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <iomanip>
 #include <ostream>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,37 +18,51 @@ namespace bismark::analysis {
 
 namespace {
 
-/// Per-home scalar state for the per-home distributions. Indexed by home
-/// id, which the deployment mints densely from the roster index.
-/// covered_ms holds exact integer millisecond sums (every addend is an
-/// int64 and the totals stay far below 2^53), so accumulation order cannot
-/// change the value — that is what lets the parallel path merge per-stripe
-/// partials without a floating-point ordering hazard.
-struct HomeAgg {
-  double covered_ms{0.0};
-  std::uint32_t heartbeat_runs{0};
-  int max_unique_devices{-1};
-};
-
-/// country_code pointers indexed by dense home id (nullptr for gaps).
-std::vector<const std::string*> CountryByHomeId(const collect::DataRepository& repo,
-                                                int max_id) {
-  std::vector<const std::string*> country(static_cast<std::size_t>(max_id + 1), nullptr);
-  for (const collect::HomeInfo& info : repo.homes()) {
-    if (info.id.value >= 0 && info.id.value <= max_id) {
-      country[static_cast<std::size_t>(info.id.value)] = &info.country_code;
+/// The roster facts the feeders read. The deployment mints home ids
+/// densely from the roster index, so per-home state is an array indexed by
+/// id; rows of homes outside the roster are skipped.
+struct Roster {
+  explicit Roster(const collect::DataRepository& repo) {
+    for (const collect::HomeInfo& info : repo.homes()) max_id = std::max(max_id, info.id.value);
+    country.assign(homes(), nullptr);
+    for (const collect::HomeInfo& info : repo.homes()) {
+      if (known(info.id)) country[static_cast<std::size_t>(info.id.value)] = &info.country_code;
     }
   }
-  return country;
-}
-
-/// Pre-seed the per-country table with roster counts so a country shows up
-/// (with empty sketches) even when none of its homes ran a probe.
-void SeedCountries(const collect::DataRepository& repo, FleetSummary* out) {
-  for (const collect::HomeInfo& info : repo.homes()) {
-    ++out->capacity_by_country[info.country_code].homes;
+  [[nodiscard]] std::size_t homes() const { return static_cast<std::size_t>(max_id + 1); }
+  [[nodiscard]] bool known(collect::HomeId id) const {
+    return id.value >= 0 && id.value <= max_id;
   }
-}
+
+  int max_id{-1};
+  std::vector<const std::string*> country;  // by dense home id, nullptr for gaps
+};
+
+/// What the feeders accumulate over some rows: the summary's per-row
+/// sketches, and the per-home totals behind the per-home distributions.
+/// Only the heartbeat and device feeders keep per-home totals, sized on
+/// their first batch. covered_ms holds exact integer millisecond sums
+/// (every addend is an int64 and the totals stay far below 2^53), so
+/// partials fold to the same value in any order.
+struct FleetPartial {
+  FleetSummary summary;
+  std::vector<double> covered_ms;
+  std::vector<std::uint32_t> heartbeat_runs;
+  std::vector<int> max_unique_devices;
+};
+
+// Version 2 carries the per-country capacity table. Any other magic fails
+// closed, so a checkpoint from an older build is recomputed, not loaded.
+constexpr char kSummaryMagic[4] = {'F', 'L', 'S', '2'};
+
+/// The nine sketches in one fixed order, shared by the partial fold and
+/// both codec directions so they cannot drift.
+constexpr QuantileSketch FleetSummary::*kSketches[] = {
+    &FleetSummary::availability_fraction, &FleetSummary::downtimes_per_day,
+    &FleetSummary::unique_devices,        &FleetSummary::capacity_down_mbps,
+    &FleetSummary::capacity_up_mbps,      &FleetSummary::visible_aps,
+    &FleetSummary::associated_clients,    &FleetSummary::throughput_down_mbps,
+    &FleetSummary::flow_kbytes};
 
 /// Fold `from` into `into` deterministically: the first non-empty partial
 /// is adopted wholesale (QuantileSketch::merge sums the eps bounds, so
@@ -61,98 +77,166 @@ void FoldSketch(QuantileSketch* into, QuantileSketch&& from) {
   }
 }
 
-/// The per-home distributions (Figs 3-4, 7, 10), from per-home totals
-/// indexed by dense home id.
-void AddPerHomeSamples(const collect::DataRepository& repo,
-                       const std::vector<double>& covered_ms,
-                       const std::vector<std::uint32_t>& heartbeat_runs,
-                       const std::vector<int>& max_unique_devices, FleetSummary* out) {
+/// Fold partial `from` into the total `into`, whose per-home totals are
+/// sized. Sketch folds are order-sensitive, so callers fold partials in a
+/// fixed order (stripe index order); the per-home folds are exact.
+void FoldPartial(FleetPartial& into, FleetPartial&& from) {
+  for (const auto sketch : kSketches) {
+    FoldSketch(&(into.summary.*sketch), std::move(from.summary.*sketch));
+  }
+  for (auto& [code, cc] : from.summary.capacity_by_country) {
+    CountryCapacity& country = into.summary.capacity_by_country[code];
+    FoldSketch(&country.down_mbps, std::move(cc.down_mbps));
+    FoldSketch(&country.up_mbps, std::move(cc.up_mbps));
+  }
+  for (std::size_t i = 0; i < from.covered_ms.size(); ++i) {
+    into.covered_ms[i] += from.covered_ms[i];
+    into.heartbeat_runs[i] += from.heartbeat_runs[i];
+  }
+  for (std::size_t i = 0; i < from.max_unique_devices.size(); ++i) {
+    into.max_unique_devices[i] = std::max(into.max_unique_devices[i], from.max_unique_devices[i]);
+  }
+}
+
+// --- the feeders: each sketch group's row feeding, written once ---------------
+
+void FeedHeartbeats(const Roster& roster, std::span<const collect::HeartbeatRun> rows,
+                    FleetPartial& p) {
+  p.covered_ms.resize(roster.homes(), 0.0);
+  p.heartbeat_runs.resize(roster.homes(), 0);
+  for (const collect::HeartbeatRun& run : rows) {
+    if (!roster.known(run.home)) continue;
+    const auto i = static_cast<std::size_t>(run.home.value);
+    p.covered_ms[i] += static_cast<double>((run.end - run.start).ms);
+    ++p.heartbeat_runs[i];
+  }
+}
+
+void FeedDevices(const Roster& roster, std::span<const collect::DeviceCountRecord> rows,
+                 FleetPartial& p) {
+  p.max_unique_devices.resize(roster.homes(), -1);
+  for (const collect::DeviceCountRecord& rec : rows) {
+    if (!roster.known(rec.home)) continue;
+    const auto i = static_cast<std::size_t>(rec.home.value);
+    p.max_unique_devices[i] = std::max(p.max_unique_devices[i], rec.unique_total);
+  }
+}
+
+void FeedCapacity(const Roster& roster, std::span<const collect::CapacityRecord> rows,
+                  FleetPartial& p) {
+  for (const collect::CapacityRecord& rec : rows) {
+    p.summary.capacity_down_mbps.add(rec.downstream.mbps());
+    p.summary.capacity_up_mbps.add(rec.upstream.mbps());
+    if (!roster.known(rec.home)) continue;
+    const std::string* code = roster.country[static_cast<std::size_t>(rec.home.value)];
+    if (code == nullptr) continue;
+    CountryCapacity& cc = p.summary.capacity_by_country[*code];
+    cc.down_mbps.add(rec.downstream.mbps());
+    cc.up_mbps.add(rec.upstream.mbps());
+  }
+}
+
+void FeedVisibleAps(const Roster&, std::span<const collect::WifiScanRecord> rows,
+                    FleetPartial& p) {
+  for (const auto& rec : rows) p.summary.visible_aps.add(static_cast<double>(rec.visible_aps));
+}
+
+void FeedAssociatedClients(const Roster&, std::span<const collect::WifiScanRecord> rows,
+                           FleetPartial& p) {
+  for (const auto& rec : rows) {
+    p.summary.associated_clients.add(static_cast<double>(rec.associated_clients));
+  }
+}
+
+void FeedThroughput(const Roster&, std::span<const collect::ThroughputMinute> rows,
+                    FleetPartial& p) {
+  for (const auto& rec : rows) p.summary.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
+}
+
+void FeedFlows(const Roster&, std::span<const collect::TrafficFlowRecord> rows,
+               FleetPartial& p) {
+  for (const auto& rec : rows) p.summary.flow_kbytes.add(rec.total_bytes().kb());
+}
+
+template <typename T>
+using Feed = void (*)(const Roster&, std::span<const T>, FleetPartial&);
+
+/// Call `visit` with every sketch group's feeder. The two wifi sketches
+/// read the largest kind, so they are two groups: the finish pass feeds
+/// them concurrently.
+template <typename Visit>
+void ForEachFeeder(Visit&& visit) {
+  visit(&FeedHeartbeats);
+  visit(&FeedDevices);
+  visit(&FeedCapacity);
+  visit(&FeedVisibleAps);
+  visit(&FeedAssociatedClients);
+  visit(&FeedThroughput);
+  visit(&FeedFlows);
+}
+
+/// The partial every feeder's output ends up in: the summary's scalars,
+/// sized per-home totals, and the roster's countries (with empty sketches,
+/// so a country shows up even when none of its homes ran a probe).
+FleetPartial EmptyTotal(const collect::DataRepository& repo, const Roster& roster) {
+  FleetPartial total;
+  total.summary.homes = repo.homes().size();
+  total.summary.rows = repo.total_rows();
+  for (const collect::HomeInfo& info : repo.homes()) {
+    ++total.summary.capacity_by_country[info.country_code].homes;
+  }
+  total.covered_ms.assign(roster.homes(), 0.0);
+  total.heartbeat_runs.assign(roster.homes(), 0);
+  total.max_unique_devices.assign(roster.homes(), -1);
+  return total;
+}
+
+/// Add the per-home distributions (Figs 3-4, 7, 10) from the per-home
+/// totals and hand the summary over.
+FleetSummary TakeSummary(const collect::DataRepository& repo, FleetPartial&& total) {
+  FleetSummary& out = total.summary;
   const Interval hb = repo.windows().heartbeats;
   const double window_ms = static_cast<double>((hb.end - hb.start).ms);
   const double window_days = window_ms / (24.0 * 3600.0 * 1000.0);
   for (const collect::HomeInfo& info : repo.homes()) {
     const auto i = static_cast<std::size_t>(info.id.value);
     if (info.reports_uptime && window_ms > 0.0) {
-      out->availability_fraction.add(std::min(1.0, covered_ms[i] / window_ms));
-      if (heartbeat_runs[i] > 0 && window_days > 0.0) {
-        out->downtimes_per_day.add(static_cast<double>(heartbeat_runs[i] - 1) / window_days);
+      out.availability_fraction.add(std::min(1.0, total.covered_ms[i] / window_ms));
+      if (total.heartbeat_runs[i] > 0 && window_days > 0.0) {
+        out.downtimes_per_day.add(static_cast<double>(total.heartbeat_runs[i] - 1) / window_days);
       }
     }
-    if (info.reports_devices && max_unique_devices[i] >= 0) {
-      out->unique_devices.add(static_cast<double>(max_unique_devices[i]));
+    if (info.reports_devices && total.max_unique_devices[i] >= 0) {
+      out.unique_devices.add(static_cast<double>(total.max_unique_devices[i]));
     }
   }
+  return std::move(out);
 }
 
 }  // namespace
 
-FleetSummarizer::FleetSummarizer(collect::FinishPass& pass) : repo_(pass.repository()) {
-  out_.homes = repo_.homes().size();
-  out_.rows = repo_.total_rows();
-  for (const collect::HomeInfo& info : repo_.homes()) max_id_ = std::max(max_id_, info.id.value);
-  const auto homes = static_cast<std::size_t>(max_id_ + 1);
-  covered_ms_.assign(homes, 0.0);
-  heartbeat_runs_.assign(homes, 0);
-  max_unique_devices_.assign(homes, -1);
-  country_ = CountryByHomeId(repo_, max_id_);
-  SeedCountries(repo_, &out_);
+struct FleetSummarizer::State {
+  explicit State(const collect::DataRepository& r)
+      : repo(r), roster(r), total(EmptyTotal(r, roster)) {}
+  const collect::DataRepository& repo;
+  Roster roster;
+  FleetPartial total;
+};
 
-  // Rows of homes outside the roster are skipped, as in the parallel path.
-  const int max_id = max_id_;
-  const auto known = [max_id](collect::HomeId id) { return id.value >= 0 && id.value <= max_id; };
-  pass.add<collect::HeartbeatRun>([this, known](std::span<const collect::HeartbeatRun> rows) {
-    for (const collect::HeartbeatRun& run : rows) {
-      if (!known(run.home)) continue;
-      const auto i = static_cast<std::size_t>(run.home.value);
-      covered_ms_[i] += static_cast<double>((run.end - run.start).ms);
-      ++heartbeat_runs_[i];
-    }
-  });
-  pass.add<collect::DeviceCountRecord>(
-      [this, known](std::span<const collect::DeviceCountRecord> rows) {
-        for (const collect::DeviceCountRecord& rec : rows) {
-          if (!known(rec.home)) continue;
-          const auto i = static_cast<std::size_t>(rec.home.value);
-          max_unique_devices_[i] = std::max(max_unique_devices_[i], rec.unique_total);
-        }
-      });
-  pass.add<collect::CapacityRecord>([this, known](std::span<const collect::CapacityRecord> rows) {
-    for (const collect::CapacityRecord& rec : rows) {
-      out_.capacity_down_mbps.add(rec.downstream.mbps());
-      out_.capacity_up_mbps.add(rec.upstream.mbps());
-      if (!known(rec.home)) continue;
-      const std::string* code = country_[static_cast<std::size_t>(rec.home.value)];
-      if (code == nullptr) continue;
-      CountryCapacity& cc = out_.capacity_by_country[*code];
-      cc.down_mbps.add(rec.downstream.mbps());
-      cc.up_mbps.add(rec.upstream.mbps());
-    }
-  });
-  // The two wifi sketches read the largest kind: one consumer each.
-  pass.add<collect::WifiScanRecord>([this](std::span<const collect::WifiScanRecord> rows) {
-    for (const collect::WifiScanRecord& rec : rows) {
-      out_.visible_aps.add(static_cast<double>(rec.visible_aps));
-    }
-  });
-  pass.add<collect::WifiScanRecord>([this](std::span<const collect::WifiScanRecord> rows) {
-    for (const collect::WifiScanRecord& rec : rows) {
-      out_.associated_clients.add(static_cast<double>(rec.associated_clients));
-    }
-  });
-  pass.add<collect::ThroughputMinute>([this](std::span<const collect::ThroughputMinute> rows) {
-    for (const collect::ThroughputMinute& rec : rows) {
-      out_.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
-    }
-  });
-  pass.add<collect::TrafficFlowRecord>([this](std::span<const collect::TrafficFlowRecord> rows) {
-    for (const collect::TrafficFlowRecord& rec : rows) out_.flow_kbytes.add(rec.total_bytes().kb());
+FleetSummarizer::FleetSummarizer(collect::FinishPass& pass)
+    : state_(std::make_unique<State>(pass.repository())) {
+  // Each feeder is one consumer writing its own fields of the total, so
+  // consumers never share mutable state.
+  ForEachFeeder([&]<typename T>(Feed<T> feed) {
+    pass.add<T>([state = state_.get(), feed](std::span<const T> rows) {
+      feed(state->roster, rows, state->total);
+    });
   });
 }
 
-FleetSummary FleetSummarizer::take() {
-  AddPerHomeSamples(repo_, covered_ms_, heartbeat_runs_, max_unique_devices_, &out_);
-  return std::move(out_);
-}
+FleetSummarizer::~FleetSummarizer() = default;
+
+FleetSummary FleetSummarizer::take() { return TakeSummary(state_->repo, std::move(state_->total)); }
 
 FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
   collect::FinishPass pass(repo, 1);
@@ -161,169 +245,44 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo) {
   return summarizer.take();
 }
 
-namespace {
-
-/// Per-stripe partial for the sketch-per-row kinds.
-struct SketchPartial {
-  QuantileSketch a;
-  QuantileSketch b;
-  std::map<std::string, CountryCapacity> by_country;  // capacity only
-};
-
-}  // namespace
-
 FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t workers) {
-  const collect::ColumnSnapshot* snap = repo.columns();
-  if (snap == nullptr) return SummarizeFleet(repo);
+  if (!repo.column_backed()) return SummarizeFleet(repo);
+  const Roster roster(repo);
 
-  FleetSummary out;
-  out.homes = repo.homes().size();
-  out.rows = repo.total_rows();
-
-  int max_id = -1;
-  for (const collect::HomeInfo& info : repo.homes()) {
-    max_id = std::max(max_id, info.id.value);
-  }
-  const auto country = CountryByHomeId(repo, max_id);
-  SeedCountries(repo, &out);
-
-  // One task per (kind, stripe): every task owns its partial slot, so the
-  // scan itself is embarrassingly parallel. Determinism comes from the
-  // merge below, which folds partials in stripe index order — a property
-  // of the snapshot, not of how many threads scanned it.
+  // One task per (kind, stripe) runs every feeder of that kind over the
+  // stripe into the task's own partial, so the scan is embarrassingly
+  // parallel. Determinism comes from the fold below, which takes partials
+  // in stripe index order — a property of the snapshot, not of how many
+  // threads scanned it.
+  std::array<std::vector<FleetPartial>, collect::kRecordKinds> partials;
   std::vector<std::function<void()>> tasks;
-
-  const std::size_t hb_n = snap->stripes_of_kind(collect::kRecordIndexOf<collect::HeartbeatRun>);
-  std::vector<std::vector<HomeAgg>> hb_parts(hb_n);
-  for (std::size_t s = 0; s < hb_n; ++s) {
-    tasks.emplace_back([&, s] {
-      auto& agg = hb_parts[s];
-      agg.assign(static_cast<std::size_t>(max_id + 1), HomeAgg{});
-      snap->for_each_row_in_stripe<collect::HeartbeatRun>(
-          s, [&](const collect::HeartbeatRun& run) {
-            if (run.home.value < 0 || run.home.value > max_id) return;
-            HomeAgg& a = agg[static_cast<std::size_t>(run.home.value)];
-            a.covered_ms += static_cast<double>((run.end - run.start).ms);
-            ++a.heartbeat_runs;
+  collect::ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    bool fed = false;
+    ForEachFeeder([&]<typename U>(Feed<U>) { fed |= std::is_same_v<U, T>; });
+    if (!fed) return;
+    std::vector<FleetPartial>& parts = partials[collect::kRecordIndexOf<T>];
+    parts.resize(repo.columns()->stripes_of_kind(collect::kRecordIndexOf<T>));
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      tasks.emplace_back([&repo, &roster, &part = parts[s], s] {
+        collect::RowReader<T> reader(repo, s);
+        std::vector<T> buffer;
+        for (std::span<const T> rows; !(rows = reader.read(buffer)).empty();) {
+          ForEachFeeder([&]<typename U>(Feed<U> feed) {
+            if constexpr (std::is_same_v<U, T>) feed(roster, rows, part);
           });
-    });
-  }
-
-  const std::size_t dev_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::DeviceCountRecord>);
-  std::vector<std::vector<HomeAgg>> dev_parts(dev_n);
-  for (std::size_t s = 0; s < dev_n; ++s) {
-    tasks.emplace_back([&, s] {
-      auto& agg = dev_parts[s];
-      agg.assign(static_cast<std::size_t>(max_id + 1), HomeAgg{});
-      snap->for_each_row_in_stripe<collect::DeviceCountRecord>(
-          s, [&](const collect::DeviceCountRecord& rec) {
-            if (rec.home.value < 0 || rec.home.value > max_id) return;
-            HomeAgg& a = agg[static_cast<std::size_t>(rec.home.value)];
-            a.max_unique_devices = std::max(a.max_unique_devices, rec.unique_total);
-          });
-    });
-  }
-
-  const std::size_t cap_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::CapacityRecord>);
-  std::vector<SketchPartial> cap_parts(cap_n);
-  for (std::size_t s = 0; s < cap_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = cap_parts[s];
-      snap->for_each_row_in_stripe<collect::CapacityRecord>(
-          s, [&](const collect::CapacityRecord& rec) {
-            p.a.add(rec.downstream.mbps());
-            p.b.add(rec.upstream.mbps());
-            if (rec.home.value < 0 || rec.home.value > max_id) return;
-            if (const std::string* code = country[static_cast<std::size_t>(rec.home.value)]) {
-              CountryCapacity& cc = p.by_country[*code];
-              cc.down_mbps.add(rec.downstream.mbps());
-              cc.up_mbps.add(rec.upstream.mbps());
-            }
-          });
-    });
-  }
-
-  const std::size_t wifi_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::WifiScanRecord>);
-  std::vector<SketchPartial> wifi_parts(wifi_n);
-  for (std::size_t s = 0; s < wifi_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = wifi_parts[s];
-      snap->for_each_row_in_stripe<collect::WifiScanRecord>(
-          s, [&](const collect::WifiScanRecord& rec) {
-            p.a.add(static_cast<double>(rec.visible_aps));
-            p.b.add(static_cast<double>(rec.associated_clients));
-          });
-    });
-  }
-
-  const std::size_t tp_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::ThroughputMinute>);
-  std::vector<SketchPartial> tp_parts(tp_n);
-  for (std::size_t s = 0; s < tp_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = tp_parts[s];
-      snap->for_each_row_in_stripe<collect::ThroughputMinute>(
-          s, [&](const collect::ThroughputMinute& rec) {
-            p.a.add(rec.peak_down_bps / 1e6);
-          });
-    });
-  }
-
-  const std::size_t flow_n =
-      snap->stripes_of_kind(collect::kRecordIndexOf<collect::TrafficFlowRecord>);
-  std::vector<SketchPartial> flow_parts(flow_n);
-  for (std::size_t s = 0; s < flow_n; ++s) {
-    tasks.emplace_back([&, s] {
-      SketchPartial& p = flow_parts[s];
-      snap->for_each_row_in_stripe<collect::TrafficFlowRecord>(
-          s, [&](const collect::TrafficFlowRecord& rec) {
-            p.a.add(rec.total_bytes().kb());
-          });
-    });
-  }
-
+        }
+      });
+    }
+  });
   ThreadPool pool(static_cast<int>(workers));
   pool.parallel_for(tasks.size(), [&](std::size_t i, int) { tasks[i](); });
 
-  // Stripe-order merge. HomeAgg folds are exact-integer sums and maxes
-  // (order-free); the sketch folds are order-sensitive, hence the fixed
-  // iteration.
-  const auto homes = static_cast<std::size_t>(max_id + 1);
-  std::vector<double> covered_ms(homes, 0.0);
-  std::vector<std::uint32_t> heartbeat_runs(homes, 0);
-  std::vector<int> max_unique_devices(homes, -1);
-  for (const auto& part : hb_parts) {
-    for (std::size_t i = 0; i < homes; ++i) {
-      covered_ms[i] += part[i].covered_ms;
-      heartbeat_runs[i] += part[i].heartbeat_runs;
-    }
+  FleetPartial total = EmptyTotal(repo, roster);
+  for (std::vector<FleetPartial>& parts : partials) {
+    for (FleetPartial& part : parts) FoldPartial(total, std::move(part));
   }
-  for (const auto& part : dev_parts) {
-    for (std::size_t i = 0; i < homes; ++i) {
-      max_unique_devices[i] = std::max(max_unique_devices[i], part[i].max_unique_devices);
-    }
-  }
-  for (SketchPartial& p : cap_parts) {
-    FoldSketch(&out.capacity_down_mbps, std::move(p.a));
-    FoldSketch(&out.capacity_up_mbps, std::move(p.b));
-    for (auto& [code, cc] : p.by_country) {
-      CountryCapacity& into = out.capacity_by_country[code];
-      FoldSketch(&into.down_mbps, std::move(cc.down_mbps));
-      FoldSketch(&into.up_mbps, std::move(cc.up_mbps));
-    }
-  }
-  for (SketchPartial& p : wifi_parts) {
-    FoldSketch(&out.visible_aps, std::move(p.a));
-    FoldSketch(&out.associated_clients, std::move(p.b));
-  }
-  for (SketchPartial& p : tp_parts) FoldSketch(&out.throughput_down_mbps, std::move(p.a));
-  for (SketchPartial& p : flow_parts) FoldSketch(&out.flow_kbytes, std::move(p.a));
-
-  AddPerHomeSamples(repo, covered_ms, heartbeat_runs, max_unique_devices, &out);
-  return out;
+  return TakeSummary(repo, std::move(total));
 }
 
 void WriteFleetSummary(const FleetSummary& summary, std::ostream& out) {
@@ -387,35 +346,12 @@ void WriteFleetSummary(const FleetSummary& summary, std::ostream& out) {
   }
 }
 
-namespace {
-
-// Version 2 carries the per-country capacity table. Any other magic fails
-// closed, so a checkpoint from an older build is recomputed, not loaded.
-constexpr char kSummaryMagic[4] = {'F', 'L', 'S', '2'};
-
-/// The nine sketches in one fixed order, shared by both codec directions so
-/// they cannot drift.
-template <typename S, typename Fn>
-void ForEachSketch(S& summary, Fn&& fn) {
-  fn(summary.availability_fraction);
-  fn(summary.downtimes_per_day);
-  fn(summary.unique_devices);
-  fn(summary.capacity_down_mbps);
-  fn(summary.capacity_up_mbps);
-  fn(summary.visible_aps);
-  fn(summary.associated_clients);
-  fn(summary.throughput_down_mbps);
-  fn(summary.flow_kbytes);
-}
-
-}  // namespace
-
 std::string SerializeFleetSummary(const FleetSummary& summary) {
   collect::BinWriter w;
   w.raw(kSummaryMagic, sizeof(kSummaryMagic));
   w.u64(static_cast<std::uint64_t>(summary.homes));
   w.u64(summary.rows);
-  ForEachSketch(summary, [&w](const QuantileSketch& s) { w.str(s.Serialize()); });
+  for (const auto sketch : kSketches) w.str((summary.*sketch).Serialize());
   w.u32(static_cast<std::uint32_t>(summary.capacity_by_country.size()));
   for (const auto& [code, cc] : summary.capacity_by_country) {
     w.str(code);
@@ -443,13 +379,9 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
   summary.homes = static_cast<std::size_t>(r.u64());
   summary.rows = r.u64();
   bool ok = true;
-  ForEachSketch(summary, [&](QuantileSketch& s) {
-    if (!ok || r.failed()) {
-      ok = false;
-      return;
-    }
-    ok = QuantileSketch::Deserialize(r.str(), &s);
-  });
+  for (const auto sketch : kSketches) {
+    ok = ok && !r.failed() && QuantileSketch::Deserialize(r.str(), &(summary.*sketch));
+  }
   if (!ok || r.failed()) return fail("malformed sketch blob");
   const std::uint32_t countries = r.u32();
   if (r.failed()) return fail("malformed country table");

@@ -3,15 +3,21 @@
 // quantile sketches (core/stats.h) instead of resident row vectors.
 //
 // This is the analysis path that works at fleet scale: the repository may
-// be spill-backed (collect/spill.h), in which case `for_each_row` streams
-// segment files and nothing here ever holds a full data set. Per-home
+// be spill-backed (collect/spill.h), in which case the rows stream out of
+// the segment merge and nothing here ever holds a full data set. Per-home
 // scalar accumulators are the only O(homes) state (a few dozen bytes per
 // home); every distribution is an eps-bounded sketch.
+//
+// Each sketch group's row feeding is written once, as a feeder (fleet.cpp).
+// A FleetSummarizer runs every feeder as a finish-pass consumer over its
+// whole kind; the per-stripe SummarizeFleet runs the same feeders over one
+// snapshot stripe at a time and folds the partials in stripe order.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,22 +77,16 @@ struct FleetSummary {
 class FleetSummarizer {
  public:
   explicit FleetSummarizer(collect::FinishPass& pass);
-  FleetSummarizer(const FleetSummarizer&) = delete;  // the pass holds `this`
+  ~FleetSummarizer();
+  FleetSummarizer(const FleetSummarizer&) = delete;  // the pass holds the state
   FleetSummarizer& operator=(const FleetSummarizer&) = delete;
 
   /// Fold the per-home accumulators into the summary and hand it over.
   [[nodiscard]] FleetSummary take();
 
  private:
-  const collect::DataRepository& repo_;
-  int max_id_{-1};
-  std::vector<const std::string*> country_;  // by dense home id
-  // Per-home accumulators, one array per consumer (no shared cache lines
-  // between the heartbeat and the device consumer).
-  std::vector<double> covered_ms_;
-  std::vector<std::uint32_t> heartbeat_runs_;
-  std::vector<int> max_unique_devices_;
-  FleetSummary out_;
+  struct State;  // the roster and the accumulators the feeders fill
+  std::unique_ptr<State> state_;
 };
 
 /// One streaming pass per data set over `repo` (resident, spilled or
@@ -95,11 +95,12 @@ class FleetSummarizer {
 
 /// Parallel variant. On a column-backed repository (collect/
 /// column_snapshot.h) every (kind, stripe) pair becomes one task on a
-/// `workers`-thread pool and the per-stripe partial sketches are merged in
-/// stripe index order — the stripe partition is a property of the snapshot,
-/// not of the worker count, so the result is bit-identical for any
-/// `workers` (the CI analyze diff gates on this). Falls back to the serial
-/// pass on in-RAM or spill-backed repositories.
+/// `workers`-thread pool that runs the kind's feeders over a RowReader of
+/// that stripe, and the per-stripe partials are folded in stripe index
+/// order — the stripe partition is a property of the snapshot, not of the
+/// worker count, so the result is bit-identical for any `workers` (the CI
+/// analyze diff gates on this). Falls back to the serial pass on in-RAM or
+/// spill-backed repositories.
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo,
                                           std::size_t workers);
 

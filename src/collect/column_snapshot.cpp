@@ -429,35 +429,4 @@ std::unique_ptr<DataRepository> OpenColumnSnapshot(const std::string& dir,
   return repo;
 }
 
-// --- repository streaming seam ----------------------------------------------
-
-template <typename T>
-void ForEachColumnRow(const ColumnSnapshot& snap, const std::function<void(const T&)>& fn) {
-  snap.for_each_row<T>(fn);
-}
-
-std::size_t ColumnRowCount(const ColumnSnapshot& snap, std::size_t kind) {
-  return static_cast<std::size_t>(snap.rows_of_kind(kind));
-}
-
-std::size_t ColumnTotalRows(const ColumnSnapshot& snap) {
-  return static_cast<std::size_t>(snap.total_rows());
-}
-
-#define BISMARK_COLUMN_INSTANTIATE(T) \
-  template void ForEachColumnRow<T>(const ColumnSnapshot&, const std::function<void(const T&)>&);
-
-BISMARK_COLUMN_INSTANTIATE(HeartbeatRun)
-BISMARK_COLUMN_INSTANTIATE(UptimeRecord)
-BISMARK_COLUMN_INSTANTIATE(CapacityRecord)
-BISMARK_COLUMN_INSTANTIATE(DeviceCountRecord)
-BISMARK_COLUMN_INSTANTIATE(WifiScanRecord)
-BISMARK_COLUMN_INSTANTIATE(TrafficFlowRecord)
-BISMARK_COLUMN_INSTANTIATE(ThroughputMinute)
-BISMARK_COLUMN_INSTANTIATE(DnsLogRecord)
-BISMARK_COLUMN_INSTANTIATE(DeviceTrafficRecord)
-BISMARK_COLUMN_INSTANTIATE(CgnEventRecord)
-
-#undef BISMARK_COLUMN_INSTANTIATE
-
 }  // namespace bismark::collect

@@ -46,7 +46,10 @@
 // Readers get the bytes through core::MappedFile — mmap when the kernel
 // grants it, a buffered read otherwise — and every open is recorded in the
 // core::IoReadStats counters, which is how tests prove a single-figure
-// query touched only its own kind segments.
+// query touched only its own kind segments. Rows come out through the
+// repository's one RowReader (collect/repository.h), whose column arm is
+// the only loop that decodes stripe views into rows; a reader can also be
+// limited to one stripe, the unit of the per-stripe fleet summary.
 //
 // The writer is a set of finish-pass consumers (collect/finish.h), one per
 // non-empty kind, so it works from the in-RAM store, a spill directory
@@ -60,7 +63,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -174,6 +176,8 @@ class ColumnSnapshot {
 
   /// Zero-copy view of one stripe of kind T (maps the kind file on first
   /// use). The view borrows the mapping: valid while this object lives.
+  /// RowReader (collect/repository.h) decodes rows out of these views; a
+  /// kind without rows has no stripes, so reading it touches no file.
   template <typename T>
   [[nodiscard]] TableView<T> stripe(std::size_t stripe_index) const {
     constexpr std::size_t kKind = kRecordIndexOf<T>;
@@ -185,28 +189,6 @@ class ColumnSnapshot {
       bodies[f] = ks.map.data() + sm.sections[f].body_offset;
     }
     return TableView<T>(bodies, sm.rows);
-  }
-
-  /// Stream one stripe's rows in canonical order (rows materialised).
-  template <typename T>
-  void for_each_row_in_stripe(std::size_t stripe_index,
-                              const std::function<void(const T&)>& fn) const {
-    const TableView<T> view = stripe<T>(stripe_index);
-    T row{};
-    for (std::uint64_t i = 0; i < view.rows(); ++i) {
-      view.row(i, &row);
-      fn(row);
-    }
-  }
-
-  /// Stream every row of kind T. Zero-row kinds touch no file at all.
-  template <typename T>
-  void for_each_row(const std::function<void(const T&)>& fn) const {
-    constexpr std::size_t kKind = kRecordIndexOf<T>;
-    if (kinds_[kKind].meta.rows == 0) return;
-    for (std::size_t s = 0; s < stripes_of_kind(kKind); ++s) {
-      for_each_row_in_stripe<T>(s, fn);
-    }
   }
 
  private:
@@ -227,7 +209,7 @@ class ColumnSnapshot {
 };
 
 /// Open a v3 snapshot as a column-backed DataRepository: windows and homes
-/// registered, every for_each_row routed through the columnar reader.
+/// registered, every read decoded from the mapped stripes.
 std::unique_ptr<DataRepository> OpenColumnSnapshot(const std::string& dir,
                                                    std::string* error);
 

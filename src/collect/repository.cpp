@@ -1,8 +1,10 @@
 #include "collect/repository.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 
+#include "collect/column_snapshot.h"
 #include "collect/manifest.h"
 
 namespace bismark::collect {
@@ -143,33 +145,26 @@ void IngestBatch::flush_spill() {
   staged_bytes_ = 0;
 }
 
-namespace {
-// Streams rather than copies the backing vector so the filtered views work
-// on spilled and column-backed repositories too, not just the in-RAM store.
-template <typename T>
-std::vector<T> FilterByHome(const DataRepository& repo, HomeId id) {
-  std::vector<T> out;
-  repo.for_each_row<T>([&](const T& r) {
-    if (r.home == id) out.push_back(r);
+std::vector<HeartbeatRun> DataRepository::heartbeat_runs_for(HomeId id) const {
+  std::vector<HeartbeatRun> out;
+  for_each_row<HeartbeatRun>([&](const HeartbeatRun& run) {
+    if (run.home == id) out.push_back(run);
   });
   return out;
 }
-}  // namespace
 
-std::vector<HeartbeatRun> DataRepository::heartbeat_runs_for(HomeId id) const {
-  return FilterByHome<HeartbeatRun>(*this, id);
+template <typename T>
+std::size_t DataRepository::row_count() const {
+  constexpr std::size_t kKind = kRecordIndexOf<T>;
+  if (columns_ != nullptr) return static_cast<std::size_t>(columns_->rows_of_kind(kKind));
+  if (spill_ != nullptr) return static_cast<std::size_t>(spill_->rows_of_kind(kKind));
+  return store_.rows<T>().size();
 }
-std::vector<DeviceCountRecord> DataRepository::device_counts_for(HomeId id) const {
-  return FilterByHome<DeviceCountRecord>(*this, id);
-}
-std::vector<TrafficFlowRecord> DataRepository::flows_for(HomeId id) const {
-  return FilterByHome<TrafficFlowRecord>(*this, id);
-}
-std::vector<ThroughputMinute> DataRepository::throughput_for(HomeId id) const {
-  return FilterByHome<ThroughputMinute>(*this, id);
-}
-std::vector<CapacityRecord> DataRepository::capacity_for(HomeId id) const {
-  return FilterByHome<CapacityRecord>(*this, id);
+
+std::size_t DataRepository::total_rows() const {
+  if (columns_ != nullptr) return static_cast<std::size_t>(columns_->total_rows());
+  if (spill_ != nullptr) return static_cast<std::size_t>(spill_->total_rows());
+  return store_.total_rows();
 }
 
 DataRepository::Counts DataRepository::counts() const {
@@ -179,5 +174,60 @@ DataRepository::Counts DataRepository::counts() const {
                 row_count<ThroughputMinute>(), row_count<DnsLogRecord>(),
                 row_count<DeviceTrafficRecord>(), row_count<CgnEventRecord>()};
 }
+
+// --- the row reader -----------------------------------------------------------
+
+template <typename T>
+RowReader<T>::RowReader(const DataRepository& repo) : columns_(repo.columns()) {
+  if (columns_ != nullptr) {
+    stripe_end_ = columns_->stripes_of_kind(kRecordIndexOf<T>);
+  } else if (SpillDir* dir = repo.spill()) {
+    spilled_ = std::make_unique<SpilledRowStream<T>>(*dir);
+  } else {
+    resident_ = &repo.rows<T>();
+  }
+}
+
+template <typename T>
+RowReader<T>::RowReader(const DataRepository& repo, std::size_t stripe)
+    : columns_(repo.columns()), stripe_(stripe), stripe_end_(stripe + 1) {
+  if (columns_ == nullptr) throw std::logic_error("RowReader: stripes need a column snapshot");
+}
+
+template <typename T>
+RowReader<T>::~RowReader() = default;
+
+template <typename T>
+std::span<const T> RowReader<T>::read(std::vector<T>& buffer) {
+  if (resident_ != nullptr) {
+    const std::size_t n = std::min(kReadBatchRows, resident_->size() - resident_next_);
+    const std::span<const T> batch(resident_->data() + resident_next_, n);
+    resident_next_ += n;
+    return batch;
+  }
+  buffer.clear();
+  if (spilled_ != nullptr) {
+    spilled_->read(buffer, kReadBatchRows);
+    return buffer;
+  }
+  // The one stripe decode loop: a batch may span stripes.
+  while (buffer.size() < kReadBatchRows && stripe_ < stripe_end_) {
+    const TableView<T> view = columns_->stripe<T>(stripe_);
+    for (; stripe_row_ < view.rows() && buffer.size() < kReadBatchRows; ++stripe_row_) {
+      view.row(stripe_row_, &buffer.emplace_back());
+    }
+    if (stripe_row_ == view.rows()) {
+      ++stripe_;
+      stripe_row_ = 0;
+    }
+  }
+  return buffer;
+}
+
+#define BISMARK_REPOSITORY_INSTANTIATE(T) \
+  template class RowReader<T>;            \
+  template std::size_t DataRepository::row_count<T>() const;
+BISMARK_FOR_EACH_RECORD_KIND(BISMARK_REPOSITORY_INSTANTIATE)
+#undef BISMARK_REPOSITORY_INSTANTIATE
 
 }  // namespace bismark::collect

@@ -5,12 +5,19 @@
 // the schema layer (collect/schema.h + collect/store.h): both the
 // thread-private IngestBatch and the merged DataRepository are one
 // RecordStore plus bookkeeping.
+//
+// A repository has one of three backings: resident rows, spill segments
+// (collect/spill.h) or a v3 column snapshot (collect/column_snapshot.h).
+// Every read goes through one RowReader, the only code besides the row
+// counts that looks at which backing it is: for_each_row, the finish pass
+// (collect/finish.h) and the per-stripe fleet summary all pull its batches.
 #pragma once
 
 #include <array>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,15 +32,19 @@
 namespace bismark::collect {
 
 class ColumnSnapshot;
-
-/// Stream every row of kind T from an opened v3 columnar snapshot in
-/// canonical order. Declared here (defined + explicitly instantiated in
-/// column_snapshot.cpp, mirroring ForEachSpilledRow) so this header does
-/// not pull in the columnar reader.
 template <typename T>
-void ForEachColumnRow(const ColumnSnapshot& snap, const std::function<void(const T&)>& fn);
-[[nodiscard]] std::size_t ColumnRowCount(const ColumnSnapshot& snap, std::size_t kind);
-[[nodiscard]] std::size_t ColumnTotalRows(const ColumnSnapshot& snap);
+class RowReader;
+
+namespace repository_detail {
+/// Call `fn` on every row of one batch. Out of line on purpose: inlined
+/// into for_each_row's loop, which also calls the reader, GCC keeps the
+/// callback's by-reference captures in memory across rows, which halved
+/// the speed of BM_SnapshotScanRowStore's one-add callback.
+template <typename T, typename Fn>
+[[gnu::noinline]] void EachRow(std::span<const T> batch, Fn& fn) {
+  for (const T& row : batch) fn(row);
+}
+}  // namespace repository_detail
 
 /// Per-home metadata the analysis layer keys on.
 struct HomeInfo {
@@ -199,33 +210,23 @@ class DataRepository final : public RecordSink {
     return store_.rows<T>();
   }
 
-  /// Stream every row of kind T in canonical order, resident, spilled or
-  /// column-backed; each call on a spilled repository is one merge. The
+  /// Call `fn` on every row of kind T in canonical order, one RowReader
+  /// batch at a time; each call on a spilled repository is one merge. The
   /// summary, export and snapshot writers read through one FinishPass
   /// (collect/finish.h) instead, so they share that merge. Requires
   /// finalize_deterministic_order() first on the in-RAM path.
   template <typename T, typename Fn>
   void for_each_row(Fn&& fn) const {
-    if (columns_ != nullptr) {
-      ForEachColumnRow<T>(*columns_, std::function<void(const T&)>(std::forward<Fn>(fn)));
-      return;
+    RowReader<T> reader(*this);
+    std::vector<T> buffer;
+    for (std::span<const T> batch; !(batch = reader.read(buffer)).empty();) {
+      repository_detail::EachRow(batch, fn);
     }
-    if (spill_ != nullptr) {
-      ForEachSpilledRow<T>(*spill_, std::function<void(const T&)>(std::forward<Fn>(fn)));
-      return;
-    }
-    for (const T& row : store_.rows<T>()) fn(row);
   }
 
   /// Row count of kind T, resident, spilled, or column-backed.
   template <typename T>
-  [[nodiscard]] std::size_t row_count() const {
-    if (columns_ != nullptr) return ColumnRowCount(*columns_, kRecordIndexOf<T>);
-    if (spill_ != nullptr) {
-      return static_cast<std::size_t>(spill_->rows_of_kind(kRecordIndexOf<T>));
-    }
-    return store_.rows<T>().size();
-  }
+  [[nodiscard]] std::size_t row_count() const;
 
   // Named accessors kept for the analysis layer's readability.
   [[nodiscard]] const std::vector<HeartbeatRun>& heartbeat_runs() const {
@@ -251,23 +252,13 @@ class DataRepository final : public RecordSink {
   [[nodiscard]] const std::vector<DeviceTrafficRecord>& device_traffic() const {
     return rows<DeviceTrafficRecord>();
   }
-  [[nodiscard]] const std::vector<CgnEventRecord>& cgn_events() const {
-    return rows<CgnEventRecord>();
-  }
 
-  // Filtered views (copies) used throughout the analysis layer.
+  /// One home's heartbeat runs in canonical order (a copy; one full read
+  /// of the data set per call).
   [[nodiscard]] std::vector<HeartbeatRun> heartbeat_runs_for(HomeId id) const;
-  [[nodiscard]] std::vector<DeviceCountRecord> device_counts_for(HomeId id) const;
-  [[nodiscard]] std::vector<TrafficFlowRecord> flows_for(HomeId id) const;
-  [[nodiscard]] std::vector<ThroughputMinute> throughput_for(HomeId id) const;
-  [[nodiscard]] std::vector<CapacityRecord> capacity_for(HomeId id) const;
 
   /// Rows across every data set, resident, spilled, or column-backed.
-  [[nodiscard]] std::size_t total_rows() const {
-    if (columns_ != nullptr) return ColumnTotalRows(*columns_);
-    if (spill_ != nullptr) return static_cast<std::size_t>(spill_->total_rows());
-    return store_.total_rows();
-  }
+  [[nodiscard]] std::size_t total_rows() const;
 
   /// Summary row counts per data set (the Table 2 bench prints these).
   struct Counts {
@@ -284,6 +275,42 @@ class DataRepository final : public RecordSink {
   // Mutable: merge passes write scratch sections during const reads.
   mutable std::unique_ptr<SpillDir> spill_;
   std::shared_ptr<const ColumnSnapshot> columns_;
+};
+
+/// Rows per RowReader batch.
+inline constexpr std::size_t kReadBatchRows = 4096;
+
+/// The one reader of a repository's rows: kind T in canonical order, in
+/// batches, whichever the backing. Resident rows are handed out in place.
+/// A spilled kind is k-way merged; construction flushes the logs and runs
+/// the bounded reduce (collect/spill.h). A column-backed kind is decoded
+/// stripe by stripe into the caller's buffer. Defined in repository.cpp,
+/// with one explicit instantiation per kind.
+template <typename T>
+class RowReader {
+ public:
+  /// Every row of kind T. `repo` must be finalised and outlive the reader.
+  explicit RowReader(const DataRepository& repo);
+  /// Only stripe `stripe` of kind T of a column-backed repository: the
+  /// unit of per-stripe parallel scans.
+  RowReader(const DataRepository& repo, std::size_t stripe);
+  ~RowReader();
+  RowReader(const RowReader&) = delete;
+  RowReader& operator=(const RowReader&) = delete;
+
+  /// The next batch: kReadBatchRows rows, fewer in the last one, none once
+  /// exhausted. Resident rows are a view of the repository; other rows are
+  /// decoded into `buffer` (its contents replaced) and live there.
+  std::span<const T> read(std::vector<T>& buffer);
+
+ private:
+  const std::vector<T>* resident_{nullptr};
+  std::size_t resident_next_{0};
+  std::unique_ptr<SpilledRowStream<T>> spilled_;
+  const ColumnSnapshot* columns_{nullptr};
+  std::size_t stripe_{0};  // next stripe to decode, and the end of the range
+  std::size_t stripe_end_{0};
+  std::uint64_t stripe_row_{0};
 };
 
 }  // namespace bismark::collect

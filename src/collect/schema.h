@@ -62,6 +62,14 @@ using RecordTypes =
              TrafficFlowRecord, ThroughputMinute, DnsLogRecord, DeviceTrafficRecord,
              CgnEventRecord>;
 
+/// Every RecordTypes entry as an X-macro, for the explicit per-kind
+/// instantiations of templates defined in .cpp files. A kind missing here
+/// fails to link wherever it is read.
+#define BISMARK_FOR_EACH_RECORD_KIND(X)                                         \
+  X(HeartbeatRun) X(UptimeRecord) X(CapacityRecord) X(DeviceCountRecord)       \
+  X(WifiScanRecord) X(TrafficFlowRecord) X(ThroughputMinute) X(DnsLogRecord)  \
+  X(DeviceTrafficRecord) X(CgnEventRecord)
+
 namespace schema_detail {
 template <typename List>
 struct VariantOf;

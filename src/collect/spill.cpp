@@ -528,33 +528,9 @@ std::size_t SpilledRowStream<T>::read(std::vector<T>& out, std::size_t max_rows)
   return n;
 }
 
-template <typename T>
-void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn) {
-  constexpr std::size_t kBatch = 4096;
-  SpilledRowStream<T> stream(dir);
-  std::vector<T> batch;
-  std::size_t n = 0;
-  do {
-    batch.clear();
-    n = stream.read(batch, kBatch);
-    for (const T& row : batch) fn(row);
-  } while (n == kBatch);
-}
-
 // One instantiation per registered record kind.
-#define BISMARK_SPILL_INSTANTIATE(T) \
-  template class SpilledRowStream<T>; \
-  template void ForEachSpilledRow<T>(SpillDir&, const std::function<void(const T&)>&);
-BISMARK_SPILL_INSTANTIATE(HeartbeatRun)
-BISMARK_SPILL_INSTANTIATE(UptimeRecord)
-BISMARK_SPILL_INSTANTIATE(CapacityRecord)
-BISMARK_SPILL_INSTANTIATE(DeviceCountRecord)
-BISMARK_SPILL_INSTANTIATE(WifiScanRecord)
-BISMARK_SPILL_INSTANTIATE(TrafficFlowRecord)
-BISMARK_SPILL_INSTANTIATE(ThroughputMinute)
-BISMARK_SPILL_INSTANTIATE(DnsLogRecord)
-BISMARK_SPILL_INSTANTIATE(DeviceTrafficRecord)
-BISMARK_SPILL_INSTANTIATE(CgnEventRecord)
+#define BISMARK_SPILL_INSTANTIATE(T) template class SpilledRowStream<T>;
+BISMARK_FOR_EACH_RECORD_KIND(BISMARK_SPILL_INSTANTIATE)
 #undef BISMARK_SPILL_INSTANTIATE
 
 }  // namespace bismark::collect

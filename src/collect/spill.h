@@ -5,8 +5,9 @@
 // append-only segment file; an IngestBatch that crosses its memory budget
 // stable-sorts what it holds (per kind, by Schema<T>::SortKey) and appends
 // it as one *section* — a sorted run tagged (shard, run sequence). Readers
-// never load a data set whole: ForEachSpilledRow k-way-merges the sections
-// back into the exact canonical order the in-RAM path produces.
+// never load a data set whole: a SpilledRowStream, the spill arm of the
+// repository's RowReader, k-way-merges the sections back into the exact
+// canonical order the in-RAM path produces.
 //
 // Why the merge is byte-exact (DESIGN §11): the in-RAM repository order is
 // a stable sort of rows committed in shard-plan order, i.e. ties resolve by
@@ -34,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -205,7 +205,8 @@ class SpillDir {
 
 /// Pull-based reader of kind T's rows in canonical repository order —
 /// exactly the sequence `rows<T>()` holds after
-/// `finalize_deterministic_order()` on the in-RAM path. Construction
+/// `finalize_deterministic_order()` on the in-RAM path — and the spill arm
+/// of RowReader (collect/repository.h). Construction
 /// flushes the logs and runs the bounded reduce into the scratch log under
 /// merge_mutex(); it then holds at most `merge_fan_in` open sections, and
 /// reading needs no lock. Throws with a precise diagnostic if any section
@@ -226,10 +227,5 @@ class SpilledRowStream {
   class Merge;  // the k-way merge over the final level (spill.cpp)
   std::unique_ptr<Merge> merge_;
 };
-
-/// Stream every row of kind T in canonical repository order through a
-/// SpilledRowStream, one callback per row.
-template <typename T>
-void ForEachSpilledRow(SpillDir& dir, const std::function<void(const T&)>& fn);
 
 }  // namespace bismark::collect

@@ -1,5 +1,9 @@
+#include <filesystem>
+#include <mutex>
+
 #include <gtest/gtest.h>
 
+#include "../collect/spill_fixture.h"
 #include "analysis/collection_artifacts.h"
 #include "home/deployment.h"
 
@@ -137,6 +141,41 @@ TEST(ArtifactEndToEndTest, DeploymentCollectorOutagesDetectedAndCorrected) {
   for (const auto& h : raw) raw_total += h.downtimes;
   for (const auto& h : corrected) corrected_total += h.downtimes;
   EXPECT_LT(corrected_total, raw_total);
+}
+
+// The corrected analysis groups every home's runs in one read: on a
+// spilled repository that is one merge of the Heartbeats data set, not one
+// per home, and the output is the in-RAM output.
+TEST(ArtifactSpillTest, CorrectionMergesHeartbeatsOnce) {
+  namespace fixture = collect::spill_fixture;
+  const auto windows = collect::DatasetWindows::Compressed(t0, 2);
+  const auto dir = fixture::FreshSpillDir("artifacts");
+  const auto scratch_bytes = [](const collect::DataRepository& repo) {
+    std::lock_guard<std::mutex> lock(repo.spill()->merge_mutex());
+    return repo.spill()->scratch_log().bytes_written();
+  };
+  const auto once = fixture::BuildSpilled(windows, dir / "once", /*merge_fan_in=*/3);
+  once->for_each_row<HeartbeatRun>([](const HeartbeatRun&) {});
+  const std::uint64_t one_read = scratch_bytes(*once);
+  ASSERT_GT(one_read, 0u);
+
+  const auto ram = fixture::BuildInRam(windows);
+  const auto spilled = fixture::BuildSpilled(windows, dir / "spill", /*merge_fan_in=*/3);
+  const CollectionOutageReport outages = DetectCollectionOutages(*ram);
+  const DowntimeOptions options{Minutes(10), 0.0};
+  const auto corrected = AnalyzeAvailabilityCorrected(*spilled, outages, options);
+  EXPECT_EQ(scratch_bytes(*spilled), one_read);
+
+  const auto want = AnalyzeAvailabilityCorrected(*ram, outages, options);
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(fixture::kHomes));
+  ASSERT_EQ(corrected.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(corrected[i].home, want[i].home);
+    EXPECT_EQ(corrected[i].downtimes, want[i].downtimes);
+    EXPECT_EQ(corrected[i].durations_s, want[i].durations_s);
+    EXPECT_EQ(corrected[i].online_days, want[i].online_days);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

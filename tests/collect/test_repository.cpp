@@ -85,17 +85,17 @@ TEST_F(RepositoryTest, PointRecordsOutsideWindowDropped) {
 TEST_F(RepositoryTest, PerHomeFilters) {
   for (int home = 0; home < 3; ++home) {
     for (int i = 0; i < home + 1; ++i) {
-      TrafficFlowRecord rec;
-      rec.home = HomeId{home};
-      rec.first_packet = w_.traffic.start + Hours(i);
-      rec.last_packet = rec.first_packet + Minutes(1);
-      repo_.add_flow(std::move(rec));
+      const TimePoint start = w_.heartbeats.start + Hours(2 * i);
+      repo_.add_heartbeat_run(HeartbeatRun{HomeId{home}, start, start + Hours(1)});
     }
   }
-  EXPECT_EQ(repo_.flows_for(HomeId{0}).size(), 1u);
-  EXPECT_EQ(repo_.flows_for(HomeId{1}).size(), 2u);
-  EXPECT_EQ(repo_.flows_for(HomeId{2}).size(), 3u);
-  EXPECT_TRUE(repo_.flows_for(HomeId{9}).empty());
+  EXPECT_EQ(repo_.heartbeat_runs_for(HomeId{0}).size(), 1u);
+  EXPECT_EQ(repo_.heartbeat_runs_for(HomeId{1}).size(), 2u);
+  const auto runs = repo_.heartbeat_runs_for(HomeId{2});
+  ASSERT_EQ(runs.size(), 3u);
+  for (const HeartbeatRun& run : runs) EXPECT_EQ(run.home, HomeId{2});
+  EXPECT_EQ(runs[2].start, w_.heartbeats.start + Hours(4));
+  EXPECT_TRUE(repo_.heartbeat_runs_for(HomeId{9}).empty());
 }
 
 TEST_F(RepositoryTest, CountsSummary) {

@@ -285,9 +285,10 @@ int CmdReport(const ArgParser& args) {
   const auto& repo = study->repository();
 
   if (options.memory_budget_bytes > 0) {
-    // The Section 4-6 analyses below read resident row vectors, which are
-    // empty when records live in spill segments; fleet mode reports the
-    // streaming-sketch distributions instead.
+    // Each Section 4-6 analysis below reads its kinds once per call, and on
+    // a spilled repository every read is a k-way merge of the kind's
+    // segments: one merge per kind per analysis call. Fleet mode reports
+    // the streaming-sketch distributions of the single finish pass instead.
     PrintBanner("Fleet distributions (streaming)");
     FinishRun(*study, args, /*fleet_summary=*/true);
     return WriteObsOutputs(*study, args, "bismark_study report");

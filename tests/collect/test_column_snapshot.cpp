@@ -1,13 +1,14 @@
 // BSMKSNAP v3 columnar snapshots: exact round-trips (string edge cases
 // included), kind-selective reads proven through the I/O seam, fail-closed
-// behaviour under bit flips and truncation, and bit-identical parallel
-// analysis at any worker count.
+// behaviour under bit flips and truncation, row reads across stripe
+// boundaries, and bit-identical parallel analysis at any worker count.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -419,6 +420,60 @@ TEST_F(ColumnSnapshotTest, MetaRejectsTrailingBytes) {
   const std::string error =
       OpenForgedMeta(snap_dir("trailing"), [](std::string& meta) { meta += "junk"; });
   EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
+}
+
+// --- multi-stripe reads --------------------------------------------------------
+
+TEST_F(ColumnSnapshotTest, RowReaderCrossesStripeBoundaries) {
+  // Two full stripes and a partial one of the largest fed kind: batches of
+  // the whole-kind reader span stripe boundaries, the one-stripe readers
+  // partition the rows, and the per-stripe summary folds three partials.
+  DataRepository repo(WideWindows());
+  Rng rng(7);
+  for (int h = 0; h < 5; ++h) {
+    HomeInfo info;
+    info.id = HomeId{h};
+    info.country_code = "US";
+    repo.register_home(info);
+  }
+  const std::uint64_t rows = 2 * kColumnStripeRows + 1000;
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    WifiScanRecord scan;
+    scan.home = HomeId{static_cast<int>(i % 5)};
+    scan.scanned = TimePoint{static_cast<std::int64_t>(i / 5)};
+    scan.visible_aps = static_cast<int>(rng.uniform_int(0, 30));
+    scan.associated_clients = static_cast<int>(i % 9);
+    repo.add(scan);
+  }
+  repo.finalize_deterministic_order();
+  const std::string dir = snap_dir("stripes");
+  std::string error;
+  ASSERT_TRUE(SaveColumnSnapshot(repo, dir, &error)) << error;
+  const auto loaded = OpenColumnSnapshot(dir, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  const std::size_t kind = kRecordIndexOf<WifiScanRecord>;
+  ASSERT_EQ(loaded->columns()->stripes_of_kind(kind), 3u);
+
+  const std::vector<WifiScanRecord>& want = repo.rows<WifiScanRecord>();
+  EXPECT_EQ(CollectRows<WifiScanRecord>(*loaded), want);
+  std::vector<WifiScanRecord> by_stripe;
+  for (std::size_t s = 0; s < 3; ++s) {
+    RowReader<WifiScanRecord> reader(*loaded, s);
+    std::vector<WifiScanRecord> buffer;
+    for (std::span<const WifiScanRecord> batch; !(batch = reader.read(buffer)).empty();) {
+      EXPECT_LE(batch.size(), kReadBatchRows);
+      by_stripe.insert(by_stripe.end(), batch.begin(), batch.end());
+    }
+  }
+  EXPECT_EQ(by_stripe, want);
+
+  const std::string one = analysis::SerializeFleetSummary(analysis::SummarizeFleet(*loaded, 1));
+  EXPECT_EQ(analysis::SerializeFleetSummary(analysis::SummarizeFleet(*loaded, 4)), one);
+  analysis::FleetSummary summary;
+  ASSERT_TRUE(analysis::DeserializeFleetSummary(one, &summary, &error)) << error;
+  EXPECT_EQ(summary.visible_aps.count(), rows);
+  EXPECT_EQ(summary.associated_clients.count(), rows);
+  EXPECT_EQ(summary.associated_clients.max(), 8.0);
 }
 
 // --- parallel analysis determinism ------------------------------------------

@@ -16,8 +16,8 @@ struct FinishPass::Stream {
   virtual ~Stream() = default;
   [[nodiscard]] virtual std::uint64_t rows() const = 0;
   [[nodiscard]] virtual std::size_t consumers() const = 0;
-  /// Open the kind's RowReader; for a spilled kind: flush, reduce, open
-  /// cursors.
+  /// Open the kind's RowReader; for a spilled kind: flush the logs and
+  /// open one cursor per section.
   virtual void open() = 0;
   /// Fill batch slot `slot` with the next rows and return how many. Fewer
   /// than kReadBatchRows means the source is exhausted (and released).
@@ -156,11 +156,10 @@ class FinishPass::Scheduler {
         return true;
       }
     }
-    if (opening_ || open_ >= max_open_) return false;
+    if (open_ >= max_open_) return false;
     for (State& st : states_) {
       if (st.opened || st.opening) continue;
       st.opening = true;
-      opening_ = true;
       ++open_;
       *step = {Op::kOpen, &st, 0, 0};
       return true;
@@ -194,7 +193,6 @@ class FinishPass::Scheduler {
       case Op::kOpen:
         st.opening = false;
         st.opened = true;
-        opening_ = false;
         break;
       case Op::kProduce:
         st.producing = false;
@@ -221,7 +219,6 @@ class FinishPass::Scheduler {
   std::vector<State> states_;
   std::size_t max_open_;
   std::size_t open_{0};  // kinds opening or open and not yet finished
-  bool opening_{false};
   std::size_t finished_{0};
   std::exception_ptr error_;
 };

@@ -4,8 +4,8 @@
 // A fleet run ends with up to four outputs that each read every kind in
 // canonical order: the fleet summary, the public and the full-fidelity CSV
 // export, and the v3 column snapshot. On a spilled repository each read is
-// a k-way merge of the kind's sections, plus a reduce into merge scratch
-// past the fan-in, so one read per output pays the merge once per output.
+// a one-level k-way merge of all the kind's sections, so one read per
+// output would pay the merge once per output.
 // A FinishPass reads each kind once and hands its rows, in order and in
 // RowReader batches of at most kReadBatchRows, to every consumer
 // registered for it. The one-output entry points (SummarizeFleet(repo),
@@ -20,9 +20,10 @@
 // `workers` 1 runs the pass inline — take ready steps, larger kinds first
 // and consumers before producers, so at most `workers` threads are busy. A
 // producer runs at most kQueueBatches batches ahead of its slowest
-// consumer, at most `workers` kinds are open at once (an open spilled kind
-// holds up to merge_fan_in cursors), and kinds open one at a time (the
-// spill flush and reduce share the scratch log).
+// consumer, and at most `workers` kinds are open at once: an open spilled
+// kind holds one cursor per section, splitting 4 MiB of read-ahead up to
+// 4096 sections, and shares the segment files' read descriptors with every
+// other open kind.
 //
 // Determinism. A consumer sees every row of its kind once, in canonical
 // order, one batch at a time and never concurrently with itself, so a

@@ -194,21 +194,13 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
   while (pos < bytes.size()) {
     out->keep_bytes = pos;
     if (bytes.size() - pos < 4) return stop("torn record length");
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos])) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos + 1])) << 8) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos + 2])) << 16) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos + 3])) << 24);
+    const auto len = static_cast<std::uint32_t>(coldetail::LoadLe<4>(bytes.data() + pos));
     if (len == 0 || len > kMaxRecordBytes) return stop("implausible record length");
     if (bytes.size() - pos < 4ull + len + 4ull) return stop("torn record");
     const char* body = bytes.data() + pos + 4;
-    const char* crc_p = body + len;
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(crc_p[0])) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(crc_p[1])) << 8) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(crc_p[2])) << 16) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(crc_p[3])) << 24);
-    if (core::Crc32c(body, len) != stored) return stop("record CRC mismatch");
+    if (core::Crc32c(body, len) != coldetail::LoadLe<4>(body + len)) {
+      return stop("record CRC mismatch");
+    }
 
     BinReader r(body + 1, len - 1);
     switch (static_cast<std::uint8_t>(body[0])) {
@@ -294,13 +286,6 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
   return true;
 }
 
-std::string SectionLabelForDiag(const std::string& path, const SectionRef& ref) {
-  std::ostringstream os;
-  os << "section kind=" << ref.kind << " shard=" << ref.shard << " run=" << ref.run
-     << " file=" << path << " offset=" << ref.offset << " bytes=" << ref.bytes;
-  return os.str();
-}
-
 bool LoadFile(const std::string& path, std::string* out, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -310,78 +295,6 @@ bool LoadFile(const std::string& path, std::string* out, std::string* error) {
   std::ostringstream buf;
   buf << in.rdbuf();
   *out = buf.str();
-  return true;
-}
-
-/// Verify one committed section against the bytes on disk: framing fields,
-/// body CRC32C, footer. Returns false with *why naming the first mismatch.
-bool VerifySection(const std::string& path, const SectionRef& ref, std::string* why) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *why = "cannot open segment file";
-    return false;
-  }
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  if (ref.offset < kSectionHeaderBytes ||
-      ref.offset + ref.bytes + kSectionFooterBytes > file_size) {
-    *why = "section extends past end of file (torn write)";
-    return false;
-  }
-  char header[kSectionHeaderBytes];
-  in.seekg(static_cast<std::streamoff>(ref.offset - kSectionHeaderBytes));
-  in.read(header, sizeof header);
-  const auto u32_at = [](const char* p) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-    }
-    return v;
-  };
-  const auto u64_at = [&u32_at](const char* p) {
-    return static_cast<std::uint64_t>(u32_at(p)) |
-           (static_cast<std::uint64_t>(u32_at(p + 4)) << 32);
-  };
-  if (!in || u32_at(header) != kSectionMagic) {
-    *why = "bad section magic";
-    return false;
-  }
-  if (u32_at(header + 4) != ref.kind || u32_at(header + 8) != ref.shard ||
-      u32_at(header + 12) != ref.run) {
-    *why = "section header does not match its manifest record";
-    return false;
-  }
-  std::uint32_t crc = 0;
-  std::uint64_t left = ref.bytes;
-  std::string chunk(1 << 20, '\0');
-  while (left > 0) {
-    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size()));
-    in.read(chunk.data(), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in.gcount()) != n) {
-      *why = "short read inside section body";
-      return false;
-    }
-    crc = core::Crc32c(chunk.data(), n, crc);
-    left -= n;
-  }
-  char footer[kSectionFooterBytes];
-  in.read(footer, sizeof footer);
-  if (!in) {
-    *why = "truncated footer";
-    return false;
-  }
-  if (crc != ref.crc) {
-    std::ostringstream os;
-    os << "body CRC32C mismatch (manifest 0x" << std::hex << ref.crc << ", file 0x" << crc
-       << ")";
-    *why = os.str();
-    return false;
-  }
-  if (u64_at(footer) != ref.rows || u64_at(footer + 8) != ref.bytes ||
-      u32_at(footer + 16) != ref.crc || u32_at(footer + 20) != kSectionEndMagic) {
-    *why = "footer does not match its manifest record";
-    return false;
-  }
   return true;
 }
 
@@ -480,22 +393,22 @@ bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* er
     rec.diagnostics.push_back(os.str());
   }
 
-  // Verify every section of every candidate shard. One bad section poisons
-  // its whole shard: the shard re-runs from the deterministic generator,
-  // which is the only way the merged byte stream stays exact.
+  // Verify every section of every candidate shard by reading it through a
+  // merge's cursor. One bad section poisons its whole shard: the shard
+  // re-runs from the deterministic generator, which is the only way the
+  // merged byte stream stays exact.
   std::set<std::uint32_t> bad_shards;
   for (const auto& [shard, refs] : by_shard) {
     for (const SectionRef& ref : refs) {
-      if (bad_shards.count(shard) != 0) break;
-      const std::string path = dir + "/" + replay.files[ref.file];
-      std::string why;
-      if (VerifySection(path, ref, &why)) {
+      try {
+        VerifySection(dir + "/" + replay.files[ref.file], ref);
         ++rec.sections_verified;
-      } else {
+      } catch (const std::runtime_error& e) {
         ++rec.sections_quarantined;
         bad_shards.insert(shard);
-        rec.diagnostics.push_back("quarantined " + SectionLabelForDiag(path, ref) + ": " +
-                                  why + "; shard " + std::to_string(shard) + " will re-run");
+        rec.diagnostics.push_back(std::string("quarantined: ") + e.what() + "; shard " +
+                                  std::to_string(shard) + " will re-run");
+        break;
       }
     }
   }
@@ -510,7 +423,8 @@ bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* er
   }
 
   // Truncate segment-file garbage past the last byte any kept section
-  // references: un-manifested tails, dropped shards' runs, merge scratch.
+  // references: un-manifested tails, dropped shards' runs, and the merge
+  // scratch file older builds wrote (it never holds a committed section).
   std::vector<std::uint64_t> keep_end(replay.files.size(), 0);
   for (const auto& kind_sections : rec.sections) {
     for (const SectionRef& ref : kind_sections) {

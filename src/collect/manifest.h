@@ -6,8 +6,9 @@
 // strict WAL order: section bytes are flushed to the OS before the record
 // that references them is appended, so a record's presence proves its data
 // exists. Recovery replays the manifest, truncates a torn tail at the first
-// record whose length or CRC fails, re-verifies every referenced section's
-// framing + CRC32C, and quarantines anything that does not check out —
+// record whose length or CRC fails, reads every referenced section back
+// through the spill merge's cursor (VerifySection: frame, row framing,
+// CRC32C), and quarantines anything that does not check out —
 // dropping the owning shard back to "pending" so the resumed run regenerates
 // it (per-home content is a pure function of (seed, home id), so a re-run
 // shard reproduces the same bytes).

@@ -125,12 +125,7 @@ void IngestBatch::flush_spill() {
     for (const T& row : vec) {
       row_w.clear();
       EncodeRow(row_w, row);
-      const auto len = static_cast<std::uint32_t>(row_w.size());
-      char prefix[4];
-      for (std::size_t i = 0; i < 4; ++i) {
-        prefix[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-      }
-      body.append(prefix, 4);
+      coldetail::StoreLe<4>(body, row_w.size());
       body.append(row_w.buffer());
     }
     constexpr std::size_t kKind = kRecordIndexOf<T>;

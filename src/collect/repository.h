@@ -272,8 +272,10 @@ class DataRepository final : public RecordSink {
   std::mutex commit_mu_;
   std::vector<HomeInfo> homes_;
   RecordStore store_;
-  // Mutable: merge passes write scratch sections during const reads.
-  mutable std::unique_ptr<SpillDir> spill_;
+  // Const reads still reach a non-const SpillDir through spill(): a merge
+  // flushes its logs, opens the shared read descriptors and counts what it
+  // reads.
+  std::unique_ptr<SpillDir> spill_;
   std::shared_ptr<const ColumnSnapshot> columns_;
 };
 
@@ -282,10 +284,10 @@ inline constexpr std::size_t kReadBatchRows = 4096;
 
 /// The one reader of a repository's rows: kind T in canonical order, in
 /// batches, whichever the backing. Resident rows are handed out in place.
-/// A spilled kind is k-way merged; construction flushes the logs and runs
-/// the bounded reduce (collect/spill.h). A column-backed kind is decoded
-/// stripe by stripe into the caller's buffer. Defined in repository.cpp,
-/// with one explicit instantiation per kind.
+/// A spilled kind is k-way merged in one level; construction flushes the
+/// logs and opens one cursor per section (collect/spill.h). A column-backed
+/// kind is decoded stripe by stripe into the caller's buffer. Defined in
+/// repository.cpp, with one explicit instantiation per kind.
 template <typename T>
 class RowReader {
  public:

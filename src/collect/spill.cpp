@@ -1,9 +1,12 @@
 #include "collect/spill.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -15,35 +18,16 @@ namespace bismark::collect {
 
 namespace {
 
-void PutU32(char* out, std::uint32_t v) {
-  for (std::size_t i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
+using coldetail::LoadLe;
+using coldetail::StoreLe;
 
-void PutU64(char* out, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+int OpenForRead(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw std::runtime_error("spill: cannot open segment file for reading: " + path + ": " +
+                             std::strerror(errno));
   }
-  return v;
-}
-
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::string SectionLabel(const std::string& path, const SectionRef& ref) {
-  std::ostringstream os;
-  os << "section kind=" << ref.kind << " shard=" << ref.shard << " run=" << ref.run
-     << " file=" << path << " offset=" << ref.offset << " bytes=" << ref.bytes;
-  return os.str();
+  return fd;
 }
 
 }  // namespace
@@ -69,50 +53,27 @@ void SegmentLog::check(bool ok, const char* op) {
 
 SectionRef SegmentLog::append(std::uint32_t kind, std::uint32_t shard, std::uint32_t run,
                               std::uint64_t rows, const std::string& body) {
-  begin_section(kind, shard, run);
-  write(body.data(), body.size());
-  return end_section(rows);
-}
-
-void SegmentLog::begin_section(std::uint32_t kind, std::uint32_t shard, std::uint32_t run) {
   ensure_open();
-  char header[kSectionHeaderBytes];
-  PutU32(header, kSectionMagic);
-  PutU32(header + 4, kind);
-  PutU32(header + 8, shard);
-  PutU32(header + 12, run);
-  check(out_.write(header, sizeof header), "section header write");
-  offset_ += sizeof header;
-  section_start_ = offset_;
-  section_kind_ = kind;
-  section_shard_ = shard;
-  section_run_ = run;
-  section_crc_ = 0;
-}
-
-void SegmentLog::write(const char* data, std::size_t n) {
-  section_crc_ = core::Crc32c(data, n, section_crc_);
-  check(out_.write(data, n), "write");
-  offset_ += n;
-}
-
-SectionRef SegmentLog::end_section(std::uint64_t rows) {
   SectionRef ref;
   ref.file = index_;
-  ref.offset = section_start_;
-  ref.bytes = offset_ - section_start_;
+  ref.offset = offset_ + kSectionHeaderBytes;
+  ref.bytes = body.size();
   ref.rows = rows;
-  ref.shard = section_shard_;
-  ref.run = section_run_;
-  ref.kind = section_kind_;
-  ref.crc = section_crc_;
-  char footer[kSectionFooterBytes];
-  PutU64(footer, rows);
-  PutU64(footer + 8, ref.bytes);
-  PutU32(footer + 16, ref.crc);
-  PutU32(footer + 20, kSectionEndMagic);
-  check(out_.write(footer, sizeof footer), "section footer write");
-  offset_ += sizeof footer;
+  ref.shard = shard;
+  ref.run = run;
+  ref.kind = kind;
+  ref.crc = core::Crc32c(body.data(), body.size());
+  std::string header;
+  for (const std::uint32_t field : {kSectionMagic, kind, shard, run}) StoreLe<4>(header, field);
+  std::string footer;
+  StoreLe<8>(footer, rows);
+  StoreLe<8>(footer, ref.bytes);
+  StoreLe<4>(footer, ref.crc);
+  StoreLe<4>(footer, kSectionEndMagic);
+  check(out_.write(header), "section header write");
+  check(out_.write(body), "write");
+  check(out_.write(footer), "section footer write");
+  offset_ += header.size() + body.size() + footer.size();
   // Push the section to the OS before the caller commits it to the
   // manifest: a manifest record must never reference bytes that a crash of
   // this process could still lose.
@@ -155,29 +116,38 @@ SpillDir::SpillDir(SpillConfig config, const SpillRecovery& recovered)
   }
 }
 
-SpillDir::~SpillDir() = default;
+SpillDir::~SpillDir() {
+  for (const int fd : read_fds_) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 void SpillDir::open_generation_logs() {
   const std::size_t workers = config_.workers ? config_.workers : 1;
   const std::uint32_t base = static_cast<std::uint32_t>(file_names_.size());
   const std::string gen = "seg-g" + std::to_string(generation_) + "-";
-  logs_.reserve(workers + 1);
+  logs_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     file_names_.push_back(gen + "w" + std::to_string(i) + ".bsmkseg");
     logs_.push_back(std::make_unique<SegmentLog>(config_.dir + "/" + file_names_.back(),
                                                  base + static_cast<std::uint32_t>(i)));
   }
-  file_names_.push_back(gen + "merge.bsmkseg");
-  logs_.push_back(std::make_unique<SegmentLog>(config_.dir + "/" + file_names_.back(),
-                                               base + static_cast<std::uint32_t>(workers)));
+  read_fds_.assign(file_names_.size(), -1);
 }
 
 SegmentLog& SpillDir::log_for_worker(std::size_t worker) {
-  return *logs_[worker < logs_.size() - 1 ? worker : 0];
+  return *logs_[worker < logs_.size() ? worker : 0];
 }
 
 std::string SpillDir::file_path(std::uint32_t file_index) const {
   return config_.dir + "/" + file_names_[file_index];
+}
+
+int SpillDir::read_fd(std::uint32_t file_index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  int& fd = read_fds_[file_index];
+  if (fd < 0) fd = OpenForRead(file_path(file_index));
+  return fd;
 }
 
 void SpillDir::register_section(std::size_t kind, SectionRef ref) {
@@ -204,7 +174,7 @@ void SpillDir::write_checkpoint(const ManifestCheckpoint& ckpt) {
   // fd-level fsync of every log: safe against the owning worker writing
   // concurrently (its buffered in-flight section is not manifested and
   // needs no durability yet; everything manifested was flushed to the OS
-  // at end_section).
+  // by append).
   for (const auto& log : logs_) {
     const int fd = log->fd();
     if (fd < 0) continue;
@@ -237,6 +207,7 @@ std::uint64_t SpillDir::sections_written() const {
 }
 
 void SpillDir::flush_all() {
+  std::lock_guard<std::mutex> lock(merge_mu_);
   for (const auto& log : logs_) log->flush();
 }
 
@@ -251,39 +222,36 @@ std::uint64_t SpillDir::bytes_spilled() const {
 namespace {
 
 /// Sequential decoder over one section: a small read-ahead buffer refilled
-/// from the segment file, so a merge holds O(fan_in × buffer) memory no
-/// matter how large the sections are. Verifies the v2 frame on open (header
-/// fields must match the manifest's SectionRef) and the body CRC32C +
-/// footer at exhaustion — every merge pass re-checks every byte it reads.
+/// by pread from a shared descriptor, so a merge holds O(sections ×
+/// read-ahead) memory no matter how large the sections are. Verifies the v2
+/// frame on open (header fields must match the manifest's SectionRef) and
+/// the row framing, body CRC32C and footer at exhaustion — every read
+/// re-checks every byte it reads.
 class SectionCursor {
  public:
-  // 16 KiB keeps a full fan-in (256 live cursors) at ~4 MiB of buffers.
-  static constexpr std::size_t kBufferBytes = 16 * 1024;
+  static constexpr std::size_t kMinReadAhead = 1 << 10;
+  static constexpr std::size_t kMaxReadAhead = 16 << 10;
 
-  SectionCursor(std::string path, const SectionRef& ref, bool verify)
-      : path_(std::move(path)), ref_(ref), verify_(verify) {
-    // Unbuffered: reads land straight in buf_, so a cursor costs one
-    // kBufferBytes buffer, not that plus a stream buffer.
-    in_.rdbuf()->pubsetbuf(nullptr, 0);
-    in_.open(path_, std::ios::binary);
-    if (!in_) throw std::runtime_error("spill: cannot reopen segment file " + path_);
-    if (verify_) {
-      if (ref.offset < kSectionHeaderBytes) {
-        fail("header offset underflow");
-      }
-      char header[kSectionHeaderBytes];
-      in_.seekg(static_cast<std::streamoff>(ref.offset - kSectionHeaderBytes));
-      in_.read(header, sizeof header);
-      if (static_cast<std::size_t>(in_.gcount()) != sizeof header) fail("short header read");
-      if (GetU32(header) != kSectionMagic) fail("bad section magic");
-      if (GetU32(header + 4) != ref.kind || GetU32(header + 8) != ref.shard ||
-          GetU32(header + 12) != ref.run) {
-        fail("section header does not match its manifest record");
-      }
-    } else {
-      in_.seekg(static_cast<std::streamoff>(ref.offset));
+  SectionCursor(int fd, std::string path, const SectionRef& ref, bool verify,
+                std::size_t read_ahead, std::atomic<std::uint64_t>& bytes_read)
+      : fd_(fd),
+        path_(std::move(path)),
+        ref_(ref),
+        verify_(verify),
+        read_ahead_(read_ahead),
+        bytes_read_(bytes_read),
+        file_pos_(ref.offset),
+        remaining_file_(ref.bytes) {
+    if (!verify_) return;
+    if (ref.offset < kSectionHeaderBytes) fail("header offset underflow");
+    char header[kSectionHeaderBytes];
+    file_pos_ = ref.offset - kSectionHeaderBytes;
+    read_exact(header, sizeof header, "short header read");
+    if (LoadLe<4>(header) != kSectionMagic) fail("bad section magic");
+    if (LoadLe<4>(header + 4) != ref.kind || LoadLe<4>(header + 8) != ref.shard ||
+        LoadLe<4>(header + 12) != ref.run) {
+      fail("section header does not match its manifest record");
     }
-    remaining_file_ = ref.bytes;
   }
 
   /// Frame the next row; returns an empty view at section end (after the
@@ -294,7 +262,7 @@ class SectionCursor {
       return {nullptr, 0};
     }
     ensure(4);
-    const std::uint32_t len = GetU32(buf_.data() + pos_);
+    const auto len = static_cast<std::uint32_t>(LoadLe<4>(buf_.data() + pos_));
     pos_ += 4;
     ensure(len);
     const char* row = buf_.data() + pos_;
@@ -305,7 +273,11 @@ class SectionCursor {
 
  private:
   [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("spill: corrupt " + SectionLabel(path_, ref_) + ": " + why);
+    std::ostringstream os;
+    os << "spill: corrupt section kind=" << ref_.kind << " shard=" << ref_.shard
+       << " run=" << ref_.run << " file=" << path_ << " offset=" << ref_.offset
+       << " bytes=" << ref_.bytes << ": " << why;
+    throw std::runtime_error(os.str());
   }
 
   void finish() {
@@ -323,13 +295,24 @@ class SectionCursor {
       fail(os.str());
     }
     char footer[kSectionFooterBytes];
-    in_.read(footer, sizeof footer);
-    if (static_cast<std::size_t>(in_.gcount()) != sizeof footer) fail("truncated footer");
-    if (GetU64(footer) != ref_.rows || GetU64(footer + 8) != ref_.bytes ||
-        GetU32(footer + 16) != ref_.crc) {
+    read_exact(footer, sizeof footer, "truncated footer");
+    if (LoadLe<8>(footer) != ref_.rows || LoadLe<8>(footer + 8) != ref_.bytes ||
+        LoadLe<4>(footer + 16) != ref_.crc) {
       fail("footer does not match its manifest record");
     }
-    if (GetU32(footer + 20) != kSectionEndMagic) fail("bad section end magic");
+    if (LoadLe<4>(footer + 20) != kSectionEndMagic) fail("bad section end magic");
+  }
+
+  /// pread exactly `n` bytes at the cursor's file position, or fail with `why`.
+  void read_exact(char* out, std::size_t n, const char* why) {
+    for (std::size_t got = 0; got < n;) {
+      const ssize_t r = ::pread(fd_, out + got, n - got, static_cast<off_t>(file_pos_ + got));
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) fail(why);
+      got += static_cast<std::size_t>(r);
+    }
+    file_pos_ += n;
+    bytes_read_.fetch_add(n, std::memory_order_relaxed);
   }
 
   void ensure(std::size_t n) {
@@ -337,27 +320,27 @@ class SectionCursor {
     buf_.erase(0, pos_);
     pos_ = 0;
     const std::size_t have = buf_.size();
-    std::size_t read_more = have < kBufferBytes ? kBufferBytes - have : 0;
-    if (have + read_more < n) read_more = n - have;  // oversized row (long string)
+    std::size_t read_more = have < read_ahead_ ? read_ahead_ - have : 0;
+    if (have + read_more < n) read_more = n - have;  // a row longer than the read-ahead
     if (read_more > remaining_file_) read_more = static_cast<std::size_t>(remaining_file_);
     buf_.resize(have + read_more);
-    in_.read(buf_.data() + have, static_cast<std::streamsize>(read_more));
-    if (static_cast<std::size_t>(in_.gcount()) != read_more) {
-      fail("short read (file truncated mid-section)");
-    }
+    read_exact(buf_.data() + have, read_more, "short read (file truncated mid-section)");
     if (verify_) crc_ = core::Crc32c(buf_.data() + have, read_more, crc_);
     remaining_file_ -= read_more;
     if (buf_.size() < n) fail("row frame extends past the section body");
   }
 
+  int fd_;
   std::string path_;
   SectionRef ref_;
   bool verify_;
-  std::ifstream in_;
+  std::size_t read_ahead_;
+  std::atomic<std::uint64_t>& bytes_read_;
+  std::uint64_t file_pos_;  // next byte to pread
   std::string buf_;
   std::size_t pos_{0};
   std::uint64_t rows_read_{0};
-  std::uint64_t remaining_file_{0};  // section bytes not yet buffered
+  std::uint64_t remaining_file_;  // section bytes not yet buffered
   std::uint32_t crc_{0};
   bool finished_{false};
 };
@@ -369,21 +352,44 @@ bool StreamOrder(const SectionRef& a, const SectionRef& b) {
   return a.run < b.run;
 }
 
-/// K-way merge of a contiguous run of sections (already in canonical stream
-/// order). Each cursor's current row lives in `heads_`; the heap holds only
-/// (key, position) pairs, so the winning row is moved out, never copied,
-/// and its slot is refilled in place.
+/// Read-ahead one merge's cursors share, split evenly and clamped to
+/// 1–16 KiB per cursor: 16 KiB each up to 256 sections, a flat 4 MiB up to
+/// 4096 (a 100k-home kind has ~3150).
+constexpr std::size_t kMergeReadAheadBytes = 4 << 20;
+
+}  // namespace
+
+void VerifySection(const std::string& path, const SectionRef& ref) {
+  const int fd = OpenForRead(path);
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  std::atomic<std::uint64_t> bytes_read{0};
+  SectionCursor cursor(fd, path, ref, /*verify=*/true, SectionCursor::kMaxReadAhead, bytes_read);
+  while (cursor.next_row().first != nullptr) {
+  }
+}
+
+// --- one-level merge --------------------------------------------------------
+
+/// K-way merge of every section of kind T, in canonical stream order. Each
+/// cursor's current row lives in `heads_`; the heap holds only (key,
+/// position) pairs, so the winning row is moved out, never copied, and its
+/// slot is refilled in place.
 template <typename T>
-class KWayMerge {
+class SpilledRowStream<T>::Merge {
  public:
-  KWayMerge(SpillDir& dir, const std::vector<SectionRef>& sections, std::size_t begin,
-            std::size_t end)
-      : heads_(end - begin) {
+  Merge(SpillDir& dir, const std::vector<SectionRef>& sections) : heads_(sections.size()) {
     const bool verify = dir.config().verify_checksums;
-    cursors_.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      cursors_.push_back(
-          std::make_unique<SectionCursor>(dir.file_path(sections[i].file), sections[i], verify));
+    const std::size_t read_ahead =
+        std::clamp(kMergeReadAheadBytes / std::max<std::size_t>(sections.size(), 1),
+                   SectionCursor::kMinReadAhead, SectionCursor::kMaxReadAhead);
+    cursors_.reserve(sections.size());
+    for (const SectionRef& ref : sections) {
+      cursors_.push_back(std::make_unique<SectionCursor>(dir.read_fd(ref.file),
+                                                         dir.file_path(ref.file), ref, verify,
+                                                         read_ahead, dir.bytes_read()));
     }
     for (std::uint32_t order = 0; order < cursors_.size(); ++order) {
       if (load(order)) heap_.push_back({Schema<T>::SortKey(heads_[order]), order});
@@ -433,89 +439,12 @@ class KWayMerge {
   std::vector<Entry> heap_;
 };
 
-/// Merge sections[begin, end) into one scratch section tagged
-/// (group, level). The caller holds the merge lock.
-template <typename T>
-SectionRef ReduceGroup(SpillDir& dir, const std::vector<SectionRef>& sections,
-                       std::size_t begin, std::size_t end, std::uint32_t group,
-                       std::uint32_t level) {
-  SegmentLog& scratch = dir.scratch_log();
-  scratch.begin_section(static_cast<std::uint32_t>(kRecordIndexOf<T>), group, level);
-  KWayMerge<T> merge(dir, sections, begin, end);
-  std::uint64_t rows = 0;
-  BinWriter row_w;
-  std::string chunk;
-  std::vector<T> row;
-  while (merge.next(row)) {
-    row_w.clear();
-    EncodeRow(row_w, row.back());
-    row.clear();
-    char prefix[4];
-    PutU32(prefix, static_cast<std::uint32_t>(row_w.size()));
-    chunk.append(prefix, 4);
-    chunk.append(row_w.buffer());
-    ++rows;
-    if (chunk.size() >= 1 << 20) {
-      scratch.write(chunk.data(), chunk.size());
-      chunk.clear();
-    }
-  }
-  if (!chunk.empty()) scratch.write(chunk.data(), chunk.size());
-  return scratch.end_section(rows);
-}
-
-}  // namespace
-
-// --- hierarchical merge -----------------------------------------------------
-
-template <typename T>
-class SpilledRowStream<T>::Merge : public KWayMerge<T> {
- public:
-  using KWayMerge<T>::KWayMerge;
-};
-
 template <typename T>
 SpilledRowStream<T>::SpilledRowStream(SpillDir& dir) {
   std::vector<SectionRef> sections = dir.sections_of_kind(kRecordIndexOf<T>);
   std::sort(sections.begin(), sections.end(), StreamOrder);
-
-  // Reduces share the scratch log, so the flush and any reduce happen under
-  // the merge lock — but the final merge reads committed, immutable section
-  // bytes through private cursors, so the lock is dropped first: at most
-  // one kind reduces into scratch at a time, then every kind merges in
-  // parallel.
-  std::unique_lock<std::mutex> lock(dir.merge_mutex());
   dir.flush_all();  // make every log's buffered tail visible to cursors
-
-  const std::size_t fan_in = std::max<std::size_t>(dir.config().merge_fan_in, 2);
-  for (std::uint32_t level = 0; sections.size() > fan_in; ++level) {
-    // Reduce just enough of a contiguous prefix, in groups of at most
-    // fan_in, that the remainder fits one merge: g groups cut the count by
-    // g·(fan_in − 1) at most. Past fan_in² sections no single level can get
-    // there, so every section is reduced. Each group's output takes the
-    // group's place in the canonical stream order, so ties still resolve
-    // exactly as in the unreduced merge.
-    const std::size_t n = sections.size();
-    std::size_t reduce = n;  // sections to fold, from the front
-    if (n <= fan_in * fan_in) {
-      const std::size_t excess = n - fan_in;
-      const std::size_t groups = (excess + fan_in - 2) / (fan_in - 1);
-      reduce = excess + groups;
-    }
-    std::vector<SectionRef> next;
-    next.reserve(n - reduce + reduce / fan_in + 1);
-    std::uint32_t group = 0;
-    for (std::size_t begin = 0; begin < reduce; begin += fan_in, ++group) {
-      const std::size_t end = std::min(begin + fan_in, reduce);
-      next.push_back(ReduceGroup<T>(dir, sections, begin, end, group, level));
-    }
-    next.insert(next.end(), sections.begin() + static_cast<std::ptrdiff_t>(reduce),
-                sections.end());
-    dir.scratch_log().flush();
-    sections = std::move(next);
-  }
-  lock.unlock();
-  merge_ = std::make_unique<Merge>(dir, sections, 0, sections.size());
+  merge_ = std::make_unique<Merge>(dir, sections);
 }
 
 template <typename T>

@@ -16,24 +16,26 @@
 // runs with the comparator (SortKey, shard, run) — streaming within a run —
 // reproduces that order exactly. No per-row position is stored on disk.
 //
-// Scale: a 100k-home run makes ~25k shards, so a kind can have tens of
-// thousands of sections. The merge is hierarchical with a bounded fan-in:
-// adjacent (in canonical order) sections are merged in groups into scratch
-// sections until the rest fits one merge, keeping open files and buffers
-// bounded regardless of N. Only as many groups are reduced as that takes
-// (a contiguous prefix), so a kind just past the fan-in rewrites a
-// fraction of its rows into scratch, not all of them.
+// Scale: a 100k-home run makes ~25k shards, ~3150 sections per kind. Every
+// kind is merged in one level, straight from its sections: cursors pread
+// through one read-only descriptor per segment file, which SpillDir opens on
+// first use and every merge shares, so open descriptors grow with neither
+// sections nor open kinds. A merge's cursors split 4 MiB of read-ahead
+// evenly, 1–16 KiB each, so its memory stays flat up to 4096 sections. No
+// row is written twice.
 //
 // Durability (segment format v2, DESIGN §12): every section is framed — a
 // 16-byte header (magic, kind, shard, run) before the body, a 24-byte
 // footer (rows, body bytes, CRC32C, end magic) after it — and the SpillDir
 // keeps a write-ahead manifest (collect/manifest.h) whose records commit
 // sections only after their bytes reached the OS. All writes go through the
-// injectable core::Io seam; cursors re-verify the CRC on every merge pass
-// and fail closed on any mismatch.
+// injectable core::Io seam; cursors re-verify the frame, row framing and
+// CRC on every read and fail closed on any mismatch, and resume recovery
+// verifies a section by reading it with the same cursor (VerifySection).
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,6 +53,8 @@ struct ManifestConfig;
 struct ManifestCheckpoint;
 struct SpillRecovery;
 
+/// One run's spill settings. The merge takes none: it always reads every
+/// section of a kind at once, and its memory is a fixed read-ahead split.
 struct SpillConfig {
   /// Directory for segment files; created on demand. The caller owns the
   /// directory's lifetime — segment files are scratch, not an archive.
@@ -58,8 +62,6 @@ struct SpillConfig {
   /// Total record-staging budget across all workers. 0 disables spill.
   std::size_t budget_bytes{0};
   std::size_t workers{1};
-  /// Max sections opened concurrently by one merge level.
-  std::size_t merge_fan_in{256};
   /// Verify section CRCs on read. Only the checksum-overhead bench turns
   /// this off; every production path keeps it on.
   bool verify_checksums{true};
@@ -92,26 +94,21 @@ struct SectionRef {
   std::uint32_t crc{0};    ///< CRC32C of the body bytes
 };
 
-/// An append-only segment file. Owned exclusively by one worker while its
-/// shard task runs (or by the merge scratch path, serialised by SpillDir).
-/// Rows are u32-length-prefixed EncodeRow payloads so cursors can frame
-/// them without schema-dependent sizes. Every write goes through the
-/// checked core::Io seam; any I/O failure throws with the path and errno —
-/// a full disk aborts the run, it does not truncate it silently.
+/// An append-only segment file, written only by the one worker that owns
+/// it while its shard task runs; merges read it through SpillDir's shared
+/// read-only descriptor. Rows are u32-length-prefixed EncodeRow payloads so
+/// cursors can frame them without schema-dependent sizes. Every write goes
+/// through the checked core::Io seam; any I/O failure throws with the path
+/// and errno — a full disk aborts the run, it does not truncate it silently.
 class SegmentLog {
  public:
   SegmentLog(std::string path, std::uint32_t index);
 
-  /// One-shot append of a fully-encoded section body.
+  /// Append one section — header, the fully-encoded body, footer — and
+  /// flush it to the OS, so a manifest record appended after this provably
+  /// references durable-on-crash bytes.
   SectionRef append(std::uint32_t kind, std::uint32_t shard, std::uint32_t run,
                     std::uint64_t rows, const std::string& body);
-
-  /// Streaming append for merge intermediates (bodies can exceed RAM).
-  void begin_section(std::uint32_t kind, std::uint32_t shard, std::uint32_t run);
-  void write(const char* data, std::size_t n);
-  /// Writes the footer and flushes the section to the OS, so a manifest
-  /// record appended after this provably references durable-on-crash bytes.
-  SectionRef end_section(std::uint64_t rows);
 
   [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -130,18 +127,14 @@ class SegmentLog {
   std::string path_;
   std::uint32_t index_;
   std::uint64_t offset_{0};
-  std::uint64_t section_start_{0};  // body start of the in-flight section
-  std::uint32_t section_kind_{0};
-  std::uint32_t section_shard_{0};
-  std::uint32_t section_run_{0};
-  std::uint32_t section_crc_{0};
   core::CheckedFile out_;  // opened lazily on first append
 };
 
-/// Shared spill state: the segment directory, one log per worker plus a
-/// scratch log for merge intermediates, the per-kind section tables, and
-/// the write-ahead manifest. A resumed run layers a new *generation* of
-/// segment files over the recovered ones; the file table spans both.
+/// Shared spill state: the segment directory, one log per worker, the
+/// per-kind section tables, the write-ahead manifest, and one read-only
+/// descriptor per segment file that every merge's cursors share. A resumed
+/// run layers a new *generation* of segment files over the recovered ones;
+/// the file table spans both.
 class SpillDir {
  public:
   explicit SpillDir(SpillConfig config);
@@ -156,10 +149,19 @@ class SpillDir {
 
   /// The worker's exclusive segment log (no locking: one worker, one log).
   SegmentLog& log_for_worker(std::size_t worker);
-  /// The merge-scratch log. Callers must hold merge_mutex().
-  SegmentLog& scratch_log() { return *logs_.back(); }
+  /// Kept only so perfbench's bench_trace still compiles: a log that is
+  /// never opened, so its bytes_written() is 0. Remove it, with
+  /// bench_trace's merge-scratch counter, in the next benchmark change.
+  SegmentLog& scratch_log() { return never_opened_; }
   /// Absolute path of a file-table entry (any generation).
   [[nodiscard]] std::string file_path(std::uint32_t file_index) const;
+  /// The read-only descriptor of a file-table entry: opened on first use,
+  /// shared by every cursor of every merge, closed with the SpillDir.
+  /// Thread-safe. Cursors pread through it, so they share no file position.
+  int read_fd(std::uint32_t file_index);
+  /// Section bytes, frames included, that cursors have read: every pread
+  /// adds to it, so one read of every kind reads bytes_spilled().
+  [[nodiscard]] std::atomic<std::uint64_t>& bytes_read() { return bytes_read_; }
 
   /// Record a flushed section (thread-safe; workers flush concurrently).
   /// Appends the manifest record that commits the section.
@@ -183,7 +185,8 @@ class SpillDir {
   [[nodiscard]] std::uint64_t sections_written() const;
   [[nodiscard]] std::uint64_t bytes_spilled() const;
 
-  /// Serialises merge passes (they share the scratch log).
+  /// Serialises flush_all, which takes it itself: kinds open concurrently
+  /// and each flushes every log first.
   [[nodiscard]] std::mutex& merge_mutex() { return merge_mu_; }
 
   /// Flush every log's buffered writes so cursors see all appended rows.
@@ -195,22 +198,30 @@ class SpillDir {
   SpillConfig config_;
   std::uint32_t generation_{0};
   std::vector<std::string> file_names_;            // file table, all generations
-  std::vector<std::unique_ptr<SegmentLog>> logs_;  // this generation: workers, then scratch
+  std::vector<std::unique_ptr<SegmentLog>> logs_;  // this generation, one per worker
+  SegmentLog never_opened_{std::string(), 0};
   std::unique_ptr<ManifestWriter> manifest_;
   std::array<std::vector<SectionRef>, kRecordKinds> sections_;
   std::array<std::uint64_t, kRecordKinds> rows_{};
-  mutable std::mutex mu_;
+  std::vector<int> read_fds_;  // per file-table entry; -1 until first use
+  mutable std::mutex mu_;      // guards the four members above
   std::mutex merge_mu_;
+  std::atomic<std::uint64_t> bytes_read_{0};
 };
+
+/// Read committed section `ref` of the segment file at `path` to its end
+/// through a merge's cursor, checking everything a merge checks: the header
+/// against `ref`, row framing, the body CRC32C and the footer. Throws
+/// "spill: corrupt …" at the first mismatch. Resume recovery's verifier.
+void VerifySection(const std::string& path, const SectionRef& ref);
 
 /// Pull-based reader of kind T's rows in canonical repository order —
 /// exactly the sequence `rows<T>()` holds after
 /// `finalize_deterministic_order()` on the in-RAM path — and the spill arm
-/// of RowReader (collect/repository.h). Construction
-/// flushes the logs and runs the bounded reduce into the scratch log under
-/// merge_mutex(); it then holds at most `merge_fan_in` open sections, and
-/// reading needs no lock. Throws with a precise diagnostic if any section
-/// fails its CRC or framing check.
+/// of RowReader (collect/repository.h). Construction flushes the logs and
+/// opens one cursor per section of the kind over the shared descriptors;
+/// reading needs no lock, so kinds merge concurrently. Throws with a
+/// precise diagnostic if any section fails its CRC or framing check.
 template <typename T>
 class SpilledRowStream {
  public:
@@ -224,7 +235,7 @@ class SpilledRowStream {
   std::size_t read(std::vector<T>& out, std::size_t max_rows);
 
  private:
-  class Merge;  // the k-way merge over the final level (spill.cpp)
+  class Merge;  // the one-level k-way merge (spill.cpp)
   std::unique_ptr<Merge> merge_;
 };
 

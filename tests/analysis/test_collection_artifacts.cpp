@@ -1,5 +1,4 @@
 #include <filesystem>
-#include <mutex>
 
 #include <gtest/gtest.h>
 
@@ -150,21 +149,19 @@ TEST(ArtifactSpillTest, CorrectionMergesHeartbeatsOnce) {
   namespace fixture = collect::spill_fixture;
   const auto windows = collect::DatasetWindows::Compressed(t0, 2);
   const auto dir = fixture::FreshSpillDir("artifacts");
-  const auto scratch_bytes = [](const collect::DataRepository& repo) {
-    std::lock_guard<std::mutex> lock(repo.spill()->merge_mutex());
-    return repo.spill()->scratch_log().bytes_written();
-  };
-  const auto once = fixture::BuildSpilled(windows, dir / "once", /*merge_fan_in=*/3);
-  once->for_each_row<HeartbeatRun>([](const HeartbeatRun&) {});
-  const std::uint64_t one_read = scratch_bytes(*once);
-  ASSERT_GT(one_read, 0u);
-
   const auto ram = fixture::BuildInRam(windows);
-  const auto spilled = fixture::BuildSpilled(windows, dir / "spill", /*merge_fan_in=*/3);
+  const auto spilled = fixture::BuildSpilled(windows, dir / "spill");
   const CollectionOutageReport outages = DetectCollectionOutages(*ram);
   const DowntimeOptions options{Minutes(10), 0.0};
   const auto corrected = AnalyzeAvailabilityCorrected(*spilled, outages, options);
-  EXPECT_EQ(scratch_bytes(*spilled), one_read);
+  // One merge reads each Heartbeats section, frames included, exactly once.
+  std::uint64_t heartbeat_bytes = 0;
+  for (const collect::SectionRef& ref :
+       spilled->spill()->sections_of_kind(collect::kRecordIndexOf<HeartbeatRun>)) {
+    heartbeat_bytes += collect::kSectionHeaderBytes + ref.bytes + collect::kSectionFooterBytes;
+  }
+  ASSERT_GT(heartbeat_bytes, 0u);
+  EXPECT_EQ(spilled->spill()->bytes_read().load(), heartbeat_bytes);
 
   const auto want = AnalyzeAvailabilityCorrected(*ram, outages, options);
   ASSERT_EQ(want.size(), static_cast<std::size_t>(fixture::kHomes));

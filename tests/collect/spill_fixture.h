@@ -1,6 +1,6 @@
 // Shared spill fixture: a small synthetic deployment staged either in RAM
 // or through spill segments with a tiny flush threshold, so every kind is
-// fragmented into many sections (multi-level merges at a small fan-in).
+// fragmented into many sections for the one-level merge to interleave.
 #pragma once
 
 #include <unistd.h>
@@ -128,15 +128,13 @@ inline std::unique_ptr<DataRepository> BuildInRam(const DatasetWindows& w) {
 /// kind gets several sections per shard), and commits land in *reverse*
 /// shard order to prove the merge re-derives the canonical order.
 inline std::unique_ptr<DataRepository> BuildSpilled(const DatasetWindows& w,
-                                             const std::filesystem::path& dir,
-                                             std::size_t merge_fan_in = 256) {
+                                                    const std::filesystem::path& dir) {
   auto repo = std::make_unique<DataRepository>(w);
   RegisterHomes(*repo);
   SpillConfig cfg;
   cfg.dir = dir.string();
   cfg.budget_bytes = 16 << 10;  // threshold clamps to the 4 KiB floor
   cfg.workers = 2;
-  cfg.merge_fan_in = merge_fan_in;
   repo->enable_spill(cfg);
   for (int shard = kShards - 1; shard >= 0; --shard) {
     IngestBatch batch = repo->make_batch();

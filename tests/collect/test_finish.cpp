@@ -111,7 +111,7 @@ class FinishPassTest : public ::testing::TestWithParam<std::size_t> {
 TEST_P(FinishPassTest, OnePassMatchesOneOutputCallsAndInRam) {
   const std::size_t workers = GetParam();
   const auto ram = BuildInRam(Windows());
-  const auto spilled = BuildSpilled(Windows(), dir_ / "spill", /*merge_fan_in=*/3);
+  const auto spilled = BuildSpilled(Windows(), dir_ / "spill");
 
   const Outputs one_pass = FinishInOnePass(*spilled, workers, dir_ / "pass");
   ASSERT_EQ(one_pass.public_csv.size(), 5u);
@@ -128,27 +128,15 @@ TEST_P(FinishPassTest, OnePassMatchesOneOutputCallsAndInRam) {
 
 TEST_P(FinishPassTest, MergesEachSpilledKindOnce) {
   const std::size_t workers = GetParam();
-  const auto scratch_bytes = [](const DataRepository& repo) {
-    std::lock_guard<std::mutex> lock(repo.spill()->merge_mutex());
-    return repo.spill()->scratch_log().bytes_written();
-  };
-  // Reference: one plain read of every kind.
-  const auto once = BuildSpilled(Windows(), dir_ / "once", /*merge_fan_in=*/3);
-  ForEachRecordType([&](auto tag) {
-    using T = typename decltype(tag)::type;
-    once->for_each_row<T>([](const T&) {});
-  });
-  const std::uint64_t one_read = scratch_bytes(*once);
-  ASSERT_GT(one_read, 0u);
-
-  const auto spilled = BuildSpilled(Windows(), dir_ / "spill", /*merge_fan_in=*/3);
+  // One merge per kind reads every committed byte, frames included, once.
+  const auto spilled = BuildSpilled(Windows(), dir_ / "spill");
   FinishInOnePass(*spilled, workers, dir_ / "pass");
-  EXPECT_EQ(scratch_bytes(*spilled), one_read);
+  EXPECT_EQ(spilled->spill()->bytes_read().load(), spilled->spill()->bytes_spilled());
 }
 
 TEST_P(FinishPassTest, KeepsAtMostWorkersThreadsBusy) {
   const std::size_t workers = GetParam();
-  const auto spilled = BuildSpilled(Windows(), dir_ / "spill", /*merge_fan_in=*/3);
+  const auto spilled = BuildSpilled(Windows(), dir_ / "spill");
   FinishPass pass(*spilled, workers);
   std::mutex mu;
   std::set<std::thread::id> threads;
@@ -181,7 +169,7 @@ TEST_P(FinishPassTest, KeepsAtMostWorkersThreadsBusy) {
 }
 
 TEST_P(FinishPassTest, CorruptWifiSectionFailsThePass) {
-  const auto spilled = BuildSpilled(Windows(), dir_ / "spill", /*merge_fan_in=*/3);
+  const auto spilled = BuildSpilled(Windows(), dir_ / "spill");
   const auto sections = spilled->spill()->sections_of_kind(kRecordIndexOf<WifiScanRecord>);
   ASSERT_FALSE(sections.empty());
   const SectionRef& victim = sections[sections.size() / 2];
@@ -204,7 +192,7 @@ TEST_P(FinishPassTest, CorruptWifiSectionFailsThePass) {
 }
 
 TEST_P(FinishPassTest, FullDiskOnTheColumnWriterFailsThePass) {
-  const auto spilled = BuildSpilled(Windows(), dir_ / "spill", /*merge_fan_in=*/3);
+  const auto spilled = BuildSpilled(Windows(), dir_ / "spill");
   core::IoFaultPlan plan;
   plan.kind = core::IoFaultPlan::Kind::kEnospc;
   plan.at_bytes = 4096;

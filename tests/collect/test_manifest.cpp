@@ -33,6 +33,14 @@ SpillConfig TestConfig(const std::string& dir) {
   return cfg;
 }
 
+/// `payload` as one u32-length-prefixed row: recovery checks row framing,
+/// so a committed test section must hold the rows its record claims.
+std::string OneRow(const std::string& payload) {
+  std::string body;
+  coldetail::StoreLe<4>(body, payload.size());
+  return body + payload;
+}
+
 ManifestConfig TestRunConfig(std::uint32_t generation, std::uint32_t shards) {
   ManifestConfig cfg;
   cfg.schema_fingerprint = SchemaFingerprint();
@@ -54,11 +62,12 @@ class ManifestRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Append a committed section for `shard` through the real write path.
+  /// Append a committed one-row section for `shard` through the real write
+  /// path.
   static SectionRef Commit(SpillDir& spill, std::uint32_t shard, std::uint32_t run,
-                           const std::string& body) {
+                           const std::string& payload) {
     SegmentLog& log = spill.log_for_worker(0);
-    const SectionRef ref = log.append(/*kind=*/0, shard, run, /*rows=*/3, body);
+    const SectionRef ref = log.append(/*kind=*/0, shard, run, /*rows=*/1, OneRow(payload));
     spill.register_section(0, ref);
     return ref;
   }
@@ -105,7 +114,7 @@ TEST_F(ManifestRecoveryTest, CleanRunRoundTrips) {
   EXPECT_EQ(rec.sections_verified, 2u);
   EXPECT_EQ(rec.sections_quarantined, 0u);
   EXPECT_EQ(rec.sections[0].size(), 2u);
-  EXPECT_EQ(rec.sections[0][0].bytes, std::string("section-body-bytes").size());
+  EXPECT_EQ(rec.sections[0][0].bytes, OneRow("section-body-bytes").size());
 
   // The cheap config-only read agrees.
   ManifestConfig cfg;
@@ -207,6 +216,26 @@ TEST_F(ManifestRecoveryTest, CorruptSectionQuarantinesOwningShard) {
   EXPECT_TRUE(mentioned);
 }
 
+TEST_F(ManifestRecoveryTest, SectionWhoseRowsDoNotFrameItsBodyIsQuarantined) {
+  // CRC and footer agree with the record, but the record claims two rows
+  // where the body frames one. Recovery reads a section with the merge's
+  // cursor, so it rejects what a merge would reject.
+  {
+    SpillDir spill(TestConfig(dir_));
+    spill.write_run_config(TestRunConfig(0, 1));
+    SegmentLog& log = spill.log_for_worker(0);
+    spill.register_section(0, log.append(0, /*shard=*/0, /*run=*/0, /*rows=*/2,
+                                         OneRow("only-one-row")));
+    spill.record_shard_done(0, {TestHome(1)});
+  }
+  SpillRecovery rec;
+  std::string error;
+  ASSERT_TRUE(RecoverSpillDir(dir_, &rec, &error)) << error;
+  EXPECT_EQ(rec.sections_quarantined, 1u);
+  EXPECT_EQ(rec.shards_dropped, 1u);
+  EXPECT_TRUE(rec.done_shards.empty());
+}
+
 TEST_F(ManifestRecoveryTest, ConflictingConfigRecordsAreAHardError) {
   {
     SpillDir spill(TestConfig(dir_));
@@ -249,7 +278,7 @@ TEST_F(ManifestRecoveryTest, StaleGenerationSectionsAreNotPairedWithLaterDones) 
     EXPECT_EQ(spill.generation(), 1u);
     spill.write_run_config(TestRunConfig(1, 2));
     SegmentLog& log = spill.log_for_worker(0);
-    const SectionRef ref = log.append(0, /*shard=*/1, /*run=*/0, 3, "gen1-shard1-redo");
+    const SectionRef ref = log.append(0, /*shard=*/1, /*run=*/0, 1, OneRow("gen1-shard1-redo"));
     spill.register_section(0, ref);
     spill.record_shard_done(1, {TestHome(2)});
   }
@@ -262,7 +291,7 @@ TEST_F(ManifestRecoveryTest, StaleGenerationSectionsAreNotPairedWithLaterDones) 
   // Shard 1's surviving section is the generation-1 redo, not the orphan.
   for (const SectionRef& ref : second.sections[0]) {
     if (ref.shard == 1) {
-      EXPECT_EQ(ref.bytes, std::string("gen1-shard1-redo").size());
+      EXPECT_EQ(ref.bytes, OneRow("gen1-shard1-redo").size());
     }
   }
 }

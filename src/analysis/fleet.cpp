@@ -346,19 +346,41 @@ void WriteFleetSummary(const FleetSummary& summary, std::ostream& out) {
   }
 }
 
+namespace {
+
+void SketchField(collect::BinWriter& w, const QuantileSketch& sketch) { w.str(sketch.Serialize()); }
+
+void SketchField(collect::BinReader& r, QuantileSketch& sketch) {
+  if (!QuantileSketch::Deserialize(r.str(), &sketch)) r.fail();
+}
+
+/// One row of the FLS2 country table, the field list both codec
+/// directions use: code, roster homes, then the down and up sketches.
+template <typename Io, typename Code, typename Country>
+void CountryFields(Io& io, Code& code, Country& country) {
+  io.value(code);
+  io.template value_as<std::uint64_t>(country.homes);
+  SketchField(io, country.down_mbps);
+  SketchField(io, country.up_mbps);
+}
+
+/// The FLS2 head after the magic: roster homes, rows, then the nine
+/// sketches in kSketches order.
+template <typename Io, typename Summary>
+void SummaryFields(Io& io, Summary& summary) {
+  io.template value_as<std::uint64_t>(summary.homes);
+  io.value(summary.rows);
+  for (const auto sketch : kSketches) SketchField(io, summary.*sketch);
+}
+
+}  // namespace
+
 std::string SerializeFleetSummary(const FleetSummary& summary) {
   collect::BinWriter w;
   w.raw(kSummaryMagic, sizeof(kSummaryMagic));
-  w.u64(static_cast<std::uint64_t>(summary.homes));
-  w.u64(summary.rows);
-  for (const auto sketch : kSketches) w.str((summary.*sketch).Serialize());
-  w.u32(static_cast<std::uint32_t>(summary.capacity_by_country.size()));
-  for (const auto& [code, cc] : summary.capacity_by_country) {
-    w.str(code);
-    w.u64(static_cast<std::uint64_t>(cc.homes));
-    w.str(cc.down_mbps.Serialize());
-    w.str(cc.up_mbps.Serialize());
-  }
+  SummaryFields(w, summary);
+  w.count(summary.capacity_by_country);
+  for (const auto& [code, country] : summary.capacity_by_country) CountryFields(w, code, country);
   return w.buffer();
 }
 
@@ -369,31 +391,18 @@ bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
     return false;
   };
   collect::BinReader r(blob.data(), blob.size());
-  char magic[sizeof(kSummaryMagic)] = {};
-  for (auto& c : magic) c = static_cast<char>(r.u8());
-  if (r.failed() || std::string_view(magic, sizeof(magic)) !=
-                        std::string_view(kSummaryMagic, sizeof(kSummaryMagic))) {
-    return fail("bad magic");
-  }
+  if (!r.magic(kSummaryMagic)) return fail("bad magic");
   FleetSummary summary;
-  summary.homes = static_cast<std::size_t>(r.u64());
-  summary.rows = r.u64();
-  bool ok = true;
-  for (const auto sketch : kSketches) {
-    ok = ok && !r.failed() && QuantileSketch::Deserialize(r.str(), &(summary.*sketch));
-  }
-  if (!ok || r.failed()) return fail("malformed sketch blob");
+  SummaryFields(r, summary);
+  if (r.failed()) return fail("malformed sketch blob");
   const std::uint32_t countries = r.u32();
-  if (r.failed()) return fail("malformed country table");
-  for (std::uint32_t i = 0; i < countries && ok; ++i) {
-    std::string code = r.str();
-    CountryCapacity cc;
-    cc.homes = static_cast<std::size_t>(r.u64());
-    ok = !r.failed() && QuantileSketch::Deserialize(r.str(), &cc.down_mbps) &&
-         QuantileSketch::Deserialize(r.str(), &cc.up_mbps);
-    if (ok) summary.capacity_by_country.emplace(std::move(code), std::move(cc));
+  for (std::uint32_t i = 0; i < countries && !r.failed(); ++i) {
+    std::string code;
+    CountryCapacity country;
+    CountryFields(r, code, country);
+    summary.capacity_by_country.emplace(std::move(code), std::move(country));
   }
-  if (!ok || r.failed()) return fail("malformed country table");
+  if (r.failed()) return fail("malformed country table");
   if (!r.at_end()) return fail("trailing bytes");
   *out = std::move(summary);
   return true;

@@ -1,41 +1,54 @@
-// Shared little-endian binary codec for record persistence.
+// Shared little-endian binary codec and section frame for every durable
+// format derived from the schema layer.
 //
-// One writer/reader pair serves every durable format derived from the
-// schema layer: the fleet-scale spill segments (collect/spill.h), the
-// write-ahead manifest (collect/manifest.h), the v3 snapshot meta file
-// (collect/column_snapshot.h), the resume options blob and the fleet
-// summary checkpoint. `value()` encodes one reflected member type by
-// forwarding to ColumnCodec<V> (collect/column_view.h), the single table
-// of serialisable member types: a record field of a new type fails to
-// compile until its codec is added there, and a value's row bytes are its
-// column bytes by construction. Only std::string differs between the two
-// layouts: a row carries it u32-length-prefixed, a column as offsets plus
-// a blob.
+// One writer/reader pair serves every durable format: the fleet-scale spill
+// segments (collect/spill.h), the write-ahead manifest (collect/manifest.h),
+// the v3 snapshot meta file (collect/column_snapshot.h), the resume options
+// blob (home/resume.h) and the fleet summary checkpoint (analysis/fleet.h).
+// `value()` encodes one reflected member type by forwarding to
+// ColumnCodec<V> (collect/column_view.h), the single table of serialisable
+// member types: a record field of a new type fails to compile until its
+// codec is added there, and a value's row bytes are its column bytes by
+// construction. Only std::string differs between the two layouts: a row
+// carries it u32-length-prefixed, a column as offsets plus a blob.
 //
-// All integers are encoded little-endian byte-by-byte, independent of host
-// endianness. Doubles are IEEE-754 bit patterns in a u64.
+// BinWriter::value and BinReader::value share a name on purpose: a binary
+// record states its field list once, as one function template over the
+// codec, which a BinWriter instantiates to encode and a BinReader to decode
+// (WindowFields below, HomeInfoFields, the manifest records, the resume
+// options, the snapshot meta table and the fleet summary's country rows).
+// A field stored wider than its member says so with value_as<W>.
+//
+// The other shared layout is the section frame (SectionFormat): spill
+// sections and v3 column sections wrap their bodies in the same 16-byte
+// header and 24-byte CRC32C footer, and only SectionFormat writes or checks
+// one.
+//
+// All integers are encoded little-endian byte by byte (core/little_endian.h),
+// independent of host endianness. Doubles are IEEE-754 bit patterns in a u64.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 
 #include "collect/column_view.h"
 #include "collect/schema.h"
+#include "core/crc32c.h"
+#include "core/io.h"
+#include "core/little_endian.h"
 
 namespace bismark::collect {
 
 class BinWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { coldetail::StoreLe<2>(buf_, v); }
-  void u32(std::uint32_t v) { coldetail::StoreLe<4>(buf_, v); }
-  void u64(std::uint64_t v) { coldetail::StoreLe<8>(buf_, v); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { value(v); }
+  void u32(std::uint32_t v) { value(v); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s);
@@ -48,6 +61,16 @@ class BinWriter {
     ColumnCodec<V>::Store(buf_, v);
   }
   void value(const std::string& v) { str(v); }
+  /// A member stored as the wider type W (a width the layout fixed).
+  template <typename W, typename V>
+  void value_as(const V& v) {
+    value(static_cast<W>(v));
+  }
+  /// A list's u32 length; the field list then visits each element.
+  template <typename List>
+  void count(const List& items) {
+    u32(static_cast<std::uint32_t>(items.size()));
+  }
 
   [[nodiscard]] const std::string& buffer() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -65,15 +88,11 @@ class BinReader {
 
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] bool at_end() const { return p_ == end_; }
+  /// Latch failed() for a value its codec rejected.
+  void fail() { failed_ = true; }
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(fixed<1>()); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(fixed<2>()); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(fixed<4>()); }
-  std::uint64_t u64() { return fixed<8>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    double v = 0.0;
+  std::uint32_t u32() {
+    std::uint32_t v = 0;
     value(v);
     return v;
   }
@@ -83,6 +102,14 @@ class BinReader {
     std::string s(p_, n);
     p_ += n;
     return s;
+  }
+  /// Consume N bytes; true when they equal `magic`.
+  template <std::size_t N>
+  bool magic(const char (&magic)[N]) {
+    if (!need(N)) return false;
+    const bool match = std::memcmp(p_, magic, N) == 0;
+    p_ += N;
+    return match;
   }
 
   template <typename V>
@@ -95,15 +122,23 @@ class BinReader {
     p_ += ColumnCodec<V>::kWidth;
   }
   void value(std::string& v) { v = str(); }
+  template <typename W, typename V>
+  void value_as(V& v) {
+    W wide{};
+    value(wide);
+    v = static_cast<V>(wide);
+  }
+  /// Read a list's u32 length and size `items` to it. Every element takes
+  /// at least one byte, so a length past the bytes left fails the read
+  /// instead of allocating.
+  template <typename List>
+  void count(List& items) {
+    const std::uint32_t n = u32();
+    if (n > static_cast<std::size_t>(end_ - p_)) failed_ = true;
+    items.resize(failed_ ? 0 : n);
+  }
 
  private:
-  template <unsigned W>
-  std::uint64_t fixed() {
-    if (!need(W)) return 0;
-    const std::uint64_t v = coldetail::LoadLe<W>(p_);
-    p_ += W;
-    return v;
-  }
   bool need(std::size_t n) {
     if (failed_ || static_cast<std::size_t>(end_ - p_) < n) {
       failed_ = true;
@@ -131,26 +166,21 @@ void DecodeRow(BinReader& r, T& row) {
              Schema<T>::Fields());
 }
 
-/// The Table 2 windows in their durable order, each stored as start then
-/// end. The v3 snapshot meta file and the resume options blob share it.
-inline constexpr Interval DatasetWindows::*kWindowFields[] = {
-    &DatasetWindows::heartbeats, &DatasetWindows::uptime, &DatasetWindows::capacity,
-    &DatasetWindows::devices,    &DatasetWindows::wifi,   &DatasetWindows::traffic};
-
-inline void EncodeWindows(BinWriter& w, const DatasetWindows& windows) {
-  for (const auto member : kWindowFields) {
-    w.value((windows.*member).start);
-    w.value((windows.*member).end);
-  }
+/// Visit `rec`'s `members` in the order listed: a record whose durable
+/// fields are plain members states its field list as one call.
+template <typename Io, typename Rec, typename... Members>
+void MemberFields(Io& io, Rec& rec, Members... members) {
+  (io.value(rec.*members), ...);
 }
 
-inline DatasetWindows DecodeWindows(BinReader& r) {
-  DatasetWindows windows;
-  for (const auto member : kWindowFields) {
-    r.value((windows.*member).start);
-    r.value((windows.*member).end);
+/// The Table 2 windows in their durable order, each stored as start then
+/// end. The v3 snapshot meta file and the resume options blob share it.
+template <typename Io, typename Windows>
+void WindowFields(Io& io, Windows& w) {
+  for (auto* window : {&w.heartbeats, &w.uptime, &w.capacity, &w.devices, &w.wifi, &w.traffic}) {
+    io.value(window->start);
+    io.value(window->end);
   }
-  return windows;
 }
 
 /// Approximate in-memory footprint of one row: the struct itself plus any
@@ -171,5 +201,86 @@ template <typename T>
       Schema<T>::Fields());
   return n;
 }
+
+// --- The section frame --------------------------------------------------------
+
+inline constexpr std::size_t kSectionHeaderBytes = 16;
+inline constexpr std::size_t kSectionFooterBytes = 24;
+
+/// What one section's frame records: three header tags, whose meaning is
+/// the format's, and the footer's row count, body size and body CRC32C.
+struct SectionFrame {
+  std::array<std::uint32_t, 3> tags{};
+  std::uint64_t rows{0};
+  std::uint64_t body_bytes{0};
+  std::uint32_t crc{0};
+};
+
+/// A sectioned format's frame, the one layout spill sections
+/// (collect/spill.h) and v3 column sections (collect/column_snapshot.h)
+/// share:
+///
+///   header  u32 magic | u32 tag 0 | u32 tag 1 | u32 tag 2           16 bytes
+///   body    the format's bytes
+///   footer  u64 rows | u64 body bytes | u32 CRC32C of the body
+///           | u32 end magic                                          24 bytes
+///
+/// Each format names its magics and its tags; this is the only code that
+/// builds or checks a frame.
+struct SectionFormat {
+  std::uint32_t magic;
+  std::uint32_t end_magic;
+  std::array<const char*, 3> tag_names;  // for diagnostics
+
+  /// Append one section — header, the body parts in order, footer — to
+  /// `file`; returns the body's CRC32C. A failed write latches in `file`.
+  std::uint32_t write(core::CheckedFile& file, const std::array<std::uint32_t, 3>& tags,
+                      std::uint64_t rows, std::initializer_list<std::string_view> body) const {
+    std::string frame;
+    for (const std::uint32_t v : {magic, tags[0], tags[1], tags[2]}) core::StoreLe<4>(frame, v);
+    file.write(frame);
+    std::uint64_t body_bytes = 0;
+    std::uint32_t crc = 0;
+    for (const std::string_view part : body) {
+      file.write(part.data(), part.size());
+      crc = core::Crc32c(part.data(), part.size(), crc);
+      body_bytes += part.size();
+    }
+    frame.clear();
+    core::StoreLe<8>(frame, rows);
+    core::StoreLe<8>(frame, body_bytes);
+    core::StoreLe<4>(frame, crc);
+    core::StoreLe<4>(frame, end_magic);
+    file.write(frame);
+    return crc;
+  }
+
+  /// "" when `header` holds this format's magic and `want`'s tags, else
+  /// what differs.
+  [[nodiscard]] std::string check_header(const char* header, const SectionFrame& want) const {
+    if (core::LoadLe<4>(header) != magic) return "bad section magic";
+    for (std::size_t i = 0; i < want.tags.size(); ++i) {
+      if (core::LoadLe<4>(header + 4 * (i + 1)) != want.tags[i]) {
+        return std::string("header ") + tag_names[i] + " mismatch";
+      }
+    }
+    return {};
+  }
+
+  /// "" when `body_crc` (computed from the body read) and `footer` match
+  /// `want` and the footer ends in the end magic, else what differs.
+  [[nodiscard]] std::string check_footer(const char* footer, const SectionFrame& want,
+                                         std::uint32_t body_crc) const {
+    if (body_crc != want.crc) {
+      return "body CRC32C mismatch (expected " + std::to_string(want.crc) + ", computed " +
+             std::to_string(body_crc) + ")";
+    }
+    if (core::LoadLe<8>(footer) != want.rows) return "footer row count mismatch";
+    if (core::LoadLe<8>(footer + 8) != want.body_bytes) return "footer body size mismatch";
+    if (core::LoadLe<4>(footer + 16) != want.crc) return "footer CRC32C mismatch";
+    if (core::LoadLe<4>(footer + 20) != end_magic) return "bad section end magic";
+    return {};
+  }
+};
 
 }  // namespace bismark::collect

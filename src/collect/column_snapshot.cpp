@@ -13,10 +13,22 @@ namespace bismark::collect {
 
 namespace {
 
-using coldetail::LoadLe;
-using coldetail::StoreLe;
+using core::LoadLe;
+using core::StoreLe;
 
 [[noreturn]] void Throw(const std::string& why) { throw std::runtime_error("snapshot: " + why); }
+
+/// One stripe's meta-table entry, the field list both commit() and Open()
+/// use: the stripe's row count, then per field its section's body offset,
+/// body bytes, CRC32C and encoding. A reader sizes `sections` first.
+template <typename Io, typename Stripe>
+void StripeFields(Io& io, Stripe& stripe) {
+  using S = ColumnSectionMeta;
+  io.value(stripe.rows);
+  for (auto& section : stripe.sections) {
+    MemberFields(io, section, &S::body_offset, &S::body_bytes, &S::crc, &S::encoding);
+  }
+}
 
 /// One stripe's worth of buffered columns for kind T. `primary` holds the
 /// raw fixed-width values (or the u32 cumulative end offsets for string
@@ -53,37 +65,18 @@ struct StripeBuilder {
   /// Frame and append every buffered column as one stripe of sections,
   /// then reset. `offset` tracks the file write position.
   ColumnStripeMeta flush_to(core::CheckedFile& file, std::uint64_t& offset,
-                            std::size_t stripe_index) {
+                            std::uint32_t stripe_index) {
     ColumnStripeMeta sm;
     sm.rows = rows;
     const auto encodings = ColumnEncodings<T>();
-    for (std::size_t f = 0; f < kNumFields; ++f) {
-      std::string head;
-      StoreLe<4>(head, kColumnSectionMagic);
-      StoreLe<4>(head, static_cast<std::uint32_t>(f));
-      StoreLe<4>(head, static_cast<std::uint32_t>(stripe_index));
-      StoreLe<4>(head, encodings[f]);
-      file.write(head);
-      offset += head.size();
-
+    for (std::uint32_t f = 0; f < kNumFields; ++f) {
       ColumnSectionMeta sec;
-      sec.body_offset = offset;
+      sec.body_offset = offset + kSectionHeaderBytes;
       sec.body_bytes = primary[f].size() + blob[f].size();
       sec.encoding = encodings[f];
-      std::uint32_t crc = core::Crc32c(primary[f].data(), primary[f].size());
-      crc = core::Crc32c(blob[f].data(), blob[f].size(), crc);
-      sec.crc = crc;
-      file.write(primary[f]);
-      file.write(blob[f]);
-      offset += sec.body_bytes;
-
-      std::string foot;
-      StoreLe<8>(foot, rows);
-      StoreLe<8>(foot, sec.body_bytes);
-      StoreLe<4>(foot, crc);
-      StoreLe<4>(foot, kColumnSectionEndMagic);
-      file.write(foot);
-      offset += foot.size();
+      sec.crc = kColumnSection.write(file, {f, stripe_index, sec.encoding}, rows,
+                                     {primary[f], blob[f]});
+      offset = sec.body_offset + sec.body_bytes + kSectionFooterBytes;
 
       const std::size_t pad = (8 - (offset % 8)) % 8;
       if (pad != 0) {
@@ -171,9 +164,9 @@ void ColumnSnapshotWriter::commit() {
   BinWriter w;
   w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u32(kColumnSnapshotVersion);
-  EncodeWindows(w, repo_.windows());
-  w.u32(static_cast<std::uint32_t>(repo_.homes().size()));
-  for (const HomeInfo& home : repo_.homes()) EncodeHomeInfo(w, home);
+  WindowFields(w, repo_.windows());
+  w.count(repo_.homes());
+  for (const HomeInfo& home : repo_.homes()) HomeInfoFields(w, home);
   w.u32(static_cast<std::uint32_t>(kRecordKinds));
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
@@ -182,18 +175,10 @@ void ColumnSnapshotWriter::commit() {
     w.u32(kFields);
     std::apply([&w](const auto&... field) { (w.str(field.name), ...); }, Schema<T>::Fields());
     const ColumnKindMeta& km = kinds_[kRecordIndexOf<T>];
-    w.u64(km.rows);
+    w.value(km.rows);
     w.str(km.file);
-    w.u32(static_cast<std::uint32_t>(km.stripes.size()));
-    for (const ColumnStripeMeta& sm : km.stripes) {
-      w.u64(sm.rows);
-      for (const ColumnSectionMeta& sec : sm.sections) {
-        w.u64(sec.body_offset);
-        w.u64(sec.body_bytes);
-        w.u32(sec.crc);
-        w.u32(sec.encoding);
-      }
-    }
+    w.count(km.stripes);
+    for (const ColumnStripeMeta& sm : km.stripes) StripeFields(w, sm);
   });
   const std::uint32_t crc = core::Crc32c(w.buffer().data(), w.buffer().size());
 
@@ -261,14 +246,10 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
   std::shared_ptr<ColumnSnapshot> snap(new ColumnSnapshot());
   snap->dir_ = dir;
 
-  BinReader r(data, body_bytes);
-  for (std::size_t i = 0; i < kHeaderBytes; ++i) (void)r.u8();  // magic + version
-
-  snap->windows_ = DecodeWindows(r);
-  const std::uint32_t home_count = r.u32();
-  for (std::uint32_t i = 0; i < home_count && !r.failed(); ++i) {
-    snap->homes_.push_back(DecodeHomeInfo(r));
-  }
+  BinReader r(data + kHeaderBytes, body_bytes - kHeaderBytes);
+  WindowFields(r, snap->windows_);
+  r.count(snap->homes_);
+  for (HomeInfo& home : snap->homes_) HomeInfoFields(r, home);
 
   const std::uint32_t kind_count = r.u32();
   if (r.failed() || kind_count != kRecordKinds) {
@@ -312,21 +293,18 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
     if (!ok) return;
 
     KindState& ks = snap->kinds_[kRecordIndexOf<T>];
-    ks.meta.rows = r.u64();
+    r.value(ks.meta.rows);
     ks.meta.file = r.str();
-    const std::uint32_t stripe_count = r.u32();
+    r.count(ks.meta.stripes);
     const auto encodings = ColumnEncodings<T>();
     std::uint64_t rows_seen = 0;
-    for (std::uint32_t s = 0; s < stripe_count && !r.failed() && ok; ++s) {
-      ColumnStripeMeta sm;
-      sm.rows = r.u64();
+    for (ColumnStripeMeta& sm : ks.meta.stripes) {
+      sm.sections.resize(kFields);
+      StripeFields(r, sm);
+      if (r.failed() || !ok) break;
       rows_seen += sm.rows;
-      for (std::uint32_t f = 0; f < kFields && !r.failed(); ++f) {
-        ColumnSectionMeta sec;
-        sec.body_offset = r.u64();
-        sec.body_bytes = r.u64();
-        sec.crc = r.u32();
-        sec.encoding = r.u32();
+      for (std::uint32_t f = 0; f < kFields; ++f) {
+        const ColumnSectionMeta& sec = sm.sections[f];
         if (sec.encoding != encodings[f]) {
           bad(std::string("column encoding mismatch for ") + Schema<T>::kKindName);
           break;
@@ -338,9 +316,7 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
           bad(std::string("column size mismatch for ") + Schema<T>::kKindName);
           break;
         }
-        sm.sections.push_back(sec);
       }
-      ks.meta.stripes.push_back(std::move(sm));
     }
     if (ok && rows_seen != ks.meta.rows) {
       bad(std::string("stripe row total mismatch for ") + Schema<T>::kKindName);
@@ -380,28 +356,23 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
   const std::uint64_t field_count = LoadLe<4>(data + 8);
 
   std::uint64_t end = kColumnFileHeaderBytes;
-  for (std::size_t s = 0; s < ks.meta.stripes.size(); ++s) {
+  for (std::uint32_t s = 0; s < ks.meta.stripes.size(); ++s) {
     const ColumnStripeMeta& sm = ks.meta.stripes[s];
     if (sm.sections.size() != field_count) corrupt(s, 0, "field count mismatch");
-    for (std::size_t f = 0; f < sm.sections.size(); ++f) {
+    for (std::uint32_t f = 0; f < sm.sections.size(); ++f) {
       const ColumnSectionMeta& sec = sm.sections[f];
-      if (sec.body_offset < kColumnFileHeaderBytes + kColumnSectionHeaderBytes ||
-          sec.body_offset + sec.body_bytes + kColumnSectionFooterBytes > size) {
+      if (sec.body_offset < kColumnFileHeaderBytes + kSectionHeaderBytes ||
+          sec.body_offset + sec.body_bytes + kSectionFooterBytes > size) {
         corrupt(s, f, "section out of bounds (truncated file?)");
       }
-      const char* head = data + sec.body_offset - kColumnSectionHeaderBytes;
-      if (LoadLe<4>(head) != kColumnSectionMagic) corrupt(s, f, "bad section magic");
-      if (LoadLe<4>(head + 4) != f) corrupt(s, f, "field index mismatch");
-      if (LoadLe<4>(head + 8) != s) corrupt(s, f, "stripe index mismatch");
-      if (LoadLe<4>(head + 12) != sec.encoding) corrupt(s, f, "encoding mismatch");
-      const char* foot = data + sec.body_offset + sec.body_bytes;
-      if (LoadLe<8>(foot) != sm.rows) corrupt(s, f, "row count mismatch");
-      if (LoadLe<8>(foot + 8) != sec.body_bytes) corrupt(s, f, "body size mismatch");
-      if (LoadLe<4>(foot + 20) != kColumnSectionEndMagic) corrupt(s, f, "bad end magic");
-      const std::uint32_t crc = core::Crc32c(data + sec.body_offset, sec.body_bytes);
-      if (crc != sec.crc || crc != static_cast<std::uint32_t>(LoadLe<4>(foot + 16))) {
-        corrupt(s, f, "CRC32C mismatch");
+      const SectionFrame want{{f, s, sec.encoding}, sm.rows, sec.body_bytes, sec.crc};
+      const char* body = data + sec.body_offset;
+      std::string why = kColumnSection.check_header(body - kSectionHeaderBytes, want);
+      if (why.empty()) {
+        why = kColumnSection.check_footer(body + sec.body_bytes, want,
+                                          core::Crc32c(body, sec.body_bytes));
       }
+      if (!why.empty()) corrupt(s, f, why);
       if (sec.encoding == 0 && sm.rows > 0) {
         // String section: the final cumulative offset must equal the blob
         // length, or views would run off the mapped bytes.
@@ -409,7 +380,7 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
         const std::uint64_t last = LoadLe<4>(data + sec.body_offset + 4 * (sm.rows - 1));
         if (last != blob_bytes) corrupt(s, f, "string offsets inconsistent with blob");
       }
-      std::uint64_t section_end = sec.body_offset + sec.body_bytes + kColumnSectionFooterBytes;
+      std::uint64_t section_end = sec.body_offset + sec.body_bytes + kSectionFooterBytes;
       section_end += (8 - (section_end % 8)) % 8;
       if (section_end > end) end = section_end;
     }

@@ -13,13 +13,16 @@
 //
 // Meta file layout (all integers little-endian):
 //
-//   magic "BSMKSNAP" | u32 version | windows (EncodeWindows)
-//   | u32 home count, then each home (EncodeHomeInfo)
+//   magic "BSMKSNAP" | u32 version | windows (WindowFields)
+//   | u32 home count, then each home (HomeInfoFields)
 //   | u32 kind count, then per kind: kind name, u32 field count, field
-//     names, u64 rows, column file name, u32 stripe count, per stripe u64
-//     rows and per field u64 body offset | u64 body bytes | u32 CRC32C
-//     | u32 encoding
+//     names, u64 rows, column file name, u32 stripe count, then each
+//     stripe (StripeFields): u64 rows and per field u64 body offset
+//     | u64 body bytes | u32 CRC32C | u32 encoding
 //   | u32 CRC32C of every preceding byte
+//
+// Each of the three parenthesised field lists is one function template that
+// commit() and Open() both instantiate (collect/binio.h).
 //
 // The meta file is self-describing and the reader is strict: after the
 // magic, version and CRC it checks every kind and field name, and refuses
@@ -30,7 +33,8 @@
 //
 //   file header   u32 magic "BCL3" | u32 kind index | u32 field count
 //                 | u32 reserved                                16 bytes
-//   per stripe (up to kStripeRows rows), per field in schema order:
+//   per stripe (up to kStripeRows rows), per field in schema order, one
+//   section in the shared section frame (collect/binio.h, kColumnSection):
 //     header      u32 magic "CSC3" | u32 field | u32 stripe
 //                 | u32 encoding (fixed width, 0 = string)      16 bytes
 //     body        fixed: rows × width raw LE values
@@ -39,8 +43,8 @@
 //                 | u32 end magic "END3"                        24 bytes
 //     padding     zero bytes to the next 8-byte boundary
 //
-// This is the PR-8 section frame (16-byte header, 24-byte CRC footer)
-// applied per column, so the crash-safety story carries over: the reader
+// Spill sections wear the same frame, written and checked by the same
+// SectionFormat code, so the crash-safety story carries over: the reader
 // verifies every frame and CRC of a kind file against the meta table the
 // first time that kind is touched, and fails closed on any mismatch.
 // Readers get the bytes through core::MappedFile — mmap when the kernel
@@ -68,6 +72,7 @@
 #include <string>
 #include <vector>
 
+#include "collect/binio.h"
 #include "collect/column_view.h"
 #include "collect/finish.h"
 #include "collect/repository.h"
@@ -79,12 +84,12 @@ inline constexpr char kSnapshotMagic[8] = {'B', 'S', 'M', 'K', 'S', 'N', 'A', 'P
 inline constexpr std::uint32_t kColumnSnapshotVersion = 3;
 inline constexpr char kColumnMetaFile[] = "snapshot.bsmkmeta";
 inline constexpr char kColumnFileSuffix[] = ".bsmkcol";
-inline constexpr std::uint32_t kColumnFileMagic = 0x334C4342;     // "BCL3"
-inline constexpr std::uint32_t kColumnSectionMagic = 0x33435343;  // "CSC3"
-inline constexpr std::uint32_t kColumnSectionEndMagic = 0x33444E45;  // "END3"
+inline constexpr std::uint32_t kColumnFileMagic = 0x334C4342;  // "BCL3"
 inline constexpr std::size_t kColumnFileHeaderBytes = 16;
-inline constexpr std::size_t kColumnSectionHeaderBytes = 16;
-inline constexpr std::size_t kColumnSectionFooterBytes = 24;
+/// Column sections: the shared frame (collect/binio.h), tagged with the
+/// section's field, stripe and encoding.
+inline constexpr SectionFormat kColumnSection{
+    0x33435343u, 0x33444E45u, {"field", "stripe", "encoding"}};  // "CSC3" … "END3"
 /// Stripe bounds: a stripe closes at this many rows or this much buffered
 /// column data, whichever comes first — the writer's only O(data) state.
 inline constexpr std::uint64_t kColumnStripeRows = 64 * 1024;

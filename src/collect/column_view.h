@@ -34,28 +34,9 @@
 #include <utility>
 
 #include "collect/schema.h"
+#include "core/little_endian.h"
 
 namespace bismark::collect {
-
-namespace coldetail {
-
-template <unsigned W>
-[[nodiscard]] inline std::uint64_t LoadLe(const char* p) {
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < W; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-template <unsigned W>
-inline void StoreLe(std::string& out, std::uint64_t v) {
-  for (unsigned i = 0; i < W; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-}  // namespace coldetail
 
 /// Per-member-type column codec. kWidth is the on-disk bytes per value;
 /// Load reads one value from a column body, Store appends one.
@@ -73,10 +54,10 @@ template <>
 struct ColumnCodec<int> {
   static constexpr std::uint32_t kWidth = 4;
   static int Load(const char* p) {
-    return static_cast<std::int32_t>(static_cast<std::uint32_t>(coldetail::LoadLe<4>(p)));
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(core::LoadLe<4>(p)));
   }
   static void Store(std::string& out, int v) {
-    coldetail::StoreLe<4>(out, static_cast<std::uint32_t>(v));
+    core::StoreLe<4>(out, static_cast<std::uint32_t>(v));
   }
 };
 
@@ -84,23 +65,41 @@ template <>
 struct ColumnCodec<std::uint16_t> {
   static constexpr std::uint32_t kWidth = 2;
   static std::uint16_t Load(const char* p) {
-    return static_cast<std::uint16_t>(coldetail::LoadLe<2>(p));
+    return static_cast<std::uint16_t>(core::LoadLe<2>(p));
   }
-  static void Store(std::string& out, std::uint16_t v) { coldetail::StoreLe<2>(out, v); }
+  static void Store(std::string& out, std::uint16_t v) { core::StoreLe<2>(out, v); }
+};
+
+template <>
+struct ColumnCodec<std::uint32_t> {
+  static constexpr std::uint32_t kWidth = 4;
+  static std::uint32_t Load(const char* p) {
+    return static_cast<std::uint32_t>(core::LoadLe<4>(p));
+  }
+  static void Store(std::string& out, std::uint32_t v) { core::StoreLe<4>(out, v); }
 };
 
 template <>
 struct ColumnCodec<std::uint64_t> {
   static constexpr std::uint32_t kWidth = 8;
-  static std::uint64_t Load(const char* p) { return coldetail::LoadLe<8>(p); }
-  static void Store(std::string& out, std::uint64_t v) { coldetail::StoreLe<8>(out, v); }
+  static std::uint64_t Load(const char* p) { return core::LoadLe<8>(p); }
+  static void Store(std::string& out, std::uint64_t v) { core::StoreLe<8>(out, v); }
+};
+
+template <>
+struct ColumnCodec<std::int64_t> {
+  static constexpr std::uint32_t kWidth = 8;
+  static std::int64_t Load(const char* p) { return static_cast<std::int64_t>(core::LoadLe<8>(p)); }
+  static void Store(std::string& out, std::int64_t v) {
+    core::StoreLe<8>(out, static_cast<std::uint64_t>(v));
+  }
 };
 
 template <>
 struct ColumnCodec<double> {
   static constexpr std::uint32_t kWidth = 8;
   static double Load(const char* p) {
-    const std::uint64_t bits = coldetail::LoadLe<8>(p);
+    const std::uint64_t bits = core::LoadLe<8>(p);
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
@@ -108,7 +107,7 @@ struct ColumnCodec<double> {
   static void Store(std::string& out, double v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof(bits));
-    coldetail::StoreLe<8>(out, bits);
+    core::StoreLe<8>(out, bits);
   }
 };
 
@@ -123,10 +122,10 @@ template <>
 struct ColumnCodec<TimePoint> {
   static constexpr std::uint32_t kWidth = 8;
   static TimePoint Load(const char* p) {
-    return TimePoint{static_cast<std::int64_t>(coldetail::LoadLe<8>(p))};
+    return TimePoint{static_cast<std::int64_t>(core::LoadLe<8>(p))};
   }
   static void Store(std::string& out, TimePoint v) {
-    coldetail::StoreLe<8>(out, static_cast<std::uint64_t>(v.ms));
+    core::StoreLe<8>(out, static_cast<std::uint64_t>(v.ms));
   }
 };
 
@@ -134,10 +133,10 @@ template <>
 struct ColumnCodec<Duration> {
   static constexpr std::uint32_t kWidth = 8;
   static Duration Load(const char* p) {
-    return Duration{static_cast<std::int64_t>(coldetail::LoadLe<8>(p))};
+    return Duration{static_cast<std::int64_t>(core::LoadLe<8>(p))};
   }
   static void Store(std::string& out, Duration v) {
-    coldetail::StoreLe<8>(out, static_cast<std::uint64_t>(v.ms));
+    core::StoreLe<8>(out, static_cast<std::uint64_t>(v.ms));
   }
 };
 
@@ -145,10 +144,10 @@ template <>
 struct ColumnCodec<Bytes> {
   static constexpr std::uint32_t kWidth = 8;
   static Bytes Load(const char* p) {
-    return Bytes{static_cast<std::int64_t>(coldetail::LoadLe<8>(p))};
+    return Bytes{static_cast<std::int64_t>(core::LoadLe<8>(p))};
   }
   static void Store(std::string& out, Bytes v) {
-    coldetail::StoreLe<8>(out, static_cast<std::uint64_t>(v.count));
+    core::StoreLe<8>(out, static_cast<std::uint64_t>(v.count));
   }
 };
 
@@ -162,8 +161,8 @@ struct ColumnCodec<BitRate> {
 template <>
 struct ColumnCodec<net::FlowId> {
   static constexpr std::uint32_t kWidth = 8;
-  static net::FlowId Load(const char* p) { return net::FlowId{coldetail::LoadLe<8>(p)}; }
-  static void Store(std::string& out, net::FlowId v) { coldetail::StoreLe<8>(out, v.value); }
+  static net::FlowId Load(const char* p) { return net::FlowId{core::LoadLe<8>(p)}; }
+  static void Store(std::string& out, net::FlowId v) { core::StoreLe<8>(out, v.value); }
 };
 
 template <>
@@ -264,7 +263,7 @@ class StringColumnView {
 
  private:
   [[nodiscard]] std::uint32_t end_offset(std::uint64_t i) const {
-    return static_cast<std::uint32_t>(coldetail::LoadLe<4>(offsets_ + 4 * i));
+    return static_cast<std::uint32_t>(core::LoadLe<4>(offsets_ + 4 * i));
   }
 
   const char* offsets_{nullptr};

@@ -81,17 +81,10 @@ std::size_t ExportDatasetCsv(const DataRepository& repo, std::ostream& out) {
 }
 
 // One instantiation per registered record kind.
-template std::size_t ExportDatasetCsv<HeartbeatRun>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<UptimeRecord>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<CapacityRecord>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<DeviceCountRecord>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<WifiScanRecord>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<TrafficFlowRecord>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<ThroughputMinute>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<DnsLogRecord>(const DataRepository&, std::ostream&);
-template std::size_t ExportDatasetCsv<DeviceTrafficRecord>(const DataRepository&,
-                                                           std::ostream&);
-template std::size_t ExportDatasetCsv<CgnEventRecord>(const DataRepository&, std::ostream&);
+#define BISMARK_EXPORT_INSTANTIATE(T) \
+  template std::size_t ExportDatasetCsv<T>(const DataRepository&, std::ostream&);
+BISMARK_FOR_EACH_RECORD_KIND(BISMARK_EXPORT_INSTANTIATE)
+#undef BISMARK_EXPORT_INSTANTIATE
 
 /// One CSV file: a CsvWriter whose chunks go through a CheckedFile. Members
 /// are destroyed writer first, so an abandoned file still gets its bytes.

@@ -167,26 +167,10 @@ std::size_t ImportDatasetCsv(DataRepository& repo, std::istream& in, ImportRepor
 }
 
 // One instantiation per registered record kind.
-template std::size_t ImportDatasetCsv<HeartbeatRun>(DataRepository&, std::istream&,
-                                                    ImportReport&);
-template std::size_t ImportDatasetCsv<UptimeRecord>(DataRepository&, std::istream&,
-                                                    ImportReport&);
-template std::size_t ImportDatasetCsv<CapacityRecord>(DataRepository&, std::istream&,
-                                                      ImportReport&);
-template std::size_t ImportDatasetCsv<DeviceCountRecord>(DataRepository&, std::istream&,
-                                                         ImportReport&);
-template std::size_t ImportDatasetCsv<WifiScanRecord>(DataRepository&, std::istream&,
-                                                      ImportReport&);
-template std::size_t ImportDatasetCsv<TrafficFlowRecord>(DataRepository&, std::istream&,
-                                                         ImportReport&);
-template std::size_t ImportDatasetCsv<ThroughputMinute>(DataRepository&, std::istream&,
-                                                        ImportReport&);
-template std::size_t ImportDatasetCsv<DnsLogRecord>(DataRepository&, std::istream&,
-                                                    ImportReport&);
-template std::size_t ImportDatasetCsv<DeviceTrafficRecord>(DataRepository&, std::istream&,
-                                                           ImportReport&);
-template std::size_t ImportDatasetCsv<CgnEventRecord>(DataRepository&, std::istream&,
-                                                      ImportReport&);
+#define BISMARK_IMPORT_INSTANTIATE(T) \
+  template std::size_t ImportDatasetCsv<T>(DataRepository&, std::istream&, ImportReport&);
+BISMARK_FOR_EACH_RECORD_KIND(BISMARK_IMPORT_INSTANTIATE)
+#undef BISMARK_IMPORT_INSTANTIATE
 
 namespace {
 template <typename ImportFn>

@@ -11,6 +11,7 @@
 
 #include "collect/binio.h"
 #include "core/crc32c.h"
+#include "core/little_endian.h"
 
 namespace bismark::collect {
 
@@ -26,6 +27,43 @@ enum RecordType : std::uint8_t {
   kShardDoneRecord = 4,
   kCheckpointRecord = 5,
 };
+
+// Each record's one field list (collect/binio.h): ManifestWriter encodes
+// through it and the replay decodes through it.
+
+template <typename Io, typename Config>
+void ConfigFields(Io& io, Config& cfg) {
+  using C = ManifestConfig;
+  MemberFields(io, cfg, &C::spill_format, &C::schema_fingerprint, &C::budget_bytes, &C::workers,
+               &C::generation, &C::shard_count, &C::options_blob);
+}
+
+template <typename Io, typename Id, typename Name>
+void FileFields(Io& io, Id& id, Name& name) {
+  io.value(id);
+  io.value(name);
+}
+
+/// Kind and file lead, unlike SectionRef's declaration order.
+template <typename Io, typename Ref>
+void SectionFields(Io& io, Ref& ref) {
+  using S = SectionRef;
+  MemberFields(io, ref, &S::kind, &S::file, &S::offset, &S::bytes, &S::rows, &S::shard, &S::run,
+               &S::crc);
+}
+
+template <typename Io, typename Shard, typename Homes>
+void ShardDoneFields(Io& io, Shard& shard, Homes& homes) {
+  io.value(shard);
+  io.count(homes);
+  for (auto& home : homes) HomeInfoFields(io, home);
+}
+
+template <typename Io, typename Checkpoint>
+void CheckpointFields(Io& io, Checkpoint& ckpt) {
+  using C = ManifestCheckpoint;
+  MemberFields(io, ckpt, &C::sim_clock_ms, &C::shards_done, &C::sketch_blob);
+}
 
 }  // namespace
 
@@ -82,49 +120,31 @@ void ManifestWriter::append(std::uint8_t type, const std::string& payload) {
 
 void ManifestWriter::config(const ManifestConfig& cfg) {
   BinWriter w;
-  w.u32(cfg.spill_format);
-  w.u64(cfg.schema_fingerprint);
-  w.u64(cfg.budget_bytes);
-  w.u32(cfg.workers);
-  w.u32(cfg.generation);
-  w.u32(cfg.shard_count);
-  w.str(cfg.options_blob);
+  ConfigFields(w, cfg);
   append(kConfigRecord, w.buffer());
 }
 
 void ManifestWriter::file(std::uint32_t file_id, const std::string& name) {
   BinWriter w;
-  w.u32(file_id);
-  w.str(name);
+  FileFields(w, file_id, name);
   append(kFileRecord, w.buffer());
 }
 
 void ManifestWriter::section(const SectionRef& ref) {
   BinWriter w;
-  w.u32(ref.kind);
-  w.u32(ref.file);
-  w.u64(ref.offset);
-  w.u64(ref.bytes);
-  w.u64(ref.rows);
-  w.u32(ref.shard);
-  w.u32(ref.run);
-  w.u32(ref.crc);
+  SectionFields(w, ref);
   append(kSectionRecord, w.buffer());
 }
 
 void ManifestWriter::shard_done(std::uint32_t shard, const std::vector<HomeInfo>& homes) {
   BinWriter w;
-  w.u32(shard);
-  w.u32(static_cast<std::uint32_t>(homes.size()));
-  for (const HomeInfo& home : homes) EncodeHomeInfo(w, home);
+  ShardDoneFields(w, shard, homes);
   append(kShardDoneRecord, w.buffer());
 }
 
 void ManifestWriter::checkpoint(const ManifestCheckpoint& ckpt) {
   BinWriter w;
-  w.i64(ckpt.sim_clock_ms);
-  w.u64(ckpt.shards_done);
-  w.str(ckpt.sketch_blob);
+  CheckpointFields(w, ckpt);
   append(kCheckpointRecord, w.buffer());
 }
 
@@ -194,11 +214,11 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
   while (pos < bytes.size()) {
     out->keep_bytes = pos;
     if (bytes.size() - pos < 4) return stop("torn record length");
-    const auto len = static_cast<std::uint32_t>(coldetail::LoadLe<4>(bytes.data() + pos));
+    const auto len = static_cast<std::uint32_t>(core::LoadLe<4>(bytes.data() + pos));
     if (len == 0 || len > kMaxRecordBytes) return stop("implausible record length");
     if (bytes.size() - pos < 4ull + len + 4ull) return stop("torn record");
     const char* body = bytes.data() + pos + 4;
-    if (core::Crc32c(body, len) != coldetail::LoadLe<4>(body + len)) {
+    if (core::Crc32c(body, len) != core::LoadLe<4>(body + len)) {
       return stop("record CRC mismatch");
     }
 
@@ -206,13 +226,7 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
     switch (static_cast<std::uint8_t>(body[0])) {
       case kConfigRecord: {
         ManifestConfig cfg;
-        cfg.spill_format = r.u32();
-        cfg.schema_fingerprint = r.u64();
-        cfg.budget_bytes = r.u64();
-        cfg.workers = r.u32();
-        cfg.generation = r.u32();
-        cfg.shard_count = r.u32();
-        cfg.options_blob = r.str();
+        ConfigFields(r, cfg);
         if (r.failed() || !r.at_end()) return stop("malformed config record");
         if (!out->has_config) {
           out->has_config = true;
@@ -231,8 +245,9 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
         break;
       }
       case kFileRecord: {
-        const std::uint32_t id = r.u32();
-        std::string name = r.str();
+        std::uint32_t id = 0;
+        std::string name;
+        FileFields(r, id, name);
         if (r.failed() || !r.at_end()) return stop("malformed file record");
         if (id != out->files.size()) return stop("file table ids out of order");
         out->files.push_back(std::move(name));
@@ -240,14 +255,7 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
       }
       case kSectionRecord: {
         SectionRef ref;
-        ref.kind = r.u32();
-        ref.file = r.u32();
-        ref.offset = r.u64();
-        ref.bytes = r.u64();
-        ref.rows = r.u64();
-        ref.shard = r.u32();
-        ref.run = r.u32();
-        ref.crc = r.u32();
+        SectionFields(r, ref);
         if (r.failed() || !r.at_end() || ref.kind >= kRecordKinds ||
             ref.file >= out->files.size()) {
           return stop("malformed section record");
@@ -256,22 +264,16 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
         break;
       }
       case kShardDoneRecord: {
-        const std::uint32_t shard = r.u32();
-        const std::uint32_t count = r.u32();
+        std::uint32_t shard = 0;
         std::vector<HomeInfo> homes;
-        homes.reserve(count);
-        for (std::uint32_t i = 0; i < count && !r.failed(); ++i) {
-          homes.push_back(DecodeHomeInfo(r));
-        }
+        ShardDoneFields(r, shard, homes);
         if (r.failed() || !r.at_end()) return stop("malformed shard-done record");
         out->shard_homes[shard] = Replay::DoneShard{out->current_gen, std::move(homes)};
         break;
       }
       case kCheckpointRecord: {
         ManifestCheckpoint ckpt;
-        ckpt.sim_clock_ms = r.i64();
-        ckpt.shards_done = r.u64();
-        ckpt.sketch_blob = r.str();
+        CheckpointFields(r, ckpt);
         if (r.failed() || !r.at_end()) return stop("malformed checkpoint record");
         out->has_checkpoint = true;
         out->checkpoint = ckpt;  // last checkpoint wins

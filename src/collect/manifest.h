@@ -14,7 +14,11 @@
 // shard reproduces the same bytes).
 //
 // Record framing: u32 body_len | body | u32 crc32c(body), body = u8 type +
-// payload. File starts with the 8-byte magic "BSMKMAN2".
+// payload. File starts with the 8-byte magic "BSMKMAN2". Each record type's
+// payload is one field list (manifest.cpp: ConfigFields, FileFields,
+// SectionFields, ShardDoneFields with HomeInfoFields, CheckpointFields)
+// that ManifestWriter encodes and the replay decodes through (collect/binio.h).
+// Segment sections themselves wear the shared section frame of binio.h.
 //
 // Layering: collect/ knows nothing about deployment knobs. The run
 // configuration travels as an opaque `options_blob` that home/deployment
@@ -76,9 +80,6 @@ class ManifestWriter {
 
   /// fsync the manifest (checkpoints call this; plain records only flush).
   void sync();
-
-  [[nodiscard]] bool is_open() const { return out_.is_open(); }
-  [[nodiscard]] const std::string& path() const { return out_.path(); }
 
  private:
   void append(std::uint8_t type, const std::string& payload);

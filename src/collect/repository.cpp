@@ -2,33 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <tuple>
 
 #include "collect/column_snapshot.h"
 #include "collect/manifest.h"
 
 namespace bismark::collect {
-
-namespace {
-
-/// HomeInfo's fields in their durable order.
-constexpr auto kHomeInfoFields = std::make_tuple(
-    &HomeInfo::id, &HomeInfo::country_code, &HomeInfo::developed, &HomeInfo::utc_offset,
-    &HomeInfo::reports_uptime, &HomeInfo::reports_devices, &HomeInfo::reports_wifi,
-    &HomeInfo::consented_traffic, &HomeInfo::has_always_wired, &HomeInfo::has_always_wireless,
-    &HomeInfo::true_down_mbps, &HomeInfo::true_up_mbps, &HomeInfo::power_mode);
-
-}  // namespace
-
-void EncodeHomeInfo(BinWriter& w, const HomeInfo& home) {
-  std::apply([&](auto... member) { (w.value(home.*member), ...); }, kHomeInfoFields);
-}
-
-HomeInfo DecodeHomeInfo(BinReader& r) {
-  HomeInfo home;
-  std::apply([&](auto... member) { (r.value(home.*member), ...); }, kHomeInfoFields);
-  return home;
-}
 
 DatasetWindows DatasetWindows::Paper() {
   DatasetWindows w;
@@ -109,8 +87,6 @@ void IngestBatch::attach_spill(SpillDir* dir, std::uint32_t shard, std::size_t w
 
 void IngestBatch::flush_spill() {
   if (spill_ == nullptr) return;
-  BinWriter row_w;
-  std::string body;
   ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
     auto& vec = store_.rows<T>();
@@ -121,17 +97,8 @@ void IngestBatch::flush_spill() {
     std::stable_sort(vec.begin(), vec.end(), [](const T& a, const T& b) {
       return Schema<T>::SortKey(a) < Schema<T>::SortKey(b);
     });
-    body.clear();
-    for (const T& row : vec) {
-      row_w.clear();
-      EncodeRow(row_w, row);
-      coldetail::StoreLe<4>(body, row_w.size());
-      body.append(row_w.buffer());
-    }
     constexpr std::size_t kKind = kRecordIndexOf<T>;
-    const SectionRef ref = log_->append(static_cast<std::uint32_t>(kKind), shard_,
-                                        runs_[kKind]++, vec.size(), body);
-    spill_->register_section(kKind, ref);
+    spill_->register_section(kKind, log_->append_rows<T>(shard_, runs_[kKind]++, vec));
     // Deallocate rather than clear(): the runner keeps every shard's batch
     // object alive until the run ends, so retained capacity across
     // thousands of committed batches would pin the whole dataset in RAM.

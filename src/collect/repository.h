@@ -71,10 +71,16 @@ struct HomeInfo {
   friend bool operator==(const HomeInfo&, const HomeInfo&) = default;
 };
 
-/// HomeInfo's one durable encoding, shared by the manifest's shard-done
-/// records and the v3 snapshot meta file.
-void EncodeHomeInfo(BinWriter& w, const HomeInfo& home);
-[[nodiscard]] HomeInfo DecodeHomeInfo(BinReader& r);
+/// HomeInfo's one durable field list (collect/binio.h), shared by the
+/// manifest's shard-done records and the v3 snapshot meta file.
+template <typename Io, typename Home>
+void HomeInfoFields(Io& io, Home& home) {
+  using H = HomeInfo;
+  MemberFields(io, home, &H::id, &H::country_code, &H::developed, &H::utc_offset,
+               &H::reports_uptime, &H::reports_devices, &H::reports_wifi, &H::consented_traffic,
+               &H::has_always_wired, &H::has_always_wireless, &H::true_down_mbps,
+               &H::true_up_mbps, &H::power_mode);
+}
 
 /// A per-shard staging buffer: the same write API and window clipping as
 /// the repository, but entirely thread-private. A parallel deployment run

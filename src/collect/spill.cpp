@@ -18,9 +18,6 @@ namespace bismark::collect {
 
 namespace {
 
-using coldetail::LoadLe;
-using coldetail::StoreLe;
-
 int OpenForRead(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -37,8 +34,7 @@ int OpenForRead(const std::string& path) {
 SegmentLog::SegmentLog(std::string path, std::uint32_t index)
     : path_(std::move(path)), index_(index) {}
 
-void SegmentLog::ensure_open() {
-  if (out_.is_open()) return;
+void SegmentLog::open() {
   if (!out_.open(path_)) {
     throw std::runtime_error("spill: cannot open segment file: " + out_.error());
   }
@@ -51,9 +47,22 @@ void SegmentLog::check(bool ok, const char* op) {
   }
 }
 
+template <typename T>
+SectionRef SegmentLog::append_rows(std::uint32_t shard, std::uint32_t run,
+                                   std::span<const T> rows) {
+  BinWriter row;
+  std::string body;
+  for (const T& r : rows) {
+    row.clear();
+    EncodeRow(row, r);
+    core::StoreLe<4>(body, row.size());
+    body.append(row.buffer());
+  }
+  return append(static_cast<std::uint32_t>(kRecordIndexOf<T>), shard, run, rows.size(), body);
+}
+
 SectionRef SegmentLog::append(std::uint32_t kind, std::uint32_t shard, std::uint32_t run,
                               std::uint64_t rows, const std::string& body) {
-  ensure_open();
   SectionRef ref;
   ref.file = index_;
   ref.offset = offset_ + kSectionHeaderBytes;
@@ -62,18 +71,9 @@ SectionRef SegmentLog::append(std::uint32_t kind, std::uint32_t shard, std::uint
   ref.shard = shard;
   ref.run = run;
   ref.kind = kind;
-  ref.crc = core::Crc32c(body.data(), body.size());
-  std::string header;
-  for (const std::uint32_t field : {kSectionMagic, kind, shard, run}) StoreLe<4>(header, field);
-  std::string footer;
-  StoreLe<8>(footer, rows);
-  StoreLe<8>(footer, ref.bytes);
-  StoreLe<4>(footer, ref.crc);
-  StoreLe<4>(footer, kSectionEndMagic);
-  check(out_.write(header), "section header write");
-  check(out_.write(body), "write");
-  check(out_.write(footer), "section footer write");
-  offset_ += header.size() + body.size() + footer.size();
+  ref.crc = kSpillSection.write(out_, {kind, shard, run}, rows, {body});
+  check(out_.ok(), "section write");
+  offset_ += kSectionHeaderBytes + body.size() + kSectionFooterBytes;
   // Push the section to the OS before the caller commits it to the
   // manifest: a manifest record must never reference bytes that a crash of
   // this process could still lose.
@@ -81,13 +81,7 @@ SectionRef SegmentLog::append(std::uint32_t kind, std::uint32_t shard, std::uint
   return ref;
 }
 
-void SegmentLog::flush() {
-  if (out_.is_open()) check(out_.flush(), "flush");
-}
-
-void SegmentLog::sync() {
-  if (out_.is_open()) check(out_.sync(), "fsync");
-}
+void SegmentLog::flush() { check(out_.flush(), "flush"); }
 
 // --- SpillDir ---------------------------------------------------------------
 
@@ -131,6 +125,9 @@ void SpillDir::open_generation_logs() {
     file_names_.push_back(gen + "w" + std::to_string(i) + ".bsmkseg");
     logs_.push_back(std::make_unique<SegmentLog>(config_.dir + "/" + file_names_.back(),
                                                  base + static_cast<std::uint32_t>(i)));
+    // Opened here, before any worker runs: a checkpoint reads every log's
+    // descriptor while other workers append.
+    logs_.back()->open();
   }
   read_fds_.assign(file_names_.size(), -1);
 }
@@ -176,10 +173,8 @@ void SpillDir::write_checkpoint(const ManifestCheckpoint& ckpt) {
   // needs no durability yet; everything manifested was flushed to the OS
   // by append).
   for (const auto& log : logs_) {
-    const int fd = log->fd();
-    if (fd < 0) continue;
     std::string error;
-    if (!core::Io::Active().sync(fd, log->path(), &error)) {
+    if (!core::Io::Active().sync(log->fd(), log->path(), &error)) {
       throw std::runtime_error("spill: checkpoint fsync failed: " + error);
     }
   }
@@ -223,10 +218,10 @@ namespace {
 
 /// Sequential decoder over one section: a small read-ahead buffer refilled
 /// by pread from a shared descriptor, so a merge holds O(sections ×
-/// read-ahead) memory no matter how large the sections are. Verifies the v2
-/// frame on open (header fields must match the manifest's SectionRef) and
-/// the row framing, body CRC32C and footer at exhaustion — every read
-/// re-checks every byte it reads.
+/// read-ahead) memory no matter how large the sections are. Checks the
+/// frame's header against the manifest's SectionRef on open, and the row
+/// framing, body CRC32C and footer at exhaustion — every read re-checks
+/// every byte it reads.
 class SectionCursor {
  public:
   static constexpr std::size_t kMinReadAhead = 1 << 10;
@@ -240,6 +235,7 @@ class SectionCursor {
         verify_(verify),
         read_ahead_(read_ahead),
         bytes_read_(bytes_read),
+        frame_{{ref.kind, ref.shard, ref.run}, ref.rows, ref.bytes, ref.crc},
         file_pos_(ref.offset),
         remaining_file_(ref.bytes) {
     if (!verify_) return;
@@ -247,11 +243,7 @@ class SectionCursor {
     char header[kSectionHeaderBytes];
     file_pos_ = ref.offset - kSectionHeaderBytes;
     read_exact(header, sizeof header, "short header read");
-    if (LoadLe<4>(header) != kSectionMagic) fail("bad section magic");
-    if (LoadLe<4>(header + 4) != ref.kind || LoadLe<4>(header + 8) != ref.shard ||
-        LoadLe<4>(header + 12) != ref.run) {
-      fail("section header does not match its manifest record");
-    }
+    check(kSpillSection.check_header(header, frame_));
   }
 
   /// Frame the next row; returns an empty view at section end (after the
@@ -262,7 +254,7 @@ class SectionCursor {
       return {nullptr, 0};
     }
     ensure(4);
-    const auto len = static_cast<std::uint32_t>(LoadLe<4>(buf_.data() + pos_));
+    const auto len = static_cast<std::uint32_t>(core::LoadLe<4>(buf_.data() + pos_));
     pos_ += 4;
     ensure(len);
     const char* row = buf_.data() + pos_;
@@ -279,6 +271,9 @@ class SectionCursor {
        << " bytes=" << ref_.bytes << ": " << why;
     throw std::runtime_error(os.str());
   }
+  void check(const std::string& why) const {
+    if (!why.empty()) fail(why);
+  }
 
   void finish() {
     if (finished_) return;
@@ -288,19 +283,9 @@ class SectionCursor {
     if (remaining_file_ != 0 || pos_ != buf_.size()) {
       fail("body length does not match row framing");
     }
-    if (crc_ != ref_.crc) {
-      std::ostringstream os;
-      os << "body CRC32C mismatch (expected 0x" << std::hex << ref_.crc << ", computed 0x"
-         << crc_ << ")";
-      fail(os.str());
-    }
     char footer[kSectionFooterBytes];
     read_exact(footer, sizeof footer, "truncated footer");
-    if (LoadLe<8>(footer) != ref_.rows || LoadLe<8>(footer + 8) != ref_.bytes ||
-        LoadLe<4>(footer + 16) != ref_.crc) {
-      fail("footer does not match its manifest record");
-    }
-    if (LoadLe<4>(footer + 20) != kSectionEndMagic) fail("bad section end magic");
+    check(kSpillSection.check_footer(footer, frame_, crc_));
   }
 
   /// pread exactly `n` bytes at the cursor's file position, or fail with `why`.
@@ -336,6 +321,7 @@ class SectionCursor {
   bool verify_;
   std::size_t read_ahead_;
   std::atomic<std::uint64_t>& bytes_read_;
+  SectionFrame frame_;      // what the manifest record says the frame holds
   std::uint64_t file_pos_;  // next byte to pread
   std::string buf_;
   std::size_t pos_{0};
@@ -458,7 +444,9 @@ std::size_t SpilledRowStream<T>::read(std::vector<T>& out, std::size_t max_rows)
 }
 
 // One instantiation per registered record kind.
-#define BISMARK_SPILL_INSTANTIATE(T) template class SpilledRowStream<T>;
+#define BISMARK_SPILL_INSTANTIATE(T) \
+  template class SpilledRowStream<T>; \
+  template SectionRef SegmentLog::append_rows<T>(std::uint32_t, std::uint32_t, std::span<const T>);
 BISMARK_FOR_EACH_RECORD_KIND(BISMARK_SPILL_INSTANTIATE)
 #undef BISMARK_SPILL_INSTANTIATE
 

@@ -24,14 +24,17 @@
 // evenly, 1–16 KiB each, so its memory stays flat up to 4096 sections. No
 // row is written twice.
 //
-// Durability (segment format v2, DESIGN §12): every section is framed — a
-// 16-byte header (magic, kind, shard, run) before the body, a 24-byte
-// footer (rows, body bytes, CRC32C, end magic) after it — and the SpillDir
-// keeps a write-ahead manifest (collect/manifest.h) whose records commit
-// sections only after their bytes reached the OS. All writes go through the
-// injectable core::Io seam; cursors re-verify the frame, row framing and
-// CRC on every read and fail closed on any mismatch, and resume recovery
-// verifies a section by reading it with the same cursor (VerifySection).
+// Durability (segment format v2, DESIGN §12): every section wears the
+// shared section frame of collect/binio.h (kSpillSection: magic "BSG2",
+// tags kind, shard and run; footer rows, body bytes, CRC32C, "END2"), and
+// the SpillDir keeps a write-ahead manifest (collect/manifest.h) whose
+// records commit sections only after their bytes reached the OS. The body
+// is this module's alone: SegmentLog::append_rows writes each row as a u32
+// length and its EncodeRow payload, and the merge's cursor frames and
+// decodes them. All writes go through the injectable core::Io seam; cursors
+// re-check the frame, row framing and CRC on every read and fail closed on
+// any mismatch, and resume recovery verifies a section by reading it with
+// the same cursor (VerifySection).
 #pragma once
 
 #include <array>
@@ -39,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,13 +78,10 @@ struct SpillConfig {
   }
 };
 
-// Section framing constants (shared with manifest recovery and the fuzz
-// suite). Header: u32 magic | u32 kind | u32 shard | u32 run. Footer:
-// u64 rows | u64 body_bytes | u32 body_crc32c | u32 end magic.
-inline constexpr std::uint32_t kSectionMagic = 0x32475342u;     // "BSG2"
-inline constexpr std::uint32_t kSectionEndMagic = 0x32444E45u;  // "END2"
-inline constexpr std::size_t kSectionHeaderBytes = 16;
-inline constexpr std::size_t kSectionFooterBytes = 24;
+/// Spill sections: the shared frame (collect/binio.h), tagged with the
+/// section's kind, shard and run.
+inline constexpr SectionFormat kSpillSection{
+    0x32475342u, 0x32444E45u, {"kind", "shard", "run"}};  // "BSG2" … "END2"
 
 /// One sorted run of rows of a single kind inside a segment file.
 struct SectionRef {
@@ -96,13 +97,22 @@ struct SectionRef {
 
 /// An append-only segment file, written only by the one worker that owns
 /// it while its shard task runs; merges read it through SpillDir's shared
-/// read-only descriptor. Rows are u32-length-prefixed EncodeRow payloads so
-/// cursors can frame them without schema-dependent sizes. Every write goes
+/// read-only descriptor. SpillDir opens it before any worker runs, so its
+/// descriptor never changes while a checkpoint fsyncs it. Every write goes
 /// through the checked core::Io seam; any I/O failure throws with the path
 /// and errno — a full disk aborts the run, it does not truncate it silently.
 class SegmentLog {
  public:
   SegmentLog(std::string path, std::uint32_t index);
+
+  /// Create (truncate) the file. Throws on failure.
+  void open();
+
+  /// Append `rows` as one section of kind T: each row a u32 length and its
+  /// EncodeRow payload, so cursors frame rows without schema-dependent
+  /// sizes. Defined in spill.cpp, one instantiation per kind.
+  template <typename T>
+  SectionRef append_rows(std::uint32_t shard, std::uint32_t run, std::span<const T> rows);
 
   /// Append one section — header, the fully-encoded body, footer — and
   /// flush it to the OS, so a manifest record appended after this provably
@@ -110,24 +120,20 @@ class SegmentLog {
   SectionRef append(std::uint32_t kind, std::uint32_t shard, std::uint32_t run,
                     std::uint64_t rows, const std::string& body);
 
-  [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t bytes_written() const { return offset_; }
   [[nodiscard]] int fd() const { return out_.fd(); }
 
   /// Push buffered writes to the OS so cursors can read what was appended.
   void flush();
-  /// flush + fsync: checkpoint durability.
-  void sync();
 
  private:
-  void ensure_open();
   void check(bool ok, const char* op);
 
   std::string path_;
   std::uint32_t index_;
   std::uint64_t offset_{0};
-  core::CheckedFile out_;  // opened lazily on first append
+  core::CheckedFile out_;
 };
 
 /// Shared spill state: the segment directory, one log per worker, the

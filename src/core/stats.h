@@ -102,25 +102,4 @@ class QuantileSketch {
   std::vector<Tuple> tuples_;  // sorted by v
 };
 
-/// Convenience: collect values, then answer quantile queries repeatedly.
-class Sample {
- public:
-  void add(double v) { values_.push_back(v); dirty_ = true; }
-  void reserve(std::size_t n) { values_.reserve(n); }
-
-  [[nodiscard]] std::size_t size() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return values_.empty(); }
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] const std::vector<double>& values() const { return values_; }
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool dirty_{true};
-  void ensure_sorted() const;
-};
-
 }  // namespace bismark

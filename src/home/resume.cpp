@@ -18,103 +18,67 @@ bool Fail(std::string* error, const std::string& reason) {
   return false;
 }
 
+/// The blob's one field list, after the magic and version: EncodeResumableOptions
+/// writes through it and DecodeResumableOptions reads through it.
+template <typename Io, typename Options>
+void OptionFields(Io& io, Options& o) {
+  io.value(o.seed);
+  io.value(o.fault_seed);
+
+  collect::WindowFields(io, o.windows);
+
+  io.value(o.heartbeat.period);
+  io.value(o.heartbeat.loss_prob);
+  io.value(o.heartbeat.downtime_threshold);
+
+  io.value(o.traffic_homes);
+  io.value(o.bufferbloat_homes);
+  io.value(o.run_traffic);
+  io.value(o.roster_scale);
+  io.value(o.homes);
+  io.value(o.churn_homes);
+
+  io.value(o.collector_outages_per_month);
+  io.value(o.collector_outage_mean);
+
+  io.template value_as<std::uint64_t>(o.upload.spool_capacity);
+  io.value(o.upload.flush_period);
+  io.template value_as<std::uint64_t>(o.upload.max_batch_records);
+  io.value(o.upload.backoff_base);
+  io.value(o.upload.backoff_cap);
+  io.value(o.upload.jitter_frac);
+  io.value(o.upload.drain_grace);
+
+  io.value(o.upload_faults.upload_loss_prob);
+  io.value(o.upload_faults.ack_loss_prob);
+  io.value(o.upload_faults.base_latency);
+  io.value(o.upload_faults.latency_jitter);
+
+  io.value(o.cgn);
+  io.template value_as<std::uint32_t>(o.cgn_port_block);
+  io.value(o.cgn_max_ports_per_home);
+}
+
 }  // namespace
 
 std::string EncodeResumableOptions(const DeploymentOptions& o) {
   collect::BinWriter w;
   w.raw(kBlobMagic, sizeof(kBlobMagic));
   w.u32(kBlobVersion);
-
-  w.u64(o.seed);
-  w.u64(o.fault_seed);
-
-  collect::EncodeWindows(w, o.windows);
-
-  w.i64(o.heartbeat.period.ms);
-  w.f64(o.heartbeat.loss_prob);
-  w.i64(o.heartbeat.downtime_threshold.ms);
-
-  w.i32(o.traffic_homes);
-  w.i32(o.bufferbloat_homes);
-  w.value(o.run_traffic);
-  w.f64(o.roster_scale);
-  w.i32(o.homes);
-  w.i32(o.churn_homes);
-
-  w.f64(o.collector_outages_per_month);
-  w.i64(o.collector_outage_mean.ms);
-
-  w.u64(static_cast<std::uint64_t>(o.upload.spool_capacity));
-  w.i64(o.upload.flush_period.ms);
-  w.u64(static_cast<std::uint64_t>(o.upload.max_batch_records));
-  w.i64(o.upload.backoff_base.ms);
-  w.i64(o.upload.backoff_cap.ms);
-  w.f64(o.upload.jitter_frac);
-  w.i64(o.upload.drain_grace.ms);
-
-  w.f64(o.upload_faults.upload_loss_prob);
-  w.f64(o.upload_faults.ack_loss_prob);
-  w.i64(o.upload_faults.base_latency.ms);
-  w.i64(o.upload_faults.latency_jitter.ms);
-
-  w.value(o.cgn);
-  w.u32(o.cgn_port_block);
-  w.u32(o.cgn_max_ports_per_home);
-
+  OptionFields(w, o);
   return w.buffer();
 }
 
 bool DecodeResumableOptions(const std::string& blob, DeploymentOptions* out,
                             std::string* error) {
   collect::BinReader r(blob.data(), blob.size());
-  char magic[sizeof(kBlobMagic)] = {};
-  for (auto& c : magic) c = static_cast<char>(r.u8());
-  if (r.failed() || std::string_view(magic, sizeof(magic)) !=
-                        std::string_view(kBlobMagic, sizeof(kBlobMagic))) {
-    return Fail(error, "bad magic (not an options blob)");
-  }
+  if (!r.magic(kBlobMagic)) return Fail(error, "bad magic (not an options blob)");
   const std::uint32_t version = r.u32();
   if (version != kBlobVersion) {
     return Fail(error, "unsupported blob version " + std::to_string(version));
   }
-
   DeploymentOptions o;
-  o.seed = r.u64();
-  o.fault_seed = r.u64();
-
-  o.windows = collect::DecodeWindows(r);
-
-  o.heartbeat.period.ms = r.i64();
-  o.heartbeat.loss_prob = r.f64();
-  o.heartbeat.downtime_threshold.ms = r.i64();
-
-  o.traffic_homes = r.i32();
-  o.bufferbloat_homes = r.i32();
-  r.value(o.run_traffic);
-  o.roster_scale = r.f64();
-  o.homes = r.i32();
-  o.churn_homes = r.i32();
-
-  o.collector_outages_per_month = r.f64();
-  o.collector_outage_mean.ms = r.i64();
-
-  o.upload.spool_capacity = static_cast<std::size_t>(r.u64());
-  o.upload.flush_period.ms = r.i64();
-  o.upload.max_batch_records = static_cast<std::size_t>(r.u64());
-  o.upload.backoff_base.ms = r.i64();
-  o.upload.backoff_cap.ms = r.i64();
-  o.upload.jitter_frac = r.f64();
-  o.upload.drain_grace.ms = r.i64();
-
-  o.upload_faults.upload_loss_prob = r.f64();
-  o.upload_faults.ack_loss_prob = r.f64();
-  o.upload_faults.base_latency.ms = r.i64();
-  o.upload_faults.latency_jitter.ms = r.i64();
-
-  r.value(o.cgn);
-  o.cgn_port_block = static_cast<std::uint16_t>(r.u32());
-  o.cgn_max_ports_per_home = r.u32();
-
+  OptionFields(r, o);
   if (r.failed()) return Fail(error, "truncated blob");
   if (!r.at_end()) return Fail(error, "trailing bytes (written by a newer build?)");
   *out = o;

@@ -6,6 +6,12 @@
 // byte-for-byte across generations; this codec is the only place that
 // knows what is inside it.
 //
+// Layout: magic "BSOP" | u32 version, then one field list (resume.cpp's
+// OptionFields, windows via collect::WindowFields) that the encoder and the
+// decoder both instantiate (collect/binio.h), so the field order is stated
+// once. cgn_port_block keeps its u32 width on disk, and the two size_t
+// upload knobs their u64.
+//
 // The blob covers exactly the fields that determine record content and the
 // roster/shard plan (seed, windows, roster shape, fault knobs, upload
 // policy). Deliberately *not* included: worker count (any value reproduces

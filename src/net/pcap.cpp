@@ -5,23 +5,9 @@
 #include <tuple>
 
 #include "core/io.h"
+#include "core/little_endian.h"
 
 namespace bismark::net {
-namespace {
-
-void PutLe16(std::span<std::byte> out, std::size_t off, std::uint16_t v) {
-  out[off] = static_cast<std::byte>(v & 0xff);
-  out[off + 1] = static_cast<std::byte>(v >> 8);
-}
-
-void PutLe32(std::span<std::byte> out, std::size_t off, std::uint32_t v) {
-  out[off] = static_cast<std::byte>(v & 0xff);
-  out[off + 1] = static_cast<std::byte>(v >> 8 & 0xff);
-  out[off + 2] = static_cast<std::byte>(v >> 16 & 0xff);
-  out[off + 3] = static_cast<std::byte>(v >> 24);
-}
-
-}  // namespace
 
 void PcapBuffer::capture(TimePoint ts, int home, std::span<const std::byte> frame) {
   PcapRecord rec;
@@ -35,21 +21,23 @@ void PcapBuffer::capture(TimePoint ts, int home, std::span<const std::byte> fram
 }
 
 void EncodePcapFileHeader(std::span<std::byte> out) {
-  PutLe32(out, 0, kPcapMagic);
-  PutLe16(out, 4, kPcapVersionMajor);
-  PutLe16(out, 6, kPcapVersionMinor);
-  PutLe32(out, 8, 0);   // thiszone
-  PutLe32(out, 12, 0);  // sigfigs
-  PutLe32(out, 16, kPcapSnapLen);
-  PutLe32(out, 20, kPcapLinkTypeEthernet);
+  char* p = reinterpret_cast<char*>(out.data());
+  core::StoreLe<4>(p, kPcapMagic);
+  core::StoreLe<2>(p + 4, kPcapVersionMajor);
+  core::StoreLe<2>(p + 6, kPcapVersionMinor);
+  core::StoreLe<4>(p + 8, 0);   // thiszone
+  core::StoreLe<4>(p + 12, 0);  // sigfigs
+  core::StoreLe<4>(p + 16, kPcapSnapLen);
+  core::StoreLe<4>(p + 20, kPcapLinkTypeEthernet);
 }
 
 void EncodePcapRecordHeader(std::span<std::byte> out, TimePoint ts,
                             std::uint32_t frame_bytes) {
-  PutLe32(out, 0, static_cast<std::uint32_t>(ts.ms / 1000));
-  PutLe32(out, 4, static_cast<std::uint32_t>(ts.ms % 1000) * 1000);  // µs
-  PutLe32(out, 8, frame_bytes);   // incl_len: whole frames are captured
-  PutLe32(out, 12, frame_bytes);  // orig_len
+  char* p = reinterpret_cast<char*>(out.data());
+  core::StoreLe<4>(p, static_cast<std::uint32_t>(ts.ms / 1000));
+  core::StoreLe<4>(p + 4, static_cast<std::uint32_t>(ts.ms % 1000) * 1000);  // µs
+  core::StoreLe<4>(p + 8, frame_bytes);   // incl_len: whole frames are captured
+  core::StoreLe<4>(p + 12, frame_bytes);  // orig_len
 }
 
 std::size_t WritePcapFile(const std::string& path,

@@ -37,7 +37,7 @@ SpillConfig TestConfig(const std::string& dir) {
 /// so a committed test section must hold the rows its record claims.
 std::string OneRow(const std::string& payload) {
   std::string body;
-  coldetail::StoreLe<4>(body, payload.size());
+  core::StoreLe<4>(body, payload.size());
   return body + payload;
 }
 

@@ -8,11 +8,13 @@
 #include <stdexcept>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "collect/export.h"
+#include "collect/manifest.h"
 #include "collect/repository.h"
 #include "spill_fixture.h"
 
@@ -151,6 +153,31 @@ TEST(SpillRoundTrip, RepeatedStreamingReadsAreStable) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.size(), spilled->row_count<WifiScanRecord>());
 
+  std::filesystem::remove_all(dir);
+}
+
+// A worker's first section and another thread's checkpoint overlap: the
+// checkpoint fsyncs every log of the generation while the worker appends to
+// one of them. Under ThreadSanitizer this fails if the worker's first
+// append still opens its log while the checkpoint reads the descriptor.
+TEST(SpillCheckpoint, FirstAppendRacesCheckpoint) {
+  const auto dir = FreshSpillDir("checkpoint-race");
+  SpillConfig cfg;
+  cfg.dir = dir.string();
+  cfg.budget_bytes = 1 << 20;
+  cfg.workers = 2;
+  {
+    SpillDir spill(cfg);
+    std::thread worker([&spill] { spill.log_for_worker(1).append(0, 0, 0, 0, std::string()); });
+    std::thread checkpointer([&spill] { spill.write_checkpoint(ManifestCheckpoint{}); });
+    worker.join();
+    checkpointer.join();
+    EXPECT_GT(spill.log_for_worker(1).bytes_written(), 0u);
+  }
+  SpillRecovery rec;
+  std::string error;
+  ASSERT_TRUE(RecoverSpillDir(dir.string(), &rec, &error)) << error;
+  EXPECT_TRUE(rec.has_checkpoint);
   std::filesystem::remove_all(dir);
 }
 

@@ -96,18 +96,5 @@ TEST(CorrelationTest, ConstantSideIsZero) {
   EXPECT_DOUBLE_EQ(Correlation(x, {}), 0.0);
 }
 
-TEST(SampleTest, QuantileQueriesAfterAppends) {
-  Sample s;
-  for (int i = 10; i >= 1; --i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.median(), 5.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 10.0);
-  // Adding after a query must invalidate the sorted cache.
-  s.add(100.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_DOUBLE_EQ(s.median(), 6.0);
-  EXPECT_EQ(s.size(), 11u);
-}
-
 }  // namespace
 }  // namespace bismark

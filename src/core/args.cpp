@@ -67,6 +67,12 @@ bool ArgParser::parse(int argc, char** argv, int skip) {
 
 bool ArgParser::has(const std::string& name) const { return values_.contains(name); }
 
+std::vector<std::string> ArgParser::given() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 std::optional<std::string> ArgParser::get(const std::string& name) const {
   if (const auto it = values_.find(name); it != values_.end()) return it->second;
   if (const auto it = specs_.find(name); it != specs_.end()) return it->second.default_value;

@@ -43,6 +43,9 @@ class ArgParser {
     return parse_double(name).value_or(fallback);
   }
 
+  /// Names of the flags and options given on the command line, in name
+  /// order (defaults not included).
+  [[nodiscard]] std::vector<std::string> given() const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& error() const { return error_; }
 

@@ -6,10 +6,12 @@
 //   build/bench/bench_micro --json BENCH_micro.json  # plus JSON artifact
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "core/crc32c.h"
 #include "core/intervals.h"
 #include "core/rng.h"
+#include "core/stats.h"
 #include "net/cgn.h"
 #include "net/dns.h"
 #include "net/nat.h"
@@ -274,6 +277,49 @@ void BM_CdfQuantile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CdfQuantile);
+
+/// One seeded 2^20-value stream per fleet sketch shape: 0 is zero-heavy
+/// small integers (the wifi visible-APs and associated-clients sketches),
+/// 1 is heavy-tailed and continuous (flow sizes).
+const std::vector<double>& SketchStream(std::int64_t shape) {
+  static const auto* streams = [] {
+    auto* s = new std::array<std::vector<double>, 2>;
+    Rng rng(5);
+    for (int i = 0; i < (1 << 20); ++i) {
+      (*s)[0].push_back(rng.bernoulli(0.6) ? 0.0 : static_cast<double>(rng.uniform_int(1, 30)));
+      (*s)[1].push_back(rng.pareto(1.0, 1.2));
+    }
+    return s;
+  }();
+  return (*streams)[static_cast<std::size_t>(shape)];
+}
+
+/// A fleet sketch fed one value per call, as the capacity feeder does.
+void BM_SketchAddEach(benchmark::State& state) {
+  const auto& values = SketchStream(state.range(0));
+  for (auto _ : state) {
+    QuantileSketch sketch;
+    for (const double v : values) sketch.add(v);
+    benchmark::DoNotOptimize(sketch.tuples());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_SketchAddEach)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The same stream fed one read batch (4096 values) per call, as the
+/// per-row fleet feeders do; the sketch bytes are identical.
+void BM_SketchAddBatch(benchmark::State& state) {
+  const std::span<const double> values = SketchStream(state.range(0));
+  for (auto _ : state) {
+    QuantileSketch sketch;
+    for (std::size_t at = 0; at < values.size(); at += 4096) {
+      sketch.add(values.subspan(at, std::min<std::size_t>(4096, values.size() - at)));
+    }
+    benchmark::DoNotOptimize(sketch.tuples());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_SketchAddBatch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- record layer: CSV vs snapshot persistence ------------------------------
 

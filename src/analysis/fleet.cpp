@@ -136,26 +136,37 @@ void FeedCapacity(const Roster& roster, std::span<const collect::CapacityRecord>
   }
 }
 
+/// Add one value per row to `sketch` in a single call, which the sketch
+/// merges a compress period at a time.
+template <typename T, typename Value>
+void AddBatch(QuantileSketch& sketch, std::span<const T> rows, Value value) {
+  std::vector<double> values;
+  values.reserve(rows.size());
+  for (const T& rec : rows) values.push_back(value(rec));
+  sketch.add(values);
+}
+
 void FeedVisibleAps(const Roster&, std::span<const collect::WifiScanRecord> rows,
                     FleetPartial& p) {
-  for (const auto& rec : rows) p.summary.visible_aps.add(static_cast<double>(rec.visible_aps));
+  AddBatch(p.summary.visible_aps, rows,
+           [](const auto& rec) { return static_cast<double>(rec.visible_aps); });
 }
 
 void FeedAssociatedClients(const Roster&, std::span<const collect::WifiScanRecord> rows,
                            FleetPartial& p) {
-  for (const auto& rec : rows) {
-    p.summary.associated_clients.add(static_cast<double>(rec.associated_clients));
-  }
+  AddBatch(p.summary.associated_clients, rows,
+           [](const auto& rec) { return static_cast<double>(rec.associated_clients); });
 }
 
 void FeedThroughput(const Roster&, std::span<const collect::ThroughputMinute> rows,
                     FleetPartial& p) {
-  for (const auto& rec : rows) p.summary.throughput_down_mbps.add(rec.peak_down_bps / 1e6);
+  AddBatch(p.summary.throughput_down_mbps, rows,
+           [](const auto& rec) { return rec.peak_down_bps / 1e6; });
 }
 
 void FeedFlows(const Roster&, std::span<const collect::TrafficFlowRecord> rows,
                FleetPartial& p) {
-  for (const auto& rec : rows) p.summary.flow_kbytes.add(rec.total_bytes().kb());
+  AddBatch(p.summary.flow_kbytes, rows, [](const auto& rec) { return rec.total_bytes().kb(); });
 }
 
 template <typename T>

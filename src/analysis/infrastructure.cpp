@@ -1,6 +1,8 @@
 #include "analysis/infrastructure.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <utility>
 
 #include "core/stats.h"
 
@@ -13,7 +15,6 @@ struct HomeCensus {
   RunningStats wireless;
   RunningStats band24;
   RunningStats band5;
-  int max_unique_total{0};
   int max_unique_24{0};
   int max_unique_5{0};
   int samples_all_ports{0};
@@ -28,7 +29,6 @@ std::map<int, HomeCensus> CollectCensus(const collect::DataRepository& repo) {
     c.wireless.add(rec.wireless_total());
     c.band24.add(rec.wireless_24);
     c.band5.add(rec.wireless_5);
-    c.max_unique_total = std::max(c.max_unique_total, rec.unique_total);
     c.max_unique_24 = std::max(c.max_unique_24, rec.unique_24);
     c.max_unique_5 = std::max(c.max_unique_5, rec.unique_5);
     if (rec.wired >= 4) ++c.samples_all_ports;
@@ -42,19 +42,34 @@ MeanWithSpread AcrossHomes(const std::vector<double>& home_means) {
   for (double v : home_means) stats.add(v);
   return MeanWithSpread{stats.mean(), stats.stddev(), static_cast<int>(stats.count())};
 }
+
+/// The largest unique_total of every home with a census row, floored at 0,
+/// in ascending home id order (MeanUniqueDevices' floating-point mean
+/// depends on that order). One hash lookup per row.
+std::vector<int> MaxUniqueDevicesByHome(const collect::DataRepository& repo) {
+  std::unordered_map<int, int> by_home;
+  repo.for_each_row<collect::DeviceCountRecord>([&](const collect::DeviceCountRecord& rec) {
+    int& max = by_home.try_emplace(rec.home.value, 0).first->second;
+    max = std::max(max, rec.unique_total);
+  });
+  std::vector<std::pair<int, int>> homes(by_home.begin(), by_home.end());
+  std::sort(homes.begin(), homes.end());
+  std::vector<int> out;
+  out.reserve(homes.size());
+  for (const auto& [home, max] : homes) out.push_back(max);
+  return out;
+}
 }  // namespace
 
 Cdf UniqueDevicesCdf(const collect::DataRepository& repo) {
   Cdf cdf;
-  for (const auto& [home, census] : CollectCensus(repo)) {
-    cdf.add(census.max_unique_total);
-  }
+  for (const int max : MaxUniqueDevicesByHome(repo)) cdf.add(max);
   return cdf;
 }
 
 double MeanUniqueDevices(const collect::DataRepository& repo) {
   RunningStats stats;
-  for (const auto& [home, census] : CollectCensus(repo)) stats.add(census.max_unique_total);
+  for (const int max : MaxUniqueDevicesByHome(repo)) stats.add(max);
   return stats.mean();
 }
 

@@ -96,7 +96,31 @@ double Correlation(std::span<const double> x, std::span<const double> y) {
 
 QuantileSketch::QuantileSketch(double eps) : eps_(std::clamp(eps, 1e-6, 0.5)) {}
 
-void QuantileSketch::add(double v) {
+void QuantileSketch::add(std::span<const double> values) {
+  // Amortize compression: every 1/(2 eps) inserts keeps the invariant
+  // g + delta <= 2 eps n while touching the array O(1) amortized.
+  const auto period = static_cast<std::size_t>(1.0 / (2.0 * eps_));
+  while (!values.empty()) {
+    // A run ends where one-at-a-time adds would compress. After a merge
+    // raised eps, since_compress_ can already be past the period.
+    const std::size_t room = since_compress_ < period ? period - since_compress_ : 1;
+    const std::span<const double> run = values.first(std::min(values.size(), room));
+    values = values.subspan(run.size());
+    if (run.size() == 1 || tuples_.empty() || holds_nan_ ||
+        std::any_of(run.begin(), run.end(), [](double v) { return std::isnan(v); })) {
+      for (const double v : run) insert(v);
+    } else {
+      insert_run(run);
+    }
+    n_ += run.size();
+    if ((since_compress_ += run.size()) >= period) {
+      compress();
+      since_compress_ = 0;
+    }
+  }
+}
+
+void QuantileSketch::insert(double v) {
   // Find insertion point: first tuple with value >= v.
   auto it = std::lower_bound(tuples_.begin(), tuples_.end(), v,
                              [](const Tuple& t, double x) { return t.v < x; });
@@ -108,12 +132,67 @@ void QuantileSketch::add(double v) {
     fresh.delta = it->g + it->delta - 1;
   }
   tuples_.insert(it, fresh);
-  ++n_;
-  // Amortize compression: every 1/(2 eps) inserts keeps the invariant
-  // g + delta <= 2 eps n while touching the array O(1) amortized.
-  if (++since_compress_ >= static_cast<std::size_t>(1.0 / (2.0 * eps_))) {
-    compress();
-    since_compress_ = 0;
+  holds_nan_ = holds_nan_ || std::isnan(v);
+}
+
+// Why one merge equals insert() value by value, with `front` the first
+// tuple before the run. A value x > front.v never lands first, so its
+// delta is that of the first tuple with v >= x, or 0 when it lands last.
+// If that tuple is new it has g = 1 and inherited its own delta the same
+// way, so the delta is always the one of the first *pre-run* tuple with
+// v >= x, in any arrival order. Those values are therefore sorted and
+// merged with the old list in one pass, new before old on equal v and the
+// latest first among equal new values (which only shows when -0.0 and
+// +0.0 mix). Values x <= front.v all land before front and their deltas
+// depend on arrival order, so they are inserted one by one into a short
+// list whose successor past the end is front.
+void QuantileSketch::insert_run(std::span<const double> run) {
+  const Tuple front = tuples_.front();
+  // The values <= front.v in list order reversed, so a new minimum, the
+  // common case, is a push_back.
+  std::vector<Tuple> low;
+  // The values > front.v; delta holds the arrival index until the merge.
+  std::vector<Tuple> high;
+  high.reserve(run.size());
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const double x = run[i];
+    if (x > front.v) {
+      high.push_back({x, 1, i});
+      continue;
+    }
+    // In `low`, x goes after every entry with v >= x: later arrivals go
+    // first in list order.
+    const auto at = std::partition_point(low.begin(), low.end(),
+                                         [x](const Tuple& t) { return !(t.v < x); });
+    std::uint64_t delta = 0;  // x is the new minimum
+    if (at != low.end()) {
+      const Tuple& succ = at == low.begin() ? front : at[-1];
+      delta = succ.g + succ.delta - 1;
+    }
+    low.insert(at, {x, 1, delta});
+  }
+  std::sort(high.begin(), high.end(), [](const Tuple& a, const Tuple& b) {
+    return a.v < b.v || (a.v == b.v && a.delta > b.delta);
+  });
+
+  // Merge from the back in place; the low values then take the front.
+  const auto old_size = static_cast<std::ptrdiff_t>(tuples_.size());
+  tuples_.resize(tuples_.size() + low.size() + high.size());
+  auto old_end = tuples_.begin() + old_size;
+  auto out = tuples_.end();
+  std::uint64_t inherited = 0;  // delta of the pre-run tuple after `out`
+  for (auto h = high.rbegin(); h != high.rend(); ++h) {
+    // Stops at front at the latest, since h->v > front.v.
+    while (!(old_end[-1].v < h->v)) {
+      --old_end;
+      inherited = old_end->g + old_end->delta - 1;
+      *--out = *old_end;
+    }
+    *--out = Tuple{h->v, 1, inherited};
+  }
+  if (!low.empty()) {
+    std::move_backward(tuples_.begin(), old_end, out);
+    std::copy(low.rbegin(), low.rend(), tuples_.begin());
   }
 }
 
@@ -155,6 +234,7 @@ void QuantileSketch::merge(const QuantileSketch& other) {
              [](const Tuple& a, const Tuple& b) { return a.v < b.v; });
   tuples_ = std::move(merged);
   n_ += other.n_;
+  holds_nan_ = holds_nan_ || other.holds_nan_;
   eps_ = std::min(eps_ + other.eps_, 0.5);
   compress();
 }

@@ -58,7 +58,13 @@ class QuantileSketch {
  public:
   explicit QuantileSketch(double eps = 0.005);
 
-  void add(double v);
+  void add(double v) { add({&v, 1}); }
+  /// Add values in order. The result is byte-identical to add(double) on
+  /// each value in turn: values are taken in runs that end where that loop
+  /// would compress, and each run joins the tuple list in one sorted merge
+  /// (DESIGN §11). A run of one value, a run into an empty sketch, and
+  /// every run that holds a NaN or follows one go in value by value.
+  void add(std::span<const double> values);
   /// Fold another sketch in (per-shard sketches merged post-run). The
   /// merged sketch keeps the rank-error bound eps_a + eps_b, so merging
   /// same-eps sketches doubles the tolerance — budget eps accordingly.
@@ -94,12 +100,22 @@ class QuantileSketch {
     std::uint64_t g;
     std::uint64_t delta;
   };
+  /// Insert one value where the first tuple with v' >= v is. n_ and the
+  /// compress cadence are add()'s.
+  void insert(double v);
+  /// Insert a run of non-NaN values into a non-empty, NaN-free tuple list
+  /// in one sorted merge, with the same result as insert() on each value
+  /// in turn.
+  void insert_run(std::span<const double> run);
   void compress();
 
   double eps_;
   std::size_t n_{0};
   std::size_t since_compress_{0};
   std::vector<Tuple> tuples_;  // sorted by v
+  /// A NaN was inserted or merged in. It breaks the sorted order that
+  /// insert_run relies on, so every later run is inserted value by value.
+  bool holds_nan_{false};
 };
 
 }  // namespace bismark

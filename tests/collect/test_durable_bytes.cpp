@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -213,9 +214,19 @@ TEST_F(DurableFormatBytes, ResumeOptionsBlobWithEveryFieldSet) {
 }
 
 TEST_F(DurableFormatBytes, SketchOfOneToHundred) {
-  QuantileSketch sketch;
-  for (int v = 1; v <= 100; ++v) sketch.add(v);
-  EXPECT_EQ(Digest(sketch.Serialize()), "2436 14bbe59b0b82f695");
+  std::vector<double> values;
+  for (int v = 1; v <= 100; ++v) values.push_back(v);
+  QuantileSketch each;
+  for (const double v : values) each.add(v);
+  QuantileSketch whole;
+  whole.add(values);
+  QuantileSketch split;  // uneven add(span) calls
+  for (std::size_t at = 0, len = 1; at < values.size(); at += len, len = len * 3 + 2) {
+    split.add(std::span(values).subspan(at, std::min(len, values.size() - at)));
+  }
+  for (const QuantileSketch* sketch : {&each, &whole, &split}) {
+    EXPECT_EQ(Digest(sketch->Serialize()), "2436 14bbe59b0b82f695");
+  }
 }
 
 TEST_F(DurableFormatBytes, FleetSummaryWithTwoCountries) {

@@ -1,8 +1,11 @@
 // Property tests for the streaming quantile sketch: the GK rank-error
-// guarantee against exact order statistics, merge error budgeting, and the
-// checkpoint codec.
+// guarantee against exact order statistics, merge error budgeting, the
+// checkpoint codec, and batch insertion against one-at-a-time insertion.
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +158,86 @@ TEST(QuantileSketch, SerializeRoundTripAnswersIdentically) {
   QuantileSketch empty_loaded;
   ASSERT_TRUE(QuantileSketch::Deserialize(empty.Serialize(), &empty_loaded));
   EXPECT_TRUE(empty_loaded.empty());
+}
+
+// add(span) merges a run of values at once; it must leave the same bytes
+// as add(double) on each value, for every stream shape, at every split of
+// the stream around the compress period, across merges that raise eps
+// mid-period and across checkpoint round trips.
+TEST(QuantileSketch, BatchAddMatchesSequentialBytes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Stream {
+    const char* name;
+    double (*draw)(Rng&, int i);
+  };
+  const Stream streams[] = {
+      {"uniform", [](Rng& r, int) { return r.uniform(0.0, 1000.0); }},
+      {"heavy-tailed", [](Rng& r, int) { return r.pareto(1.0, 1.2); }},
+      {"ascending", [](Rng&, int i) { return static_cast<double>(i); }},
+      {"descending", [](Rng&, int i) { return static_cast<double>(-i); }},
+      {"constant", [](Rng&, int) { return 5.0; }},
+      {"zero-heavy", [](Rng& r, int) {
+         return r.bernoulli(0.6) ? 0.0 : static_cast<double>(r.uniform_int(1, 12));
+       }},
+      {"signed zeros", [](Rng& r, int) {
+         if (r.bernoulli(0.2)) return static_cast<double>(r.uniform_int(-2, 2));
+         return r.bernoulli(0.5) ? -0.0 : 0.0;
+       }},
+      {"infinities", [](Rng& r, int) {
+         const double u = r.uniform();
+         return u < 0.1 ? -kInf : (u < 0.25 ? kInf : std::floor(r.uniform(-50.0, 50.0)));
+       }},
+      // Drifts down, so most runs bring new minima in no particular order.
+      {"new minima", [](Rng& r, int i) { return std::floor(r.uniform(0.0, 400.0)) - 3.0 * i; }},
+      {"NaN", [](Rng& r, int) {
+         return r.bernoulli(0.01) ? std::numeric_limits<double>::quiet_NaN() : r.uniform(0.0, 9.0);
+       }},
+  };
+  constexpr int kValues = 1500;
+  std::size_t checked = 0;
+  for (const Stream& stream : streams) {
+    for (const double eps : {0.005, 0.01, 0.05, 0.2, 0.5}) {
+      const auto period = static_cast<std::size_t>(1.0 / (2.0 * eps));
+      for (const std::size_t split :
+           {std::size_t{1}, period - 1, period, period + 1, std::size_t{4096}}) {
+        if (split == 0) continue;
+        SCOPED_TRACE(std::string(stream.name) + " eps " + std::to_string(eps) + " split " +
+                     std::to_string(split));
+        Rng rng(7020);
+        std::vector<double> values;
+        for (int i = 0; i < kValues; ++i) values.push_back(stream.draw(rng, i));
+        QuantileSketch each(eps);
+        QuantileSketch batch(eps);
+        std::size_t step = 0;
+        for (std::size_t at = 0; at < values.size(); at += split, ++step) {
+          const std::span<const double> chunk =
+              std::span(values).subspan(at, std::min(split, values.size() - at));
+          for (const double v : chunk) each.add(v);
+          batch.add(chunk);
+          ASSERT_EQ(batch.Serialize(), each.Serialize()) << "after adding at " << at;
+          ++checked;
+          if (step % 4 == 1) {
+            // A merge raises eps, so since_compress_ can pass the new period.
+            QuantileSketch other(0.03);
+            for (int i = 0; i < 40; ++i) other.add(stream.draw(rng, i));
+            each.merge(other);
+            batch.merge(other);
+            ASSERT_EQ(batch.Serialize(), each.Serialize()) << "after a merge at " << at;
+            ++checked;
+          }
+          if (step % 5 == 2) {
+            QuantileSketch loaded;
+            if (QuantileSketch::Deserialize(batch.Serialize(), &loaded)) {
+              batch = loaded;
+            } else {
+              ASSERT_STREQ(stream.name, "NaN");  // only a NaN fails the codec
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
 }
 
 TEST(QuantileSketch, DeserializeFailsClosedOnDamage) {

@@ -47,7 +47,9 @@ TEST_P(HouseholdPerCountryTest, DevicesHaveValidSpecs) {
       ASSERT_EQ(net::OuiRegistry::Instance().classify(device.spec().mac),
                 device.spec().vendor);
       // Wired devices are never dual-band.
-      if (device.spec().wired) ASSERT_FALSE(device.spec().dual_band);
+      if (device.spec().wired) {
+        ASSERT_FALSE(device.spec().dual_band);
+      }
       // Presence intervals live inside the window.
       for (const auto& p : device.presence()) {
         ASSERT_GE(p.when.start, study_.start);

@@ -98,6 +98,23 @@ TEST(ExportGoldenBytes, ReleaseViewsMatchHistoricalFormat) {
   repo.add(HeartbeatRun{HomeId{3}, TimePoint{60000}, TimePoint{240000}});
   repo.add(UptimeRecord{HomeId{4}, TimePoint{1000}, Seconds(4521.5)});
   repo.add(CapacityRecord{HomeId{5}, TimePoint{2000}, Mbps(19.5), Mbps(4.5)});
+  repo.add(DeviceCountRecord{HomeId{6}, TimePoint{3000}, 1, 3, 2, 9, 6, 3});
+  repo.add(WifiScanRecord{HomeId{7}, TimePoint{4000}, wireless::Band::k5GHz, 36, 12, 2});
+  TrafficFlowRecord flow;
+  flow.home = HomeId{8};
+  flow.flow = net::FlowId{77};  // withheld by the release view
+  flow.first_packet = TimePoint{5000};
+  flow.last_packet = TimePoint{65000};
+  flow.protocol = net::Protocol::kUdp;
+  flow.dst_port = 443;
+  flow.device_mac = net::MacAddress::FromParts(0x0017f2, 0xabcdef);
+  flow.bytes_up = Bytes{1200};
+  flow.bytes_down = Bytes{34000};
+  flow.packets_up = 10;  // withheld by the release view
+  flow.packets_down = 25;
+  flow.domain = "cdn,example.com";
+  flow.domain_anonymized = true;
+  repo.add(std::move(flow));
 
   std::ostringstream out;
   ExportHeartbeats(repo, out);
@@ -116,6 +133,25 @@ TEST(ExportGoldenBytes, ReleaseViewsMatchHistoricalFormat) {
   EXPECT_EQ(out.str(),
             "home,measured_ms,down_mbps,up_mbps\n"
             "5,2000,19.500,4.500\n");
+
+  out.str("");
+  ExportDevices(repo, out);
+  EXPECT_EQ(out.str(),
+            "home,sampled_ms,wired,wireless_24,wireless_5,unique_total,unique_24,unique_5\n"
+            "6,3000,1,3,2,9,6,3\n");
+
+  out.str("");
+  ExportWifi(repo, out);
+  EXPECT_EQ(out.str(),
+            "home,scanned_ms,band,channel,visible_aps,associated\n"
+            "7,4000,5 GHz,36,12,2\n");
+
+  out.str("");
+  ExportTrafficFlows(repo, out);
+  EXPECT_EQ(out.str(),
+            "home,first_ms,last_ms,proto,dst_port,device_mac,bytes_up,bytes_down,domain,"
+            "domain_anonymized\n"
+            "8,5000,65000,udp,443,00:17:f2:ab:cd:ef,1200,34000,\"cdn,example.com\",1\n");
 }
 
 TEST(ExportGoldenBytes, FullFidelityViewUsesExactCodecs) {

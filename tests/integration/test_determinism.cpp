@@ -2,7 +2,10 @@
 // Same seed => same repository => same CSV bytes, whether the study ran on
 // one thread or eight, and whether it is the first or the tenth run.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -77,6 +80,43 @@ TEST_F(ParallelDeterminismTest, OddWorkerCountsAndAutoDetectAgreeToo) {
   // 3 workers (doesn't divide the shard count evenly) and auto-detect.
   EXPECT_EQ(*serial_csv_, ExportAllCsv(Deployment::RunStudy(SmallStudy(3))->repository()));
   EXPECT_EQ(*serial_csv_, ExportAllCsv(Deployment::RunStudy(SmallStudy(0))->repository()));
+}
+
+/// The golden export hash: std::hash of the six release exports above,
+/// concatenated, for bench_fleet's golden study. It pins the bytes of every
+/// release view, the withheld traffic view included, over a whole study.
+constexpr std::size_t kGoldenExportHash = 0xf82316df7b15d09bULL;
+
+/// bench_fleet's golden study: seed 20131023, 126 homes, 4-week compressed
+/// windows from 2012-10-01, 4 workers.
+DeploymentOptions GoldenStudy() {
+  DeploymentOptions options;
+  options.seed = 20131023;
+  options.windows = collect::DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 4);
+  options.homes = 126;
+  options.workers = 4;
+  return options;
+}
+
+TEST(GoldenExportHash, ResidentStudyMatchesGolden) {
+  const auto study = Deployment::RunStudy(GoldenStudy());
+  EXPECT_EQ(std::hash<std::string>{}(ExportAllCsv(study->repository())), kGoldenExportHash);
+}
+
+TEST(GoldenExportHash, SpilledStudyMatchesGolden) {
+  namespace fs = std::filesystem;
+  const fs::path spill =
+      fs::temp_directory_path() / ("bsmk-test-golden-" + std::to_string(::getpid()));
+  fs::remove_all(spill);
+  DeploymentOptions options = GoldenStudy();
+  options.memory_budget_bytes = std::size_t{8} << 20;
+  options.spill_dir = spill.string();
+  {
+    const auto study = Deployment::RunStudy(options);
+    ASSERT_TRUE(study->repository().spilling());
+    EXPECT_EQ(std::hash<std::string>{}(ExportAllCsv(study->repository())), kGoldenExportHash);
+  }
+  fs::remove_all(spill);
 }
 
 }  // namespace

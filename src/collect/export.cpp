@@ -13,41 +13,30 @@ namespace bismark::collect {
 
 namespace {
 
-template <typename T, CsvView V>
-void WriteHeader(CsvWriter& csv) {
-  if constexpr (V == CsvView::kRelease) {
-    for (const auto& c : Schema<T>::Release()) csv.cell(c.name);
-  } else {
-    std::apply([&csv](const auto&... field) { (csv.cell(field.name), ...); },
-               Schema<T>::Fields());
-  }
+/// The header row of a column list (collect/schema.h).
+template <typename Columns>
+void WriteHeader(CsvWriter& csv, const Columns& columns) {
+  std::apply([&csv](const auto&... col) { (csv.cell(col.name), ...); }, columns);
   csv.end_row();
 }
 
-/// The release view comes from Schema<T>::Release(), byte-identical to the
-/// original per-dataset exporters; the full view encodes every field with
-/// its exact codec.
-template <typename T, CsvView V>
-void WriteRows(CsvWriter& csv, std::span<const T> rows) {
+/// One CSV row per record, one cell per column.
+template <typename T, typename Columns>
+void WriteRows(CsvWriter& csv, const Columns& columns, std::span<const T> rows) {
   for (const T& r : rows) {
-    if constexpr (V == CsvView::kRelease) {
-      for (const auto& c : Schema<T>::Release()) csv.cell(c.encode(r));
-    } else {
-      std::apply(
-          [&csv, &r](const auto&... field) { (csv.cell(CsvEncode(r.*(field.member))), ...); },
-          Schema<T>::Fields());
-    }
+    std::apply([&csv, &r](const auto&... col) { (csv.cell(col.encode(r)), ...); }, columns);
     csv.end_row();
   }
 }
 
 /// One kind's CSV into a stream, as a one-output finish pass.
-template <typename T, CsvView V>
-std::size_t ExportToStream(const DataRepository& repo, std::ostream& out) {
+template <typename T, typename Columns>
+std::size_t ExportToStream(const DataRepository& repo, std::ostream& out,
+                           const Columns& columns) {
   CsvWriter csv(out);
-  WriteHeader<T, V>(csv);
+  WriteHeader(csv, columns);
   FinishPass pass(repo, 1);
-  pass.add<T>([&csv](std::span<const T> rows) { WriteRows<T, V>(csv, rows); });
+  pass.add<T>([&](std::span<const T> rows) { WriteRows(csv, columns, rows); });
   pass.run();
   return csv.rows_written() - 1;
 }
@@ -57,27 +46,27 @@ std::size_t ExportToStream(const DataRepository& repo, std::ostream& out) {
 }  // namespace
 
 std::size_t ExportHeartbeats(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<HeartbeatRun, CsvView::kRelease>(repo, out);
+  return ExportToStream<HeartbeatRun>(repo, out, Schema<HeartbeatRun>::Release());
 }
 std::size_t ExportUptime(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<UptimeRecord, CsvView::kRelease>(repo, out);
+  return ExportToStream<UptimeRecord>(repo, out, Schema<UptimeRecord>::Release());
 }
 std::size_t ExportCapacity(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<CapacityRecord, CsvView::kRelease>(repo, out);
+  return ExportToStream<CapacityRecord>(repo, out, Schema<CapacityRecord>::Release());
 }
 std::size_t ExportDevices(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<DeviceCountRecord, CsvView::kRelease>(repo, out);
+  return ExportToStream<DeviceCountRecord>(repo, out, Schema<DeviceCountRecord>::Release());
 }
 std::size_t ExportWifi(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<WifiScanRecord, CsvView::kRelease>(repo, out);
+  return ExportToStream<WifiScanRecord>(repo, out, Schema<WifiScanRecord>::Release());
 }
 std::size_t ExportTrafficFlows(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<TrafficFlowRecord, CsvView::kRelease>(repo, out);
+  return ExportToStream<TrafficFlowRecord>(repo, out, Schema<TrafficFlowRecord>::Release());
 }
 
 template <typename T>
 std::size_t ExportDatasetCsv(const DataRepository& repo, std::ostream& out) {
-  return ExportToStream<T, CsvView::kFull>(repo, out);
+  return ExportToStream<T>(repo, out, Schema<T>::Fields());
 }
 
 // One instantiation per registered record kind.
@@ -107,20 +96,12 @@ struct CsvExport::File {
 CsvExport::CsvExport(FinishPass& pass, const std::string& directory, CsvView view) {
   namespace fs = std::filesystem;
   fs::create_directories(directory);
-  const auto add = [&]<typename T, CsvView V>() {
+  ForEachCsvFile(view, [&]<typename T>(TypeTag<T>, const auto& columns) {
     File& file = *files_.emplace_back(
         std::make_unique<File>((fs::path(directory) / Schema<T>::kCsvFile).string()));
-    WriteHeader<T, V>(file.csv);
-    pass.add<T>([&file](std::span<const T> rows) { WriteRows<T, V>(file.csv, rows); },
+    WriteHeader(file.csv, columns);
+    pass.add<T>([&file, columns](std::span<const T> rows) { WriteRows(file.csv, columns, rows); },
                 [&file] { file.close(); });
-  };
-  ForEachRecordType([&](auto tag) {
-    using T = typename decltype(tag)::type;
-    if (view == CsvView::kFull) {
-      add.template operator()<T, CsvView::kFull>();
-    } else if constexpr (Schema<T>::kHasRelease && Schema<T>::kPublicRelease) {
-      add.template operator()<T, CsvView::kRelease>();
-    }
   });
 }
 

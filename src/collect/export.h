@@ -1,20 +1,25 @@
 // CSV export generated from the schema layer.
 //
-// Two views exist per data set:
+// Two views exist per data set, each one column list in collect/schema.h:
 //
 //  * The *release* view (Schema<T>::Release()) — the historical public CSV
-//    formats, byte-identical to the original hand-written exporters. The
-//    paper releases everything except the Traffic data set (Section 3.2):
-//    Heartbeats, Uptime, Capacity, Devices and WiFi go out; Traffic stays
-//    private. `ExportPublicDatasets` enforces exactly that split;
-//    `ExportTrafficFlows` exists for consented internal use and only ever
-//    writes the anonymised forms.
+//    formats, byte-identical to the original hand-written exporters: schema
+//    fields with their exact codecs, plus hand-written codecs for the four
+//    lossy or derived columns (heartbeats, uptime_s, down_mbps, up_mbps).
+//    The paper releases everything except the Traffic data set (Section
+//    3.2): Heartbeats, Uptime, Capacity, Devices and WiFi go out; Traffic
+//    stays private. `ExportPublicDatasets` writes exactly the kinds with
+//    Schema<T>::kPublicRelease; `ExportTrafficFlows` exists for consented
+//    internal use and only ever writes the anonymised forms.
 //
 //  * The *full-fidelity* view (Schema<T>::Fields()) — every field with
-//    lossless codecs, for all nine data sets. `ExportAllDatasets` +
+//    lossless codecs, for every data set. `ExportAllDatasets` +
 //    `ImportAllDatasets` reproduce a repository exactly (tested), which is
 //    what archival hand-off between studies uses when the columnar
 //    snapshot (collect/column_snapshot.h) is not wanted.
+//
+// Both views go through one header writer and one row writer over a
+// column list; CsvView (collect/schema.h) only picks the list.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +42,6 @@ std::size_t ExportDevices(const DataRepository& repo, std::ostream& out);
 std::size_t ExportWifi(const DataRepository& repo, std::ostream& out);
 /// Anonymised traffic flows — PII-bearing, not part of the public release.
 std::size_t ExportTrafficFlows(const DataRepository& repo, std::ostream& out);
-
-/// Which CSV view a file carries (see the file comment).
-enum class CsvView { kRelease, kFull };
 
 /// CSV files fed by a finish pass (collect/finish.h): the five public data
 /// sets' release view (heartbeats.csv, uptime.csv, capacity.csv,

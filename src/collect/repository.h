@@ -167,6 +167,13 @@ class DataRepository final : public RecordSink {
     for (Record& r : records) store_.add(windows_, std::move(r));
   }
 
+  /// Typed append that reports whether Schema<T>::Admit kept the record,
+  /// so an importer can count what the windows drop.
+  template <typename T>
+  bool admit(T rec) {
+    return store_.add(windows_, std::move(rec));
+  }
+
   /// A fresh staging buffer sharing this repository's windows.
   [[nodiscard]] IngestBatch make_batch() const { return IngestBatch(windows_); }
 

@@ -30,12 +30,14 @@ int main(int argc, char** argv) {
   const auto study = home::Deployment::RunStudy(options);
   const auto& repo = study->repository();
 
-  // Ground truth: anonymised MAC -> is the device a streamer/TV?
+  // Ground truth: anonymised MAC -> is the device a streamer/TV? The run
+  // dropped its households; rebuilding a roster slot makes the same home.
   const auto catalog = traffic::DomainCatalog::BuildStandard();
   gateway::Anonymizer anonymizer(catalog,
                                  gateway::AnonymizerConfig{options.seed ^ 0xA17Full, "anon-"});
   std::map<std::uint64_t, bool> truth;
-  for (const auto& home : study->households()) {
+  for (std::size_t idx = 0; idx < study->roster_size(); ++idx) {
+    const auto home = study->make_household(idx);
     for (const auto& device : home->devices()) {
       const bool streamer = device.spec().type == traffic::DeviceType::kMediaStreamer ||
                             device.spec().type == traffic::DeviceType::kSmartTv;

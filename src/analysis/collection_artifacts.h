@@ -37,7 +37,6 @@ struct CollectionOutageReport {
   IntervalSet outages;
   /// Homes that were reporting at some point in the study (the denominator).
   int reporting_homes{0};
-  [[nodiscard]] Duration total_outage() const { return outages.total(); }
 };
 
 /// Scan the heartbeat data set for deployment-wide simultaneous gaps.

@@ -81,12 +81,6 @@ class Gateway final : public traffic::TrafficSink {
   /// Flush meters and per-device usage into the record sink (end of study).
   void finalize(TimePoint now);
 
-  /// Repoint where collected records go. The sharded deployment runner
-  /// targets a per-shard staging batch for the traffic window and rebinds
-  /// back to the repository afterwards. Must not be called while traffic
-  /// is flowing through the gateway.
-  void rebind_sink(collect::RecordSink* sink) { repo_ = sink; }
-
   /// Attach the uCap usage manager (Section 3.2.2's cap-management Web
   /// interface). Once attached, every closed flow is charged to its device.
   /// The gateway does not own the manager.

@@ -99,9 +99,9 @@ void IngestBatch::flush_spill() {
     });
     constexpr std::size_t kKind = kRecordIndexOf<T>;
     spill_->register_section(kKind, log_->append_rows<T>(shard_, runs_[kKind]++, vec));
-    // Deallocate rather than clear(): the runner keeps every shard's batch
-    // object alive until the run ends, so retained capacity across
-    // thousands of committed batches would pin the whole dataset in RAM.
+    // Deallocate rather than clear(): the batch then holds only rows not
+    // yet flushed, which is what the flush threshold bounds, instead of
+    // every kind's high-water capacity until its shard task ends.
     std::vector<T>().swap(vec);
   });
   staged_bytes_ = 0;

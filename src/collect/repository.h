@@ -85,8 +85,8 @@ void HomeInfoFields(Io& io, Home& home) {
 /// A per-shard staging buffer: the same write API and window clipping as
 /// the repository, but entirely thread-private. A parallel deployment run
 /// gives each shard one batch; the shard's producers write into it without
-/// synchronisation and the runner commits finished batches back into the
-/// DataRepository under a single lock.
+/// synchronisation and the shard task commits it into the DataRepository,
+/// under a single lock, when it finishes.
 class IngestBatch final : public RecordSink {
  public:
   explicit IngestBatch(DatasetWindows windows) : windows_(windows) {}

@@ -33,6 +33,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -192,7 +193,10 @@ struct DatasetWindows {
 }
 [[nodiscard]] inline bool CsvDecode(const std::string& s, int& out) {
   std::int64_t v = 0;
-  if (!ParseCsvI64(s, v)) return false;
+  if (!ParseCsvI64(s, v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
   out = static_cast<int>(v);
   return true;
 }

@@ -154,8 +154,8 @@ void Deployment::build() {
 
   // NAT444 placement: every home (churn included) sits behind a CGN.
   // Grouping and slicing derive from the roster index alone, so the
-  // placement — like everything else about a home — survives fleet-mode
-  // reconstruction inside an arbitrary shard task.
+  // placement — like everything else about a home — is the same whichever
+  // shard task constructs the household.
   if (options_.cgn) {
     for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
       gateway::CgnPlacement& placement = slots_[idx].opts.cgn;
@@ -170,17 +170,6 @@ void Deployment::build() {
       placement.config.external_address = net::Ipv4Address(
           198, 51, 100, static_cast<std::uint8_t>(1 + placement.cgn_id % 250));
     }
-  }
-
-  // Fleet mode never materialises the roster: each shard task constructs
-  // its households from slots_, registers their HomeInfo, and drops them.
-  if (fleet_mode()) return;
-
-  households_.reserve(slots_.size());
-  for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
-    auto household = make_household(idx, repo_.get());
-    repo_->register_home(home_info_for(*household, idx));
-    households_.push_back(std::move(household));
   }
 }
 
@@ -250,15 +239,14 @@ void Deployment::compute_collector_outages() {
   fault_plan_ = net::FaultPlan(options_.upload_faults, collector_down_);
 }
 
-void Deployment::run_shard_heartbeats(const std::vector<ShardHome>& span,
+void Deployment::run_shard_heartbeats(const ShardHomes& homes,
                                       collect::IngestBatch& batch,
                                       obs::MetricsShard& metrics) {
   const auto& window = options_.windows.heartbeats;
   collect::CollectionServer server(batch, options_.heartbeat);
-  obs::Counter homes = metrics.counter("bismark_homes_simulated_total");
-  for (const ShardHome& sh : span) {
-    Household* home = sh.hh;
-    homes.inc();
+  obs::Counter simulated = metrics.counter("bismark_homes_simulated_total");
+  for (const auto& home : homes) {
+    simulated.inc();
     Interval participation = window;
     if (const auto it = churn_windows_.find(home->id().value); it != churn_windows_.end()) {
       participation = it->second;
@@ -273,7 +261,8 @@ void Deployment::run_shard_heartbeats(const std::vector<ShardHome>& span,
   }
 }
 
-void Deployment::run_shard_passive(const std::vector<ShardHome>& span,
+void Deployment::run_shard_passive(const ShardHomes& homes,
+                                   const std::vector<collect::HomeInfo>& infos,
                                    collect::IngestBatch& batch, sim::Engine& engine,
                                    obs::MetricsShard& metrics,
                                    obs::FlightRecorder* recorder) {
@@ -303,12 +292,12 @@ void Deployment::run_shard_passive(const std::vector<ShardHome>& span,
   obs::Gauge queue_peak = metrics.gauge("bismark_engine_queue_peak");
   obs::Gauge spooled_max = metrics.gauge("bismark_home_records_spooled_max");
 
-  for (const ShardHome& sh : span) {
-    Household* home = sh.hh;
+  for (std::size_t k = 0; k < homes.size(); ++k) {
+    Household* home = homes[k].get();
     // Churn participants never stayed long enough to contribute the
     // passive data sets or scheduled capacity runs.
     if (churn_windows_.contains(home->id().value)) continue;
-    const collect::HomeInfo* info = sh.info;
+    const collect::HomeInfo& info = infos[k];
     const IntervalSet& router_on = home->timeline().router_on;
     const IntervalSet online = home->timeline().online();
     const auto id = static_cast<std::uint64_t>(home->id().value);
@@ -317,16 +306,16 @@ void Deployment::run_shard_passive(const std::vector<ShardHome>& span,
     // measurement streams are unchanged, so record *content* is identical
     // to the direct-ingest path — only delivery is now store-and-forward.
     gateway::UploadSpool spool(options_.upload.spool_capacity);
-    if (info && info->reports_uptime) {
+    if (info.reports_uptime) {
       gateway::ReportUptime(spool, home->id(), router_on, w.uptime);
     }
     gateway::ReportCapacity(spool, home->id(), online, home->link(),
                             Rng::Stream(options_.seed, kPassiveSalt, id * 2 + 1),
                             w.capacity);
-    if (info && info->reports_devices) {
+    if (info.reports_devices) {
       gateway::ReportDeviceCounts(spool, home->id(), *home, router_on, w.devices);
     }
-    if (info && info->reports_wifi) {
+    if (info.reports_wifi) {
       gateway::WifiServiceConfig wifi_cfg;
       wifi_cfg.channel_24 = home->channel_24();
       gateway::ReportWifiScans(spool, home->id(), *home, home->neighborhood(), router_on,
@@ -377,8 +366,7 @@ void Deployment::run_shard_passive(const std::vector<ShardHome>& span,
     }
     // Engine counters reset per home (engine.reset above), so the deltas
     // must be banked before the next home reuses the engine. All of them
-    // are per-home deterministic (the arena slab high-water is the one
-    // worker-dependent figure, and it stays out of the registry).
+    // are per-home deterministic.
     ev_executed.inc(engine.executed());
     ev_scheduled.inc(engine.scheduled());
     ev_cancelled.inc(engine.cancelled());
@@ -388,16 +376,12 @@ void Deployment::run_shard_passive(const std::vector<ShardHome>& span,
   }
 }
 
-std::uint64_t Deployment::run_shard_traffic(const std::vector<ShardHome>& span,
-                                            collect::IngestBatch& batch,
-                                            sim::Engine& engine,
+std::uint64_t Deployment::run_shard_traffic(const ShardHomes& homes, sim::Engine& engine,
                                             obs::MetricsShard& metrics,
                                             net::PcapBuffer* pcap) {
   std::vector<Household*> consenting;
-  for (const ShardHome& sh : span) {
-    if (sh.hh->consent() == gateway::ConsentLevel::kFullTraffic) {
-      consenting.push_back(sh.hh);
-    }
+  for (const auto& home : homes) {
+    if (home->consent() == gateway::ConsentLevel::kFullTraffic) consenting.push_back(home.get());
   }
   if (consenting.empty()) return 0;
 
@@ -411,7 +395,6 @@ std::uint64_t Deployment::run_shard_traffic(const std::vector<ShardHome>& span,
 
   for (Household* hh : consenting) {
     const auto id = static_cast<std::uint64_t>(hh->id().value);
-    hh->rebind_sink(&batch);
     // WAN-egress capture: outbound packets travel the byte-level wire
     // path into this shard's staging buffer (merged canonically at the
     // end of run(), so the file is worker-count independent).
@@ -463,11 +446,7 @@ std::uint64_t Deployment::run_shard_traffic(const std::vector<ShardHome>& span,
 
   engine.run_until(window.end);
 
-  for (Household* hh : consenting) {
-    hh->router().finalize(window.end);
-    hh->router().attach_pcap(nullptr);
-    hh->rebind_sink(repo_.get());
-  }
+  for (Household* hh : consenting) hh->router().finalize(window.end);
   metrics.counter("bismark_traffic_engine_events_total").inc(engine.executed());
   metrics.counter("bismark_engine_events_executed_total").inc(engine.executed());
   metrics.counter("bismark_engine_events_scheduled_total").inc(engine.scheduled());
@@ -589,20 +568,18 @@ void Deployment::run() {
     repo_->spill()->write_run_config(mcfg);
   }
 
-  // One staging batch and one metrics shard per *shard* (determinism unit),
-  // one engine and one flight recorder per *worker* (execution unit). The
-  // metrics shards merge in shard-index order below, so their contents are
-  // independent of which worker ran which shard.
-  std::vector<collect::IngestBatch> batches;
-  batches.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) batches.push_back(repo_->make_batch());
-  // One extra shard for the recovery counters, appended only on resume so a
-  // fresh run's merged registry (and with it every golden) is untouched.
+  // One metrics shard per *shard* (determinism unit; each shard task also
+  // stages into its own batch), one engine and one flight recorder per
+  // *worker* (execution unit). The metrics shards merge in shard-index order
+  // below, so their contents are independent of which worker ran which
+  // shard. One extra shard holds the recovery counters, appended only on
+  // resume so a fresh run's merged registry (and with it every golden) is
+  // untouched.
   std::vector<obs::MetricsShard> metric_shards(shards + (recovery_ ? 1 : 0));
 
-  // One capture buffer per shard (the determinism unit, like the batches):
-  // gateways append frames in simulation order, and the writer merges all
-  // buffers into the canonical (timestamp, home) order at the end.
+  // One capture buffer per shard: gateways append frames in simulation
+  // order, and the writer merges all buffers into the canonical
+  // (timestamp, home) order at the end.
   std::vector<net::PcapBuffer> pcap_buffers;
   const bool capture = !options_.pcap_out.empty();
   if (capture) pcap_buffers.resize(shards);
@@ -619,65 +596,48 @@ void Deployment::run() {
       recovery_ ? static_cast<std::uint64_t>(recovery_->done_shards.size()) : 0};
   std::atomic<std::int64_t> clock_high_water{sim_clock_high_water_ms_};
 
-  const bool fleet = fleet_mode();
+  collect::SpillDir* const spill = repo_->spill();
   const auto t_sharded = std::chrono::steady_clock::now();
   pool.parallel_for(shards, [&](std::size_t shard, int worker) {
     if (shard_recovered[shard]) return;  // rows + homes adopted from the manifest
-    const std::size_t lo = plan[shard].lo;
-    const std::size_t hi = plan[shard].hi;
-    collect::IngestBatch& batch = batches[shard];
-    if (repo_->spilling()) {
-      batch.attach_spill(repo_->spill(), static_cast<std::uint32_t>(shard),
-                         static_cast<std::size_t>(worker));
-    }
     obs::MetricsShard& metrics = metric_shards[shard];
     obs::FlightRecorder* recorder = recorders_[static_cast<std::size_t>(worker)].get();
     auto& engine = engines[static_cast<std::size_t>(worker)];
     if (!engine) engine = std::make_unique<sim::Engine>(options_.windows.heartbeats.start);
     engine->set_recorder(recorder);
 
-    // Assemble the shard's homes. Fleet shards own their households only
-    // for the duration of this task: construct from the slot metadata
-    // (byte-identical to a build()-time construction — every stream is a
-    // pure function of (seed, home id)), simulate, register, drop.
-    std::vector<std::unique_ptr<Household>> ephemeral;
-    std::vector<collect::HomeInfo> fleet_infos;
-    std::vector<ShardHome> span;
-    span.reserve(hi - lo);
-    if (fleet) {
-      ephemeral.reserve(hi - lo);
-      fleet_infos.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        ephemeral.push_back(make_household(i, &batch));
-        fleet_infos.push_back(home_info_for(*ephemeral.back(), i));
-      }
-      for (std::size_t k = 0; k < ephemeral.size(); ++k) {
-        span.push_back(ShardHome{ephemeral[k].get(), &fleet_infos[k]});
-      }
-    } else {
-      for (std::size_t i = lo; i < hi; ++i) {
-        span.push_back(ShardHome{households_[i].get(),
-                                 repo_->find_home(households_[i]->id())});
-      }
+    // A shard owns its households only for the duration of this task:
+    // construct them from their slots, writing into the shard's own batch
+    // (every stream is a pure function of (seed, home id), so no home can
+    // tell which shard or worker built it), simulate, commit, register,
+    // drop.
+    collect::IngestBatch batch = repo_->make_batch();
+    if (spill != nullptr) {
+      batch.attach_spill(spill, static_cast<std::uint32_t>(shard),
+                         static_cast<std::size_t>(worker));
+    }
+    ShardHomes homes;
+    std::vector<collect::HomeInfo> infos;
+    for (std::size_t i = plan[shard].lo; i < plan[shard].hi; ++i) {
+      homes.push_back(make_household(i, &batch));
+      infos.push_back(home_info_for(*homes.back(), i));
     }
 
-    run_shard_heartbeats(span, batch, metrics);
-    run_shard_passive(span, batch, *engine, metrics, recorder);
+    run_shard_heartbeats(homes, batch, metrics);
+    run_shard_passive(homes, infos, batch, *engine, metrics, recorder);
     if (options_.run_traffic) {
-      traffic_events += run_shard_traffic(span, batch, *engine, metrics,
+      traffic_events += run_shard_traffic(homes, *engine, metrics,
                                           capture ? &pcap_buffers[shard] : nullptr);
     }
-    if (fleet) {
-      // Incremental commit: flush the batch's residue to its segment log
-      // now so staging memory stays bounded by (threshold x workers). WAL
-      // order: sections reach the OS inside commit(), *then* the shard-done
-      // record makes the shard recoverable, then the homes register
-      // (thread-safe; canonical order is restored by
-      // finalize_deterministic_order below).
-      repo_->commit(std::move(batch));
-      repo_->spill()->record_shard_done(static_cast<std::uint32_t>(shard), fleet_infos);
-      for (auto& info : fleet_infos) repo_->register_home(std::move(info));
-
+    // Commit and registration are thread-safe, and their order across
+    // shards is a race that finalize_deterministic_order() below erases.
+    // A spilled batch flushes its residue to its segment log here, so
+    // staging memory stays bounded by (threshold x workers). WAL order:
+    // sections reach the OS inside commit(), *then* the shard-done record
+    // makes the shard recoverable, then the homes register.
+    repo_->commit(std::move(batch));
+    if (spill != nullptr) {
+      spill->record_shard_done(static_cast<std::uint32_t>(shard), infos);
       std::int64_t clock = engine->now().ms;
       std::int64_t seen = clock_high_water.load(std::memory_order_relaxed);
       while (clock > seen &&
@@ -688,22 +648,23 @@ void Deployment::run() {
         collect::ManifestCheckpoint ckpt;
         ckpt.sim_clock_ms = clock_high_water.load(std::memory_order_relaxed);
         ckpt.shards_done = done;
-        repo_->spill()->write_checkpoint(ckpt);
+        spill->write_checkpoint(ckpt);
         recorder->record(obs::TraceKind::kCheckpoint, TimePoint{ckpt.sim_clock_ms}, -1, done);
       }
     }
+    for (auto& info : infos) repo_->register_home(std::move(info));
   });
   sim_clock_high_water_ms_ = clock_high_water.load();
   telemetry_.wall_sharded_run_s = SecondsSince(t_sharded);
   telemetry_.pool = pool.last_round_stats();
   telemetry_.workers = pool.workers();
 
-  // Commit in shard order, then impose the canonical (timestamp, home id)
-  // order — together these make the repository bytes independent of the
-  // worker count and of the dynamic shard schedule. The metrics merge
-  // follows the same discipline: shard-index order, canonical name sort.
+  // Impose the canonical (timestamp, home id) order: it makes the
+  // repository bytes independent of the worker count and of the dynamic
+  // shard schedule, which decided the commit order above. The metrics
+  // merge follows the same discipline: shard-index order, canonical name
+  // sort.
   const auto t_commit = std::chrono::steady_clock::now();
-  for (auto& batch : batches) repo_->commit(std::move(batch));
   repo_->finalize_deterministic_order();
   if (recovery_) {
     obs::MetricsShard& rs = metric_shards[shards];

@@ -44,11 +44,10 @@ struct DeploymentOptions {
   /// so --homes 126 reproduces the default roster bit-for-bit.
   int homes{0};
   /// Fleet mode: > 0 bounds record-staging memory. Shard batches spill
-  /// sorted segment runs to disk past the budget (collect/spill.h) and
-  /// households are constructed ephemerally inside their shard task
-  /// instead of being held resident for the whole run. Record content is
-  /// a pure function of (seed, home id), so exports stay byte-identical
-  /// to the in-RAM path.
+  /// sorted segment runs to disk past the budget (collect/spill.h) instead
+  /// of staying in RAM until the end of the run. Record content is a pure
+  /// function of (seed, home id), so exports stay byte-identical to the
+  /// in-RAM path.
   std::size_t memory_budget_bytes{0};
   /// Segment-file directory for fleet mode ("" = "bsmk-segments").
   std::string spill_dir;
@@ -81,9 +80,9 @@ struct DeploymentOptions {
   /// on this policy's cadence and retries failures with backoff. Heartbeats
   /// stay live (they are the liveness signal itself).
   gateway::UploadPolicy upload;
-  /// Upload-path fault injection: request/ack loss and latency. Collector
-  /// outage windows come from collector_outages_per_month above and apply
-  /// to uploads as well as heartbeats.
+  /// Upload-path fault injection: request and ack loss. Collector outage
+  /// windows come from collector_outages_per_month above and apply to
+  /// uploads as well as heartbeats.
   net::FaultConfig upload_faults;
   /// Seed for the fault-injection and upload-jitter streams. 0 derives it
   /// from `seed`, so default runs stay reproducible from one number while
@@ -145,24 +144,29 @@ struct RunTelemetry {
   std::uint64_t engine_events{0};
 };
 
-/// The deployment: households plus the machinery to run the study.
+/// The deployment: the roster of homes plus the machinery to run the study.
 class Deployment {
  public:
   explicit Deployment(DeploymentOptions options);
   ~Deployment();  // out-of-line: recovery_ holds an incomplete type here
 
-  /// Assemble the roster (deterministic in the seed). Outside fleet mode
-  /// this also instantiates every household; fleet runs defer household
-  /// construction to the owning shard task in run().
+  /// Assemble the roster (deterministic in the seed). No household exists
+  /// yet: each shard task in run() constructs its homes, registers them in
+  /// the repository and drops them.
   void build();
 
-  /// True when run() streams through the spill path with ephemeral
-  /// households (memory_budget_bytes > 0). households() stays empty.
+  /// True when run() stages through the spill path (memory_budget_bytes > 0).
   [[nodiscard]] bool fleet_mode() const { return options_.memory_budget_bytes > 0; }
 
-  /// Roster size (homes simulated by run()), valid after build() in every
-  /// mode — fleet runs never materialise households().
+  /// Roster size (homes simulated by run()), valid after build().
   [[nodiscard]] std::size_t roster_size() const { return slots_.size(); }
+
+  /// Construct the household for roster slot `idx` (< roster_size()),
+  /// writing its records into `sink` (none when null). Rng::fork is a pure
+  /// function of (seed, tag), so every call, in run()'s shard tasks or
+  /// outside them, makes exactly the same home.
+  [[nodiscard]] std::unique_ptr<Household> make_household(
+      std::size_t idx, collect::RecordSink* sink = nullptr) const;
 
   /// Run every data collection stage into the repository, on
   /// `options().workers` threads. The collector-outage pre-pass (which
@@ -171,11 +175,6 @@ class Deployment {
   /// (timestamp, home id) regardless of worker count.
   void run();
 
-  /// Resident households (empty in fleet mode, where shards own their
-  /// households only for the duration of the shard task).
-  [[nodiscard]] const std::vector<std::unique_ptr<Household>>& households() const {
-    return households_;
-  }
   [[nodiscard]] collect::DataRepository& repository() { return *repo_; }
   [[nodiscard]] const collect::DataRepository& repository() const { return *repo_; }
   [[nodiscard]] const traffic::DomainCatalog& catalog() const { return catalog_; }
@@ -243,7 +242,6 @@ class Deployment {
   net::ZoneCatalog zones_;
   std::unique_ptr<gateway::Anonymizer> anonymizer_;
   std::unique_ptr<collect::DataRepository> repo_;
-  std::vector<std::unique_ptr<Household>> households_;
   IntervalSet collector_down_;
   IntervalSet collector_up_;
   net::FaultPlan fault_plan_;
@@ -257,9 +255,9 @@ class Deployment {
   std::uint64_t pcap_frames_captured_{0};
   std::uint64_t pcap_bytes_written_{0};
 
-  /// One roster position: everything needed to (re)construct its household
-  /// deterministically. Fleet shard tasks build households from this on
-  /// the fly; the default path builds them all once in build().
+  /// One roster position: everything needed to construct its household
+  /// deterministically. The shard task that runs the home builds it from
+  /// this.
   struct Slot {
     const CountryProfile* country{nullptr};
     HouseholdOptions opts;
@@ -267,18 +265,9 @@ class Deployment {
   };
   std::vector<Slot> slots_;
 
-  /// A shard-local view of one home: the household plus its registry entry
-  /// (which, in fleet mode, is not yet in the repository).
-  struct ShardHome {
-    Household* hh{nullptr};
-    const collect::HomeInfo* info{nullptr};
-  };
+  /// One shard's households, in roster order, alive for its task only.
+  using ShardHomes = std::vector<std::unique_ptr<Household>>;
 
-  /// Construct the household for roster slot `idx` writing into `sink`.
-  /// Rng::fork is a pure function of (seed, tag), so a household rebuilt
-  /// inside a fleet shard gets exactly the draws build() would have made.
-  [[nodiscard]] std::unique_ptr<Household> make_household(std::size_t idx,
-                                                          collect::RecordSink* sink) const;
   /// The registry entry for slot `idx`, including the Table 2
   /// sub-population flags and the firmware-side Table 5 booleans.
   [[nodiscard]] collect::HomeInfo home_info_for(const Household& hh, std::size_t idx) const;
@@ -287,15 +276,16 @@ class Deployment {
   /// every home at once and therefore cannot be sharded.
   void compute_collector_outages();
 
-  // Per-shard stages over one shard's homes, writing into `batch` and
-  // counting into `metrics` (owned by this shard — single-writer, lock-free).
-  void run_shard_heartbeats(const std::vector<ShardHome>& span, collect::IngestBatch& batch,
+  // Per-shard stages over one shard's homes, writing into the shard's
+  // batch (the traffic stage through each gateway's sink) and counting into
+  // `metrics` (owned by this shard — single-writer, lock-free). `infos[k]`
+  // is the registry entry of `homes[k]`.
+  void run_shard_heartbeats(const ShardHomes& homes, collect::IngestBatch& batch,
                             obs::MetricsShard& metrics);
-  void run_shard_passive(const std::vector<ShardHome>& span, collect::IngestBatch& batch,
-                         sim::Engine& engine, obs::MetricsShard& metrics,
-                         obs::FlightRecorder* recorder);
-  std::uint64_t run_shard_traffic(const std::vector<ShardHome>& span,
-                                  collect::IngestBatch& batch, sim::Engine& engine,
+  void run_shard_passive(const ShardHomes& homes, const std::vector<collect::HomeInfo>& infos,
+                         collect::IngestBatch& batch, sim::Engine& engine,
+                         obs::MetricsShard& metrics, obs::FlightRecorder* recorder);
+  std::uint64_t run_shard_traffic(const ShardHomes& homes, sim::Engine& engine,
                                   obs::MetricsShard& metrics, net::PcapBuffer* pcap);
 };
 

@@ -55,8 +55,6 @@ class Device {
   /// AoS view of the schedule, materialised on demand (tests/diagnostics;
   /// hot paths read the SoA arrays).
   [[nodiscard]] std::vector<PresenceInterval> presence() const;
-  /// Number of presence intervals.
-  [[nodiscard]] std::size_t presence_count() const { return when_.size(); }
 
   /// Does the device want to be on the network at `t`?
   [[nodiscard]] bool wants_online(TimePoint t) const;

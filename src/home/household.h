@@ -52,10 +52,6 @@ class Household final : public gateway::ClientCensus {
             const std::vector<Interval>& presence_windows, const gateway::Anonymizer& anonymizer,
             collect::RecordSink* sink, Rng rng, const HouseholdOptions& options = {});
 
-  /// Redirect the gateway's collected records (used by the sharded runner
-  /// to stage the traffic window into a per-shard batch).
-  void rebind_sink(collect::RecordSink* sink) { gateway_->rebind_sink(sink); }
-
   // --- gateway::ClientCensus ---
   int wired_connected(TimePoint t) const override;
   int wireless_connected(wireless::Band band, TimePoint t) const override;

@@ -11,7 +11,9 @@ constexpr char kBlobMagic[4] = {'B', 'S', 'O', 'P'};
 // cgn_max_ports_per_home) — they shape the CgnEventRecord stream, so a
 // resumed run must pin them. pcap_out stays out of the blob: it is an
 // output destination, not record content (and resume rejects it anyway).
-constexpr std::uint32_t kBlobVersion = 2;
+// v3: dropped the upload path's base latency and jitter, which no
+// simulation code read; a v2 directory fails closed on --resume.
+constexpr std::uint32_t kBlobVersion = 3;
 
 bool Fail(std::string* error, const std::string& reason) {
   if (error) *error = "resume options: " + reason;
@@ -51,8 +53,6 @@ void OptionFields(Io& io, Options& o) {
 
   io.value(o.upload_faults.upload_loss_prob);
   io.value(o.upload_faults.ack_loss_prob);
-  io.value(o.upload_faults.base_latency);
-  io.value(o.upload_faults.latency_jitter);
 
   io.value(o.cgn);
   io.template value_as<std::uint32_t>(o.cgn_port_block);

@@ -13,12 +13,4 @@ DeliveryOutcome FaultPlan::attempt(TimePoint when, Rng& rng) const {
   return DeliveryOutcome::kDelivered;
 }
 
-Duration FaultPlan::round_trip(Rng& rng) const {
-  Duration rtt = config_.base_latency;
-  if (config_.latency_jitter.ms > 0) {
-    rtt += Millis(rng.uniform_int(0, config_.latency_jitter.ms - 1));
-  }
-  return rtt;
-}
-
 }  // namespace bismark::net

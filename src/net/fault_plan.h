@@ -30,9 +30,6 @@ struct FaultConfig {
   double upload_loss_prob{0.0};
   /// Per-attempt probability the ack is lost after a successful commit.
   double ack_loss_prob{0.0};
-  /// Round-trip time of an attempt: base + uniform[0, jitter).
-  Duration base_latency{Millis(80)};
-  Duration latency_jitter{Millis(120)};
 };
 
 /// Immutable, shareable description of the path's failure behaviour. The
@@ -49,18 +46,8 @@ class FaultPlan {
 
   [[nodiscard]] DeliveryOutcome attempt(TimePoint when, Rng& rng) const;
 
-  /// Sampled round-trip latency of one attempt.
-  [[nodiscard]] Duration round_trip(Rng& rng) const;
-
-  [[nodiscard]] bool collector_down_at(TimePoint t) const {
-    return collector_down_.contains(t);
-  }
   [[nodiscard]] const IntervalSet& collector_down() const { return collector_down_; }
   [[nodiscard]] const FaultConfig& config() const { return config_; }
-  [[nodiscard]] bool fault_free() const {
-    return config_.upload_loss_prob <= 0.0 && config_.ack_loss_prob <= 0.0 &&
-           collector_down_.empty();
-  }
 
  private:
   FaultConfig config_{};

@@ -211,13 +211,10 @@ class Engine {
   [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
 
   // Queue/arena instrumentation since the last reset(). queue_peak and the
-  // callback-storage counts are deterministic per simulated workload;
-  // arena_slots is a high-water mark of the slab across the engine's whole
-  // life (worker-dependent under sharding — volatile telemetry only).
+  // callback-storage counts are deterministic per simulated workload.
   [[nodiscard]] std::size_t queue_peak() const { return queue_peak_; }
   [[nodiscard]] std::uint64_t callbacks_inline() const { return cb_inline_; }
   [[nodiscard]] std::uint64_t callbacks_heap() const { return cb_heap_; }
-  [[nodiscard]] std::size_t arena_slots() const { return slots_.size(); }
 
   /// Attach a flight recorder; every executed event is then traced with
   /// its simulated fire time. The engine does not own the recorder. The

@@ -121,7 +121,6 @@ class HomeTrafficGenerator {
 
   [[nodiscard]] const GeneratorStats& stats() const { return stats_; }
   [[nodiscard]] const ActivityCurve& activity() const { return activity_; }
-  void set_activity(const ActivityCurve& curve) { activity_ = curve; }
 
   /// Burst sub-division: long flows transfer in on/off bursts of roughly
   /// this length (duty cycle below), which is what creates measurable

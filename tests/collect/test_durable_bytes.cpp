@@ -195,14 +195,12 @@ TEST_F(DurableFormatBytes, ResumeOptionsBlobWithEveryFieldSet) {
   o.upload.drain_grace = Days(1);
   o.upload_faults.upload_loss_prob = 0.0625;
   o.upload_faults.ack_loss_prob = 0.03125;
-  o.upload_faults.base_latency = Millis(40);
-  o.upload_faults.latency_jitter = Millis(60);
   o.cgn = true;
   o.cgn_port_block = 1024;
   o.cgn_max_ports_per_home = 4000;
 
   EXPECT_EQ(Hex(home::EncodeResumableOptions(o)),
-            "42534f5002000000cf2c330100000000efbefecacefaedfe00804e123c010000"
+            "42534f5003000000cf2c330100000000efbefecacefaedfe00804e123c010000"
             "000c747e3c01000000804e123c010000000c747e3c01000000045b363c010000"
             "000c747e3c01000000804e123c010000000c747e3c01000000804e123c010000"
             "0088675a3c01000000045b363c010000000c747e3c0100003075000000000000"
@@ -210,7 +208,7 @@ TEST_F(DurableFormatBytes, ResumeOptionsBlobWithEveryFieldSet) {
             "3fe80300000b000000000000000000f83f80a812010000000000100000000000"
             "0080cba400000000000001000000000000905f01000000000000dd6d00000000"
             "00000000000000d83f005c260500000000000000000000b03f000000000000a0"
-            "3f28000000000000003c000000000000000100040000a00f0000");
+            "3f0100040000a00f0000");
 }
 
 TEST_F(DurableFormatBytes, SketchOfOneToHundred) {

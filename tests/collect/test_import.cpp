@@ -238,12 +238,15 @@ TEST_F(ImportTest, MalformedRowsSkippedAndReported) {
   s << "1,1000,2000,1\n";          // but end-start is 1000ms => fine
   s << "2,not-a-number,2000,1\n";  // malformed
   s << "3,5000,4000,1\n";          // end <= start
+  s << "4294967297,1000,2000,1\n";   // home id above int: not home 1
+  s << "-4294967295,1000,2000,1\n";  // home id below int: not home 1
   ImportReport report;
   const Interval window{TimePoint{0}, TimePoint{1000000}};
   DataRepository repo(DatasetWindows{window, window, window, {}, {}, {}});
   ImportHeartbeats(repo, s, report);
   EXPECT_EQ(report.heartbeat_runs(), 1u);
-  EXPECT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(repo.heartbeat_runs().size(), 1u);
+  EXPECT_EQ(report.errors.size(), 4u);
 
   // The lossy columns check their own values: a negative uptime and a
   // non-numeric capacity are malformed, not clamped or zeroed.
@@ -253,7 +256,7 @@ TEST_F(ImportTest, MalformedRowsSkippedAndReported) {
   uptime << "2,2000,-1.000\n";  // negative uptime
   ImportUptime(repo, uptime, report);
   EXPECT_EQ(report.uptime(), 1u);
-  EXPECT_EQ(report.errors.size(), 3u);
+  EXPECT_EQ(report.errors.size(), 5u);
 
   std::stringstream capacity;
   capacity << "home,measured_ms,down_mbps,up_mbps\n";
@@ -261,9 +264,11 @@ TEST_F(ImportTest, MalformedRowsSkippedAndReported) {
   capacity << "2,2000,fast,4.250\n";  // non-numeric down_mbps
   ImportCapacity(repo, capacity, report);
   EXPECT_EQ(report.capacity(), 1u);
-  ASSERT_EQ(report.errors.size(), 4u);
-  EXPECT_EQ(report.errors[2], "uptime.csv:3: malformed row");
-  EXPECT_EQ(report.errors[3], "capacity.csv:3: malformed row");
+  ASSERT_EQ(report.errors.size(), 6u);
+  EXPECT_EQ(report.errors[2], "heartbeats.csv:5: malformed row");
+  EXPECT_EQ(report.errors[3], "heartbeats.csv:6: malformed row");
+  EXPECT_EQ(report.errors[4], "uptime.csv:3: malformed row");
+  EXPECT_EQ(report.errors[5], "capacity.csv:3: malformed row");
 }
 
 TEST_F(ImportTest, RowsOutsideWindowsSkippedNotCounted) {

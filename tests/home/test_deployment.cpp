@@ -17,20 +17,30 @@ DeploymentOptions FastOptions(std::uint64_t seed = 7, bool traffic = false) {
   return options;
 }
 
+/// One run of FastOptions(). build() only assembles the roster; run()'s
+/// shard tasks construct each household and register its HomeInfo.
+const Deployment& FastStudy() {
+  static const std::unique_ptr<Deployment> study = Deployment::RunStudy(FastOptions());
+  return *study;
+}
+
 TEST(DeploymentTest, BuildsFullRoster) {
-  Deployment deployment(FastOptions());
-  deployment.build();
-  EXPECT_EQ(deployment.households().size(), 126u);
+  Deployment built(FastOptions());
+  built.build();
+  EXPECT_EQ(built.roster_size(), 126u);
+  EXPECT_TRUE(built.repository().homes().empty());
+
+  const Deployment& deployment = FastStudy();
   EXPECT_EQ(deployment.repository().homes().size(), 126u);
   // Every household registered with a matching id.
-  for (const auto& home : deployment.households()) {
-    EXPECT_NE(deployment.repository().find_home(home->id()), nullptr);
+  for (std::size_t idx = 0; idx < deployment.roster_size(); ++idx) {
+    EXPECT_NE(deployment.repository().find_home(deployment.make_household(idx)->id()),
+              nullptr);
   }
 }
 
 TEST(DeploymentTest, Table2SubPopulationFlags) {
-  Deployment deployment(FastOptions());
-  deployment.build();
+  const Deployment& deployment = FastStudy();
   int uptime = 0, wifi = 0, traffic_homes = 0;
   for (const auto& info : deployment.repository().homes()) {
     uptime += info.reports_uptime;
@@ -43,8 +53,7 @@ TEST(DeploymentTest, Table2SubPopulationFlags) {
 }
 
 TEST(DeploymentTest, TrafficConsentIsUsOnly) {
-  Deployment deployment(FastOptions());
-  deployment.build();
+  const Deployment& deployment = FastStudy();
   for (const auto& info : deployment.repository().homes()) {
     if (info.consented_traffic) {
       EXPECT_EQ(info.country_code, "US");
@@ -57,7 +66,8 @@ TEST(DeploymentTest, BufferbloatHomesAreTrafficHomes) {
   deployment.build();
   int bufferbloat = 0;
   std::set<int> flavors;
-  for (const auto& home : deployment.households()) {
+  for (std::size_t idx = 0; idx < deployment.roster_size(); ++idx) {
+    const auto home = deployment.make_household(idx);
     if (home->bufferbloat_case()) {
       ++bufferbloat;
       flavors.insert(home->bufferbloat_flavor());
@@ -72,13 +82,13 @@ TEST(DeploymentTest, BufferbloatHomesAreTrafficHomes) {
 TEST(DeploymentTest, RosterScaleShrinksDeployment) {
   DeploymentOptions options = FastOptions();
   options.roster_scale = 0.25;
-  Deployment deployment(options);
-  deployment.build();
+  const auto deployment = Deployment::RunStudy(options);
   // Every country keeps at least one router; totals shrink accordingly.
-  EXPECT_LT(deployment.households().size(), 60u);
-  EXPECT_GE(deployment.households().size(), 19u);
+  EXPECT_LT(deployment->roster_size(), 60u);
+  EXPECT_GE(deployment->roster_size(), 19u);
+  EXPECT_EQ(deployment->repository().homes().size(), deployment->roster_size());
   std::set<std::string> countries;
-  for (const auto& info : deployment.repository().homes()) {
+  for (const auto& info : deployment->repository().homes()) {
     countries.insert(info.country_code);
   }
   EXPECT_EQ(countries.size(), 19u);
@@ -89,13 +99,13 @@ TEST(DeploymentTest, DeterministicAcrossRuns) {
   a.build();
   Deployment b(FastOptions(42));
   b.build();
-  ASSERT_EQ(a.households().size(), b.households().size());
-  for (std::size_t i = 0; i < a.households().size(); ++i) {
-    const auto& ha = *a.households()[i];
-    const auto& hb = *b.households()[i];
-    EXPECT_EQ(ha.devices().size(), hb.devices().size());
-    EXPECT_EQ(ha.power_mode(), hb.power_mode());
-    EXPECT_EQ(ha.timeline().router_on.size(), hb.timeline().router_on.size());
+  ASSERT_EQ(a.roster_size(), b.roster_size());
+  for (std::size_t i = 0; i < a.roster_size(); ++i) {
+    const auto ha = a.make_household(i);
+    const auto hb = b.make_household(i);
+    EXPECT_EQ(ha->devices().size(), hb->devices().size());
+    EXPECT_EQ(ha->power_mode(), hb->power_mode());
+    EXPECT_EQ(ha->timeline().router_on.size(), hb->timeline().router_on.size());
   }
 }
 
@@ -105,8 +115,8 @@ TEST(DeploymentTest, DifferentSeedsDifferentWorlds) {
   Deployment b(FastOptions(2));
   b.build();
   int differing = 0;
-  for (std::size_t i = 0; i < a.households().size(); ++i) {
-    if (a.households()[i]->devices().size() != b.households()[i]->devices().size()) {
+  for (std::size_t i = 0; i < a.roster_size(); ++i) {
+    if (a.make_household(i)->devices().size() != b.make_household(i)->devices().size()) {
       ++differing;
     }
   }
@@ -123,8 +133,8 @@ TEST(DeploymentTest, RunWithoutTrafficSkipsTrafficDatasets) {
 }
 
 TEST(DeploymentTest, AlwaysConnectedFlagsComputedAtBuild) {
-  Deployment deployment(FastOptions());
-  deployment.build();
+  // The flags come from each household as its shard task constructs it.
+  const Deployment& deployment = FastStudy();
   int with_wired = 0;
   for (const auto& info : deployment.repository().homes()) {
     if (info.has_always_wired) ++with_wired;

@@ -1,6 +1,6 @@
 // Fleet-mode deployment invariants: the --homes roster apportionment, the
 // bounded-memory spill path's byte-identity with the in-RAM path, and
-// worker-count independence of the spilled exports.
+// worker-count independence of the exports, spilled and in RAM.
 #include <unistd.h>
 
 #include <filesystem>
@@ -84,6 +84,16 @@ TEST(FleetMode, SpilledExportsMatchInRam) {
   const auto a = Deployment::RunStudy(in_ram);
   const std::string golden = ExportAllToString(a->repository());
   ASSERT_FALSE(golden.empty());
+
+  // In RAM, too, worker threads commit batches and register homes as their
+  // shards finish; the canonical order must erase the race.
+  in_ram.workers = 3;
+  const auto a3 = Deployment::RunStudy(in_ram);
+  EXPECT_EQ(ExportAllToString(a3->repository()), golden) << "in RAM, workers=3";
+  ASSERT_EQ(a3->repository().homes().size(), a->repository().homes().size());
+  for (std::size_t i = 0; i < a->repository().homes().size(); ++i) {
+    EXPECT_EQ(a3->repository().homes()[i], a->repository().homes()[i]) << "home " << i;
+  }
 
   for (const int workers : {1, 3}) {
     auto fleet = BaseOptions();

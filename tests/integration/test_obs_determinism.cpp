@@ -75,7 +75,7 @@ TEST_F(ObsDeterminismTest, SerialRunExercisesThePipeline) {
   EXPECT_GT(m.counter_or("bismark_upload_retries_total"), 0u);  // faults bit
   EXPECT_GT(m.counter_or("bismark_engine_events_executed_total"), 0u);
   EXPECT_EQ(m.counter_or("bismark_homes_simulated_total"),
-            serial_->households().size());
+            serial_->roster_size());
 
   // Conservation: spooled == delivered + dropped + stranded, exactly.
   const obs::Conservation c = obs::ConservationFromMetrics(m);

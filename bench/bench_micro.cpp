@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate paths: NAT
 // translation, DNS resolution, interval arithmetic, throughput metering,
-// the event engine, and the statistics kernels.
+// the household census, the event engine, and the statistics kernels.
 //
 //   build/bench/bench_micro                          # console tables
 //   build/bench/bench_micro --json BENCH_micro.json  # plus JSON artifact
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -19,7 +20,9 @@
 #include <unistd.h>
 
 #include "analysis/fleet.h"
+#include "bismark/anonymize.h"
 #include "bismark/meter.h"
+#include "bismark/services.h"
 #include "collect/column_snapshot.h"
 #include "collect/export.h"
 #include "collect/import.h"
@@ -31,6 +34,8 @@
 #include "core/intervals.h"
 #include "core/rng.h"
 #include "core/stats.h"
+#include "home/country.h"
+#include "home/household.h"
 #include "net/cgn.h"
 #include "net/dns.h"
 #include "net/nat.h"
@@ -245,6 +250,56 @@ void BM_MeterRateChanges(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeterRateChanges);
+
+/// One iteration is one add/remove pair: a constant-rate flow for 10
+/// minutes, then a day idle, starting off the second boundary.
+void BM_MeterLongFlow(benchmark::State& state) {
+  std::int64_t minutes = 0;
+  gateway::ThroughputMeter meter(collect::HomeId{1},
+                                 [&minutes](const collect::ThroughputMinute&) { ++minutes; });
+  TimePoint t = t0 + Millis(437);
+  for (auto _ : state) {
+    meter.add_rate(net::Direction::kDownstream, 4e6, t);
+    t += Minutes(10);
+    meter.remove_rate(net::Direction::kDownstream, 4e6, t);
+    t += Days(1);
+    benchmark::DoNotOptimize(minutes);
+  }
+}
+BENCHMARK(BM_MeterLongFlow);
+
+/// Counts the records a service writes and keeps none.
+class CountingSink final : public collect::RecordSink {
+ public:
+  void add_record(collect::Record) override { ++records; }
+  std::int64_t records{0};
+};
+
+/// The hourly device census and the WiFi scans of one 4-week home: both
+/// query the household's census at every sample. A fresh household per
+/// iteration (built untimed), so the census index is built inside the
+/// timed region as in a run.
+void BM_HouseholdCensus(benchmark::State& state) {
+  const auto catalog = traffic::DomainCatalog::BuildStandard();
+  const gateway::Anonymizer anonymizer(catalog, {});
+  const Interval window{t0, t0 + Days(28)};
+  CountingSink sink;
+  std::optional<home::Household> household;
+  for (auto _ : state) {
+    state.PauseTiming();
+    household.emplace(collect::HomeId{1}, home::CountryByCode("US"), window,
+                      std::vector<Interval>{window}, anonymizer, nullptr, Rng(13));
+    state.ResumeTiming();
+    const IntervalSet& router_on = household->timeline().router_on;
+    gateway::ReportDeviceCounts(sink, household->id(), *household, router_on, window);
+    gateway::ReportWifiScans(sink, household->id(), *household, household->neighborhood(),
+                             router_on, window, Rng(7));
+    benchmark::DoNotOptimize(sink.records);
+  }
+  state.counters["records"] = benchmark::Counter(static_cast<double>(sink.records),
+                                                 benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_HouseholdCensus)->Unit(benchmark::kMicrosecond);
 
 void BM_EngineScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

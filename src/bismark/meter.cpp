@@ -48,6 +48,12 @@ void ThroughputMeter::integrate(TimePoint now) {
   }
   if (now <= last_update_) return;
 
+  // The rates hold over [last_update_, now). Each step covers a part of one
+  // second, or every whole second from t to the end of t's minute (or of
+  // now's last whole second); an idle stretch is one step.
+  const bool active = rate_up_ > 0.0 || rate_down_ > 0.0;
+  const TimePoint last_second{((now.ms - 1) / kSecondMs) * kSecondMs};
+  const TimePoint whole_end{(now.ms / kSecondMs) * kSecondMs};
   TimePoint t = last_update_;
   while (t < now) {
     const std::int64_t second_index = t.ms / kSecondMs;
@@ -58,18 +64,34 @@ void ThroughputMeter::integrate(TimePoint now) {
     const std::int64_t minute_index = t.ms / kMinuteMs;
     roll_to_minute(minute_index, TimePoint{minute_index * kMinuteMs});
 
-    const TimePoint second_end{(second_index + 1) * kSecondMs};
-    const TimePoint seg_end = std::min(second_end, now);
-    const double dt = (seg_end - t).seconds();
-    if (dt > 0.0 && (rate_up_ > 0.0 || rate_down_ > 0.0)) {
-      const double up_bytes = rate_up_ * dt / 8.0;
-      const double down_bytes = rate_down_ * dt / 8.0;
-      sec_bytes_up_ += up_bytes;
-      sec_bytes_down_ += down_bytes;
-      bucket_.bytes_up += Bytes{static_cast<std::int64_t>(up_bytes)};
-      bucket_.bytes_down += Bytes{static_cast<std::int64_t>(down_bytes)};
+    if (!active) {
+      // Nothing accrues, and the empty minutes in between are never
+      // emitted: go straight to the second holding now's last instant.
+      t = t < last_second ? last_second : now;
+      continue;
     }
-    t = seg_end;
+    const TimePoint seg_end = std::min(TimePoint{(second_index + 1) * kSecondMs}, now);
+    const TimePoint run_end = std::min(TimePoint{(minute_index + 1) * kMinuteMs}, whole_end);
+    const std::int64_t seconds =
+        t.ms % kSecondMs == 0 && run_end > t ? (run_end - t).ms / kSecondMs : 1;
+    const double dt = (seg_end - t).seconds();
+    const double up_bytes = rate_up_ * dt / 8.0;
+    const double down_bytes = rate_down_ * dt / 8.0;
+    sec_bytes_up_ += up_bytes;
+    sec_bytes_down_ += down_bytes;
+    bucket_.bytes_up += Bytes{seconds * static_cast<std::int64_t>(up_bytes)};
+    bucket_.bytes_down += Bytes{seconds * static_cast<std::int64_t>(down_bytes)};
+    if (seconds > 1) {
+      // A whole second starts from a 0.0 accumulator, so each of these
+      // seconds samples exactly (up_bytes, down_bytes): finalize that
+      // sample once and leave the last second open, as the per-second
+      // walk would.
+      finalize_second();
+      sec_bytes_up_ = up_bytes;
+      sec_bytes_down_ = down_bytes;
+      current_second_ = second_index + seconds - 1;
+    }
+    t = seconds > 1 ? run_end : seg_end;
   }
   last_update_ = now;
 }

@@ -57,18 +57,14 @@ void ReportWifiScans(collect::RecordSink& sink, collect::HomeId home,
     const auto audible = neighborhood.audible_on(band, channel, config.scanner.sensitivity_dbm);
     Rng band_rng = rng.fork(static_cast<std::uint64_t>(band));
 
+    auto on = router_on.intervals().begin();
     TimePoint t = window.start;
     while (t < window.end) {
-      if (!router_on.contains(t)) {
-        // Fast-forward to the next power-on rather than stepping minutes.
-        const auto gaps = router_on.gaps_within(t, window.end);
-        if (gaps.empty() || gaps.front().start > t) {
-          t += config.scanner.base_interval;
-          continue;
-        }
-        t = gaps.front().end;
-        continue;
-      }
+      while (on != router_on.intervals().end() && on->end <= t) ++on;
+      if (on == router_on.intervals().end()) break;
+      // Powered off: fast-forward to the next power-on.
+      t = std::max(t, on->start);
+      if (t >= window.end) break;
       const int clients = census.wireless_connected(band, t);
       // Fading: each audible AP is decoded with detection_prob per scan.
       int seen = 0;

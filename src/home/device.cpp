@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace bismark::home {
 
@@ -42,6 +43,22 @@ std::optional<Band> Device::band_at(TimePoint t) const {
     if (when_[i].start > t) break;
   }
   return std::nullopt;
+}
+
+std::vector<PresenceInterval> Device::band_segments() const {
+  std::vector<PresenceInterval> out;
+  if (spec_.wired) return out;
+  // Every earlier interval starts no later than when_[i], so the part of
+  // when_[i] that no earlier one covers is what lies past their furthest end.
+  TimePoint reach{std::numeric_limits<std::int64_t>::min()};
+  for (std::size_t i = 0; i < when_.size(); ++i) {
+    const TimePoint start = std::max(when_[i].start, reach);
+    if (start < when_[i].end) {
+      out.push_back(PresenceInterval{Interval{start, when_[i].end}, static_cast<Band>(band_[i])});
+    }
+    reach = std::max(reach, when_[i].end);
+  }
+  return out;
 }
 
 bool Device::ever_on_band(Band band) const {

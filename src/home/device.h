@@ -60,6 +60,9 @@ class Device {
   [[nodiscard]] bool wants_online(TimePoint t) const;
   /// Band in use at `t` (nullopt if wired or not present).
   [[nodiscard]] std::optional<wireless::Band> band_at(TimePoint t) const;
+  /// band_at as intervals: disjoint segments sorted by start, each carrying
+  /// the band band_at reports throughout it (empty for wired devices).
+  [[nodiscard]] std::vector<PresenceInterval> band_segments() const;
   /// Did the device ever use `band` during the window?
   [[nodiscard]] bool ever_on_band(wireless::Band band) const;
   /// Fraction of [lo, hi) the device wants to be online.

@@ -32,6 +32,21 @@ net::AccessLinkConfig DrawLink(const CountryProfile& country, bool bufferbloat_c
   }
   return cfg;
 }
+
+std::size_t BandIndex(wireless::Band band) { return static_cast<std::size_t>(band); }
+
+/// The first instant of `set` at or after `from`, if any.
+std::optional<TimePoint> FirstCovered(const IntervalSet& set, TimePoint from) {
+  const auto& ivs = set.intervals();
+  const auto it = std::lower_bound(ivs.begin(), ivs.end(), from,
+                                   [](const Interval& iv, TimePoint t) { return iv.end <= t; });
+  if (it == ivs.end()) return std::nullopt;
+  return std::max(it->start, from);
+}
+
+int CountBefore(const std::vector<TimePoint>& sorted, TimePoint until) {
+  return static_cast<int>(std::lower_bound(sorted.begin(), sorted.end(), until) - sorted.begin());
+}
 }  // namespace
 
 Household::Household(collect::HomeId id, const CountryProfile& country, Interval study,
@@ -127,6 +142,86 @@ Household::Household(collect::HomeId id, const CountryProfile& country, Interval
   gateway_ = std::make_unique<gateway::Gateway>(gw, *link_, anonymizer, sink);
 }
 
+DeviceCensus::DeviceCensus(const std::vector<Device>& devices, const IntervalSet& router_on) {
+  // One sweep per band over the edges of the devices' band_at segments and
+  // of the router-on intervals. Each device's segments are disjoint, so the
+  // live segment count is the number of devices on the band.
+  struct Edge {
+    TimePoint at;
+    int clients;
+    int on;
+  };
+  std::array<std::vector<Edge>, 2> edges;
+  for (const auto& d : devices) {
+    for (const auto& seg : d.band_segments()) {
+      auto& band_edges = edges[BandIndex(seg.band)];
+      band_edges.push_back(Edge{seg.when.start, 1, 0});
+      band_edges.push_back(Edge{seg.when.end, -1, 0});
+    }
+  }
+  for (std::size_t b = 0; b < edges.size(); ++b) {
+    auto& band_edges = edges[b];
+    for (const auto& iv : router_on.intervals()) {
+      band_edges.push_back(Edge{iv.start, 0, 1});
+      band_edges.push_back(Edge{iv.end, 0, -1});
+    }
+    std::sort(band_edges.begin(), band_edges.end(),
+              [](const Edge& x, const Edge& y) { return x.at < y.at; });
+    int clients = 0;
+    int on = 0;
+    for (std::size_t k = 0; k < band_edges.size();) {
+      const TimePoint at = band_edges[k].at;
+      for (; k < band_edges.size() && band_edges[k].at == at; ++k) {
+        clients += band_edges[k].clients;
+        on += band_edges[k].on;
+      }
+      const int count = on > 0 ? clients : 0;
+      const int before = clients_[b].empty() ? 0 : clients_[b].back().second;
+      if (count != before) clients_[b].emplace_back(at, count);
+    }
+  }
+
+  for (const auto& d : devices) {
+    seen_.push_back(d.presence_set().intersect(router_on));
+    if (d.spec().wired) continue;
+    for (wireless::Band band : {wireless::Band::k2_4GHz, wireless::Band::k5GHz}) {
+      seen_band_[BandIndex(band)].push_back(d.presence_on_band(band).intersect(router_on));
+    }
+  }
+}
+
+int DeviceCensus::wireless_connected(wireless::Band band, TimePoint t) const {
+  const auto& steps = clients_[BandIndex(band)];
+  const auto it = std::upper_bound(
+      steps.begin(), steps.end(), t,
+      [](TimePoint v, const std::pair<TimePoint, int>& step) { return v < step.first; });
+  return it == steps.begin() ? 0 : std::prev(it)->second;
+}
+
+const DeviceCensus::FirstSeen& DeviceCensus::first_seen(TimePoint since) const {
+  if (first_seen_ && first_seen_->since == since) return *first_seen_;
+  FirstSeen first{since, {}, {}};
+  auto collect = [since](const std::vector<IntervalSet>& sets, std::vector<TimePoint>& out) {
+    for (const auto& set : sets) {
+      if (const auto t = FirstCovered(set, since)) out.push_back(*t);
+    }
+    std::sort(out.begin(), out.end());
+  };
+  collect(seen_, first.any);
+  for (std::size_t b = 0; b < seen_band_.size(); ++b) collect(seen_band_[b], first.band[b]);
+  first_seen_ = std::move(first);
+  return *first_seen_;
+}
+
+int DeviceCensus::unique_seen_total(TimePoint since, TimePoint until) const {
+  return CountBefore(first_seen(since).any, until);
+}
+
+int DeviceCensus::unique_seen_band(wireless::Band band, TimePoint since,
+                                   TimePoint until) const {
+  return CountBefore(first_seen(since).band[BandIndex(band)], until);
+}
+
 int Household::wired_connected(TimePoint t) const {
   if (!timeline_.router_on_at(t)) return 0;
   int n = 0;
@@ -137,56 +232,28 @@ int Household::wired_connected(TimePoint t) const {
   return std::min(n, 4);
 }
 
-int Household::wireless_connected(wireless::Band band, TimePoint t) const {
-  if (!timeline_.router_on_at(t)) return 0;
-  int n = 0;
-  for (const auto& d : devices_) {
-    if (d.band_at(t) == band) ++n;
-  }
-  return n;
+const DeviceCensus& Household::census() const {
+  if (!census_) census_.emplace(devices_, timeline_.router_on);
+  return *census_;
 }
 
-void Household::ensure_connected_cache() const {
-  if (connected_all_.size() == devices_.size()) return;
-  connected_all_.clear();
-  connected_24_.clear();
-  connected_5_.clear();
-  for (const auto& d : devices_) {
-    // Seen = present while the router was actually powered.
-    connected_all_.push_back(d.presence_set().intersect(timeline_.router_on));
-    connected_24_.push_back(
-        d.presence_on_band(wireless::Band::k2_4GHz).intersect(timeline_.router_on));
-    connected_5_.push_back(
-        d.presence_on_band(wireless::Band::k5GHz).intersect(timeline_.router_on));
-  }
+int Household::wireless_connected(wireless::Band band, TimePoint t) const {
+  return census().wireless_connected(band, t);
 }
 
 int Household::unique_seen_total(TimePoint since, TimePoint until) const {
-  ensure_connected_cache();
-  int n = 0;
-  for (const auto& set : connected_all_) {
-    if (set.covered_within(since, until).ms > 0) ++n;
-  }
-  return n;
+  return census().unique_seen_total(since, until);
 }
 
 int Household::unique_seen_band(wireless::Band band, TimePoint since, TimePoint until) const {
-  ensure_connected_cache();
-  const auto& sets = band == wireless::Band::k2_4GHz ? connected_24_ : connected_5_;
-  int n = 0;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (devices_[i].spec().wired) continue;
-    if (sets[i].covered_within(since, until).ms > 0) ++n;
-  }
-  return n;
+  return census().unique_seen_band(band, since, until);
 }
 
 bool Household::has_always_connected(bool wired, Interval window, double slack) const {
-  ensure_connected_cache();
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (devices_[i].spec().wired != wired) continue;
-    if (connected_all_[i].coverage_fraction(window.start, window.end) >= 1.0 - slack)
-      return true;
+  for (const auto& d : devices_) {
+    if (d.spec().wired != wired) continue;
+    const IntervalSet seen = d.presence_set().intersect(timeline_.router_on);
+    if (seen.coverage_fraction(window.start, window.end) >= 1.0 - slack) return true;
   }
   return false;
 }

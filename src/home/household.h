@@ -7,7 +7,10 @@
 // of it.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "bismark/anonymize.h"
@@ -40,6 +43,42 @@ struct HouseholdOptions {
   /// from its --cgn knobs; when enabled the home's WAN address comes from
   /// the CGN inside space (100.64/10, RFC 6598) instead of public space.
   gateway::CgnPlacement cgn;
+};
+
+/// The wireless and unique-device census queries over fixed device
+/// schedules and a router-on timeline, each answered by one binary search.
+/// Built once per home; the unique-device index is rebuilt only when a
+/// query brings a new `since`.
+class DeviceCensus {
+ public:
+  DeviceCensus(const std::vector<Device>& devices, const IntervalSet& router_on);
+
+  /// Devices band_at puts on `band` at `t`, or 0 while the router is off.
+  [[nodiscard]] int wireless_connected(wireless::Band band, TimePoint t) const;
+  /// Devices present while the router is on at some instant of
+  /// [since, until) (on `band`, for the per-band count; wired devices never
+  /// count there).
+  [[nodiscard]] int unique_seen_total(TimePoint since, TimePoint until) const;
+  [[nodiscard]] int unique_seen_band(wireless::Band band, TimePoint since, TimePoint until) const;
+
+ private:
+  /// Per band: (instant, connected clients from then on), one entry per
+  /// change.
+  std::array<std::vector<std::pair<TimePoint, int>>, 2> clients_;
+  /// Per device, its presence while the router is on: over all media, and
+  /// per band for wireless devices.
+  std::vector<IntervalSet> seen_;
+  std::array<std::vector<IntervalSet>, 2> seen_band_;
+
+  /// Each device's first instant in seen_ (seen_band_) at or after `since`,
+  /// sorted.
+  struct FirstSeen {
+    TimePoint since;
+    std::vector<TimePoint> any;
+    std::array<std::vector<TimePoint>, 2> band;
+  };
+  mutable std::optional<FirstSeen> first_seen_;
+  const FirstSeen& first_seen(TimePoint since) const;
 };
 
 /// A fully-assembled home network.
@@ -103,13 +142,10 @@ class Household final : public gateway::ClientCensus {
   std::unique_ptr<gateway::Gateway> gateway_;
   HouseholdOptions options_;
 
-  // Lazily-built caches of presence ∩ router-on per device (census queries
-  // run hourly over six weeks; recomputing the intersections each time
-  // would dominate the run).
-  mutable std::vector<IntervalSet> connected_all_;
-  mutable std::vector<IntervalSet> connected_24_;
-  mutable std::vector<IntervalSet> connected_5_;
-  void ensure_connected_cache() const;
+  // Built on the first census query: the hourly census and the WiFi scans
+  // query it thousands of times per home.
+  mutable std::optional<DeviceCensus> census_;
+  const DeviceCensus& census() const;
 };
 
 }  // namespace bismark::home

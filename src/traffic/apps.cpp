@@ -98,7 +98,7 @@ SessionPlan AppModel::PlanSession(AppType app, const DomainCatalog& catalog, Rng
                                      cat == DomainCategory::kCdn)
                                         ? cat
                                         : DomainCategory::kTail;
-    auto candidates = catalog.in_category(tail_cat);
+    const auto& candidates = catalog.in_category(tail_cat);
     std::vector<std::size_t> unlisted;
     for (std::size_t idx : candidates) {
       if (!catalog.domain(idx).whitelisted) unlisted.push_back(idx);

@@ -182,6 +182,11 @@ DomainCatalog DomainCatalog::BuildStandard(std::size_t tail_count, std::uint64_t
     info.whitelisted = false;
     catalog.domains_.push_back(std::move(info));
   }
+  for (std::size_t i = 0; i < catalog.domains_.size(); ++i) {
+    const auto c = static_cast<std::size_t>(catalog.domains_[i].category);
+    catalog.by_category_[c].push_back(i);
+    catalog.weights_[c].push_back(catalog.domains_[i].popularity);
+  }
   return catalog;
 }
 
@@ -192,21 +197,10 @@ bool DomainCatalog::is_whitelisted(const std::string& name) const {
   return false;
 }
 
-std::vector<std::size_t> DomainCatalog::in_category(DomainCategory c) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < domains_.size(); ++i) {
-    if (domains_[i].category == c) out.push_back(i);
-  }
-  return out;
-}
-
 std::size_t DomainCatalog::sample_in_category(DomainCategory c, Rng& rng) const {
-  std::vector<std::size_t> candidates = in_category(c);
+  const auto& candidates = in_category(c);
   if (candidates.empty()) return 0;
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
-  for (std::size_t idx : candidates) weights.push_back(domains_[idx].popularity);
-  return candidates[rng.weighted_index(weights)];
+  return candidates[rng.weighted_index(weights_[static_cast<std::size_t>(c)])];
 }
 
 void DomainCatalog::install_zones(net::ZoneCatalog& zones, std::uint64_t seed) const {

@@ -8,6 +8,7 @@
 // net::ZoneCatalog so flows resolve through real DNS machinery.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -61,7 +62,9 @@ class DomainCatalog {
   [[nodiscard]] bool is_whitelisted(const std::string& name) const;
 
   /// Indices of domains in a category (whitelisted and tail).
-  [[nodiscard]] std::vector<std::size_t> in_category(DomainCategory c) const;
+  [[nodiscard]] const std::vector<std::size_t>& in_category(DomainCategory c) const {
+    return by_category_[static_cast<std::size_t>(c)];
+  }
 
   /// Weighted draw of a domain index within one category.
   [[nodiscard]] std::size_t sample_in_category(DomainCategory c, Rng& rng) const;
@@ -75,6 +78,11 @@ class DomainCatalog {
  private:
   std::vector<DomainInfo> domains_;
   std::size_t whitelist_size_{0};
+  // Per category, in catalog order: the domain indices and their
+  // popularity weights (sample_in_category's draw list).
+  static constexpr std::size_t kCategories = static_cast<std::size_t>(DomainCategory::kTail) + 1;
+  std::array<std::vector<std::size_t>, kCategories> by_category_;
+  std::array<std::vector<double>, kCategories> weights_;
 };
 
 }  // namespace bismark::traffic

@@ -1,50 +1,25 @@
 #include "net/cgn.h"
 
-#include <algorithm>
-
 namespace bismark::net {
 
-CgnTable::CgnTable(CgnConfig config) : config_(config) {
+template class PortRestrictedNat<CgnTable>;
+
+CgnTable::CgnTable(CgnConfig config)
+    : PortRestrictedNat(config.external_address, config.tcp_idle_timeout,
+                        config.udp_idle_timeout, config.icmp_idle_timeout),
+      config_(config) {
   subscribers_.resize(std::max<std::uint32_t>(config_.subscriber_count, 1));
 }
 
-std::uint32_t CgnTable::total_blocks() const {
-  const std::uint32_t range = static_cast<std::uint32_t>(config_.port_range_hi) -
-                              config_.port_range_lo + 1;
-  const std::uint32_t block = std::max<std::uint32_t>(config_.port_block_size, 1);
-  return range / block;
-}
-
-std::uint32_t CgnTable::blocks_per_subscriber() const {
-  return total_blocks() / static_cast<std::uint32_t>(subscribers_.size());
-}
-
-std::uint16_t CgnTable::slice_base_port(std::uint32_t subscriber) const {
-  const std::uint32_t block = std::max<std::uint32_t>(config_.port_block_size, 1);
-  return static_cast<std::uint16_t>(config_.port_range_lo +
-                                    subscriber * blocks_per_subscriber() * block);
-}
-
-std::uint32_t CgnTable::subscriber_port_capacity(std::uint32_t subscriber) const {
-  if (subscriber >= subscribers_.size()) return 0;
-  const std::uint32_t block = std::max<std::uint32_t>(config_.port_block_size, 1);
-  const std::uint32_t slice_ports = blocks_per_subscriber() * block;
-  return std::min(slice_ports, config_.max_ports_per_subscriber);
-}
-
-Duration CgnTable::timeout_for(Protocol proto) const {
-  switch (proto) {
-    case Protocol::kTcp: return config_.tcp_idle_timeout;
-    case Protocol::kUdp: return config_.udp_idle_timeout;
-    case Protocol::kIcmp: return config_.icmp_idle_timeout;
-  }
-  return config_.udp_idle_timeout;
-}
-
-std::optional<std::uint16_t> CgnTable::allocate_port(std::uint32_t subscriber) {
+std::optional<std::uint16_t> CgnTable::acquire_port(std::uint32_t subscriber, Protocol) {
   Subscriber& sub = subscribers_[subscriber];
-  const std::uint32_t cap = subscriber_port_capacity(subscriber);
-  if (sub.stats.ports_in_use >= cap) return std::nullopt;  // state limit / slice spent
+  // Every port the cursor has handed out is in use or on the free list, so
+  // a subscriber under its capacity (never more than its slice) has a
+  // recycled port or an unused offset left.
+  if (sub.stats.ports_in_use >= subscriber_port_capacity(subscriber)) {
+    ++sub.stats.exhaustion_drops;  // state limit / slice spent
+    return std::nullopt;
+  }
   std::uint16_t port = 0;
   if (!sub.free_ports.empty()) {
     // Recycle an expired port from an already-activated block.
@@ -53,10 +28,7 @@ std::optional<std::uint16_t> CgnTable::allocate_port(std::uint32_t subscriber) {
   } else {
     // Advance the never-used cursor; crossing a block-size boundary is the
     // moment a new block of the slice goes live.
-    const std::uint32_t block = std::max<std::uint32_t>(config_.port_block_size, 1);
-    const std::uint32_t slice_ports = blocks_per_subscriber() * block;
-    if (sub.cursor >= slice_ports) return std::nullopt;
-    if (sub.cursor % block == 0) ++sub.stats.blocks_allocated;
+    if (sub.cursor % block_size() == 0) ++sub.stats.blocks_allocated;
     port = static_cast<std::uint16_t>(slice_base_port(subscriber) + sub.cursor);
     ++sub.cursor;
   }
@@ -65,129 +37,10 @@ std::optional<std::uint16_t> CgnTable::allocate_port(std::uint32_t subscriber) {
   return port;
 }
 
-CgnMapping* CgnTable::outbound_mapping(std::uint32_t subscriber, const FiveTuple& tuple,
-                                       TimePoint now) {
-  auto it = by_inside_.find(tuple);
-  if (it == by_inside_.end()) {
-    const auto port = allocate_port(subscriber);
-    if (!port) {
-      ++stats_.port_exhaustion_drops;
-      ++subscribers_[subscriber].stats.exhaustion_drops;
-      return nullptr;
-    }
-    CgnMapping mapping;
-    mapping.inside_tuple = tuple;
-    mapping.external_port = *port;
-    mapping.subscriber = subscriber;
-    mapping.last_activity = now;
-    mapping.out_rewrite = wire::SourceRewrite::Make(tuple.src_ip, tuple.src_port,
-                                                    config_.external_address, *port);
-    mapping.in_rewrite = wire::SourceRewrite::Make(config_.external_address, *port,
-                                                   tuple.src_ip, tuple.src_port);
-    auto [inserted, ok] = by_inside_.emplace(tuple, mapping);
-    (void)ok;
-    by_external_.emplace(ExternalKey{*port, tuple.protocol}, tuple);
-    ++stats_.mappings_created;
-    it = inserted;
-  }
-  CgnMapping& m = it->second;
-  m.last_activity = now;
-  ++m.packets;
-  return &m;
-}
-
-CgnMapping* CgnTable::inbound_mapping(const FiveTuple& tuple) {
-  const auto ext_it = by_external_.find(ExternalKey{tuple.dst_port, tuple.protocol});
-  if (ext_it == by_external_.end()) return nullptr;
-  auto in_it = by_inside_.find(ext_it->second);
-  if (in_it == by_inside_.end()) return nullptr;
-  CgnMapping& m = in_it->second;
-  // Port-restricted, like the home NAT beneath it.
-  if (tuple.src_ip != m.inside_tuple.dst_ip || tuple.src_port != m.inside_tuple.dst_port) {
-    return nullptr;
-  }
-  return &m;
-}
-
-bool CgnTable::translate_outbound(std::uint32_t subscriber, Packet& packet) {
-  if (subscriber >= subscribers_.size()) return false;
-  CgnMapping* m = outbound_mapping(subscriber, packet.tuple, packet.timestamp);
-  if (m == nullptr) return false;
-  packet.tuple.src_ip = config_.external_address;
-  packet.tuple.src_port = m->external_port;
-  ++stats_.translations_out;
-  ++subscribers_[subscriber].stats.translations_out;
-  return true;
-}
-
-bool CgnTable::translate_inbound(Packet& packet) {
-  if (packet.tuple.dst_ip != config_.external_address) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  CgnMapping* m = inbound_mapping(packet.tuple);
-  if (m == nullptr) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  m->last_activity = packet.timestamp;
-  ++m->packets;
-  packet.tuple.dst_ip = m->inside_tuple.src_ip;
-  packet.tuple.dst_port = m->inside_tuple.src_port;
-  ++stats_.translations_in;
-  ++subscribers_[m->subscriber].stats.translations_in;
-  return true;
-}
-
-bool CgnTable::translate_outbound_wire(std::uint32_t subscriber, std::span<std::byte> frame,
-                                       TimePoint now) {
-  if (subscriber >= subscribers_.size()) return false;
-  const auto tuple = wire::ExtractTuple(frame);
-  if (!tuple) return false;
-  CgnMapping* m = outbound_mapping(subscriber, *tuple, now);
-  if (m == nullptr) return false;
-  wire::ApplySourceRewrite(frame, m->out_rewrite);
-  ++stats_.translations_out;
-  ++subscribers_[subscriber].stats.translations_out;
-  return true;
-}
-
-bool CgnTable::translate_inbound_wire(std::span<std::byte> frame, TimePoint now) {
-  const auto tuple = wire::ExtractTuple(frame);
-  if (!tuple || tuple->dst_ip != config_.external_address) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  CgnMapping* m = inbound_mapping(*tuple);
-  if (m == nullptr) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  m->last_activity = now;
-  ++m->packets;
-  wire::ApplyDestRewrite(frame, m->in_rewrite);
-  ++stats_.translations_in;
-  ++subscribers_[m->subscriber].stats.translations_in;
-  return true;
-}
-
-std::size_t CgnTable::expire_idle(TimePoint now) {
-  std::size_t removed = 0;
-  for (auto it = by_inside_.begin(); it != by_inside_.end();) {
-    const CgnMapping& m = it->second;
-    if (now - m.last_activity > timeout_for(m.inside_tuple.protocol)) {
-      by_external_.erase(ExternalKey{m.external_port, m.inside_tuple.protocol});
-      Subscriber& sub = subscribers_[m.subscriber];
-      sub.free_ports.push_back(m.external_port);
-      --sub.stats.ports_in_use;
-      it = by_inside_.erase(it);
-      ++removed;
-      ++stats_.mappings_expired;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+void CgnTable::release_port(const NatMapping& m) {
+  Subscriber& sub = owner_of(m.wan_port);
+  sub.free_ports.push_back(m.wan_port);
+  --sub.stats.ports_in_use;
 }
 
 }  // namespace bismark::net

@@ -13,20 +13,22 @@
 // recycled on idle expiry, and allocation fails — an exhaustion drop — when
 // the slice or the per-subscriber port cap is spent. Those drops, and the
 // ports-per-subscriber peaks, are what the new analysis summary and the
-// CgnEventRecord dataset report.
+// CgnEventRecord dataset report. The translation itself is the shared
+// PortRestrictedNat (net/translator.h); this tier adds the slices and the
+// per-subscriber counters.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/time.h"
 #include "net/addr.h"
 #include "net/packet.h"
-#include "net/wire.h"
+#include "net/translator.h"
 
 namespace bismark::net {
 
@@ -47,27 +49,6 @@ struct CgnConfig {
   Duration icmp_idle_timeout{Seconds(30).ms};
 };
 
-/// One active CGN translation.
-struct CgnMapping {
-  FiveTuple inside_tuple;  // post-home-NAT tuple (home WAN addr + port)
-  std::uint16_t external_port{0};
-  std::uint32_t subscriber{0};
-  TimePoint last_activity;
-  std::uint64_t packets{0};
-  wire::SourceRewrite out_rewrite;  // inside src -> (external addr, port)
-  wire::SourceRewrite in_rewrite;   // (external addr, port) -> inside src
-};
-
-/// Aggregate counters for one CGN instance.
-struct CgnStats {
-  std::uint64_t translations_out{0};
-  std::uint64_t translations_in{0};
-  std::uint64_t mappings_created{0};
-  std::uint64_t mappings_expired{0};
-  std::uint64_t port_exhaustion_drops{0};
-  std::uint64_t unknown_inbound_drops{0};
-};
-
 /// Per-subscriber accounting — the unit the paper-style analysis wants
 /// (ports per home, exhaustion experienced by a home).
 struct CgnSubscriberStats {
@@ -81,57 +62,60 @@ struct CgnSubscriberStats {
 };
 
 /// NAT444 translator with deterministic per-subscriber port blocks.
-class CgnTable {
+class CgnTable : public PortRestrictedNat<CgnTable> {
  public:
   explicit CgnTable(CgnConfig config);
 
   /// Total blocks in the external port range.
-  [[nodiscard]] std::uint32_t total_blocks() const;
+  [[nodiscard]] std::uint32_t total_blocks() const { return port_range_size() / block_size(); }
   /// Blocks each subscriber's slice holds (disjoint, deterministic).
-  [[nodiscard]] std::uint32_t blocks_per_subscriber() const;
+  [[nodiscard]] std::uint32_t blocks_per_subscriber() const {
+    return total_blocks() / static_cast<std::uint32_t>(subscribers_.size());
+  }
+  /// Largest port_block_size that still leaves every subscriber one block.
+  [[nodiscard]] std::uint32_t max_port_block_size() const {
+    return port_range_size() / static_cast<std::uint32_t>(subscribers_.size());
+  }
   /// First external port of `subscriber`'s slice (the logged block base).
-  [[nodiscard]] std::uint16_t slice_base_port(std::uint32_t subscriber) const;
+  [[nodiscard]] std::uint16_t slice_base_port(std::uint32_t subscriber) const {
+    return static_cast<std::uint16_t>(config_.port_range_lo + subscriber * slice_ports());
+  }
   /// Ports a subscriber can ever hold: min(slice, max_ports_per_subscriber).
-  [[nodiscard]] std::uint32_t subscriber_port_capacity(std::uint32_t subscriber) const;
+  [[nodiscard]] std::uint32_t subscriber_port_capacity(std::uint32_t subscriber) const {
+    if (subscriber >= subscribers_.size()) return 0;
+    return std::min(slice_ports(), config_.max_ports_per_subscriber);
+  }
 
   /// Translate an outbound packet already translated by the home NAT: the
   /// source (home WAN addr + port) becomes the CGN external address and a
   /// port from the subscriber's block slice. Returns false (drop) when the
   /// slice or the per-subscriber cap is exhausted.
-  bool translate_outbound(std::uint32_t subscriber, Packet& packet);
+  bool translate_outbound(std::uint32_t subscriber, Packet& packet) {
+    return subscriber < subscribers_.size() &&
+           count_outbound(subscriber, outbound(packet, subscriber));
+  }
 
   /// Inbound: external (addr, port) back to the inside (home WAN) endpoint.
   /// Port-restricted, like the home NAT. Returns false on no mapping.
-  bool translate_inbound(Packet& packet);
+  bool translate_inbound(Packet& packet) { return count_inbound(inbound(packet)); }
 
   /// Wire-path variants: edit frame bytes in place with cached deltas.
   bool translate_outbound_wire(std::uint32_t subscriber, std::span<std::byte> frame,
-                               TimePoint now);
-  bool translate_inbound_wire(std::span<std::byte> frame, TimePoint now);
+                               TimePoint now) {
+    return subscriber < subscribers_.size() &&
+           count_outbound(subscriber, outbound_wire(frame, now, MacAddress{}, subscriber));
+  }
+  bool translate_inbound_wire(std::span<std::byte> frame, TimePoint now) {
+    return count_inbound(inbound_wire(frame, now));
+  }
 
-  /// Expire idle mappings; expired ports return to their subscriber's free
-  /// list (block recycling). Returns how many mappings were removed.
-  std::size_t expire_idle(TimePoint now);
-
-  [[nodiscard]] const CgnStats& stats() const { return stats_; }
   [[nodiscard]] const CgnSubscriberStats& subscriber_stats(std::uint32_t s) const {
     return subscribers_[s].stats;
   }
-  [[nodiscard]] std::size_t active_mappings() const { return by_inside_.size(); }
   [[nodiscard]] const CgnConfig& config() const { return config_; }
 
  private:
-  struct ExternalKey {
-    std::uint16_t port;
-    Protocol proto;
-    auto operator<=>(const ExternalKey&) const = default;
-  };
-  struct ExternalKeyHash {
-    [[nodiscard]] std::size_t operator()(const ExternalKey& k) const noexcept {
-      return static_cast<std::size_t>(HashMix64(
-          static_cast<std::uint64_t>(k.port) << 8 | static_cast<std::uint64_t>(k.proto)));
-    }
-  };
+  friend class PortRestrictedNat<CgnTable>;
 
   struct Subscriber {
     /// Ports recycled by expiry, reused LIFO before fresh cursor advance.
@@ -144,14 +128,32 @@ class CgnTable {
 
   CgnConfig config_;
   std::vector<Subscriber> subscribers_;
-  std::unordered_map<FiveTuple, CgnMapping, FiveTupleHash> by_inside_;
-  std::unordered_map<ExternalKey, FiveTuple, ExternalKeyHash> by_external_;
-  CgnStats stats_;
 
-  [[nodiscard]] Duration timeout_for(Protocol proto) const;
-  std::optional<std::uint16_t> allocate_port(std::uint32_t subscriber);
-  CgnMapping* outbound_mapping(std::uint32_t subscriber, const FiveTuple& tuple, TimePoint now);
-  CgnMapping* inbound_mapping(const FiveTuple& tuple);
+  [[nodiscard]] std::uint32_t port_range_size() const {
+    return static_cast<std::uint32_t>(config_.port_range_hi) - config_.port_range_lo + 1;
+  }
+  [[nodiscard]] std::uint32_t block_size() const {
+    return std::max<std::uint32_t>(config_.port_block_size, 1);
+  }
+  [[nodiscard]] std::uint32_t slice_ports() const { return blocks_per_subscriber() * block_size(); }
+  /// The subscriber whose slice holds `port` (RFC 7422: the port alone
+  /// identifies it).
+  [[nodiscard]] Subscriber& owner_of(std::uint16_t port) {
+    return subscribers_[(port - config_.port_range_lo) / slice_ports()];
+  }
+
+  std::optional<std::uint16_t> acquire_port(std::uint32_t subscriber, Protocol proto);
+  void release_port(const NatMapping& m);
+  bool count_outbound(std::uint32_t subscriber, const NatMapping* m) {
+    if (m != nullptr) ++subscribers_[subscriber].stats.translations_out;
+    return m != nullptr;
+  }
+  bool count_inbound(const NatMapping* m) {
+    if (m != nullptr) ++owner_of(m->wan_port).stats.translations_in;
+    return m != nullptr;
+  }
 };
+
+extern template class PortRestrictedNat<CgnTable>;
 
 }  // namespace bismark::net

@@ -4,24 +4,21 @@
 
 namespace bismark::net {
 
+template class PortRestrictedNat<NatTable>;
+
 NatTable::NatTable(NatConfig config)
-    : config_(config), next_port_(config.port_range_lo) {}
+    : PortRestrictedNat(config.wan_address, config.tcp_idle_timeout, config.udp_idle_timeout,
+                        config.icmp_idle_timeout),
+      config_(config),
+      next_port_(config.port_range_lo) {}
 
-Duration NatTable::timeout_for(Protocol proto) const {
-  switch (proto) {
-    case Protocol::kTcp: return config_.tcp_idle_timeout;
-    case Protocol::kUdp: return config_.udp_idle_timeout;
-    case Protocol::kIcmp: return config_.icmp_idle_timeout;
-  }
-  return config_.udp_idle_timeout;
-}
-
-std::optional<std::uint16_t> NatTable::allocate_port(Protocol proto) {
+std::optional<std::uint16_t> NatTable::acquire_port(std::uint32_t, Protocol proto) {
   // O(1) exhaustion check: when every port in the range is active for this
   // protocol, fail immediately instead of probing the whole range per
   // packet (the pre-fix behaviour scanned all 64k candidates on every
   // translate attempt once the table filled).
-  const std::uint32_t range = port_range_size();
+  const std::uint32_t range =
+      static_cast<std::uint32_t>(config_.port_range_hi) - config_.port_range_lo + 1;
   if (ports_in_use_[ProtoIndex(proto)] >= range) return std::nullopt;
   // A free port exists, so the probe terminates; the counter above bounds
   // the scan to the exhaustion-free case.
@@ -29,143 +26,23 @@ std::optional<std::uint16_t> NatTable::allocate_port(Protocol proto) {
     const std::uint16_t candidate = next_port_;
     next_port_ = next_port_ >= config_.port_range_hi ? config_.port_range_lo
                                                      : static_cast<std::uint16_t>(next_port_ + 1);
-    if (!by_wan_.contains(WanKey{candidate, proto})) {
+    if (!external_in_use(candidate, proto)) {
       ++ports_in_use_[ProtoIndex(proto)];
       return candidate;
     }
   }
 }
 
-NatMapping* NatTable::outbound_mapping(const FiveTuple& tuple, TimePoint now,
-                                       MacAddress lan_mac) {
-  auto it = by_lan_.find(tuple);
-  if (it == by_lan_.end()) {
-    const auto port = allocate_port(tuple.protocol);
-    if (!port) {
-      ++stats_.port_exhaustion_drops;
-      return nullptr;
-    }
-    NatMapping mapping;
-    mapping.lan_tuple = tuple;
-    mapping.wan_port = *port;
-    mapping.device_mac = lan_mac;
-    mapping.last_activity = now;
-    mapping.out_rewrite =
-        wire::SourceRewrite::Make(tuple.src_ip, tuple.src_port, config_.wan_address, *port);
-    mapping.in_rewrite =
-        wire::SourceRewrite::Make(config_.wan_address, *port, tuple.src_ip, tuple.src_port);
-    auto [inserted, ok] = by_lan_.emplace(tuple, mapping);
-    (void)ok;
-    by_wan_.emplace(WanKey{*port, tuple.protocol}, tuple);
-    ++stats_.mappings_created;
-    it = inserted;
-  }
-  NatMapping& m = it->second;
-  m.last_activity = now;
-  ++m.packets;
-  return &m;
-}
-
-NatMapping* NatTable::inbound_mapping(const FiveTuple& tuple) {
-  const auto wan_it = by_wan_.find(WanKey{tuple.dst_port, tuple.protocol});
-  if (wan_it == by_wan_.end()) return nullptr;
-  auto lan_it = by_lan_.find(wan_it->second);
-  if (lan_it == by_lan_.end()) return nullptr;
-  NatMapping& m = lan_it->second;
-  // Port-restricted cone: only the remote endpoint the mapping was created
-  // toward may send back through it.
-  if (tuple.src_ip != m.lan_tuple.dst_ip || tuple.src_port != m.lan_tuple.dst_port) {
-    return nullptr;
-  }
-  return &m;
-}
-
-bool NatTable::translate_outbound(Packet& packet) {
-  NatMapping* m = outbound_mapping(packet.tuple, packet.timestamp, packet.lan_mac);
-  if (m == nullptr) return false;
-  packet.tuple.src_ip = config_.wan_address;
-  packet.tuple.src_port = m->wan_port;
-  ++stats_.translations_out;
-  return true;
-}
-
-bool NatTable::translate_inbound(Packet& packet) {
-  if (packet.tuple.dst_ip != config_.wan_address) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  NatMapping* m = inbound_mapping(packet.tuple);
-  if (m == nullptr) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  m->last_activity = packet.timestamp;
-  ++m->packets;
-  packet.tuple.dst_ip = m->lan_tuple.src_ip;
-  packet.tuple.dst_port = m->lan_tuple.src_port;
-  packet.lan_mac = m->device_mac;
-  ++stats_.translations_in;
-  return true;
-}
-
-bool NatTable::translate_outbound_wire(std::span<std::byte> frame, TimePoint now,
-                                       MacAddress lan_mac) {
-  const auto tuple = wire::ExtractTuple(frame);
-  if (!tuple) return false;
-  NatMapping* m = outbound_mapping(*tuple, now, lan_mac);
-  if (m == nullptr) return false;
-  wire::ApplySourceRewrite(frame, m->out_rewrite);
-  ++stats_.translations_out;
-  return true;
-}
-
-bool NatTable::translate_inbound_wire(std::span<std::byte> frame, TimePoint now) {
-  const auto tuple = wire::ExtractTuple(frame);
-  if (!tuple || tuple->dst_ip != config_.wan_address) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  NatMapping* m = inbound_mapping(*tuple);
-  if (m == nullptr) {
-    ++stats_.unknown_inbound_drops;
-    return false;
-  }
-  m->last_activity = now;
-  ++m->packets;
-  wire::ApplyDestRewrite(frame, m->in_rewrite);
-  ++stats_.translations_in;
-  return true;
-}
-
-std::size_t NatTable::expire_idle(TimePoint now) {
-  std::size_t removed = 0;
-  for (auto it = by_lan_.begin(); it != by_lan_.end();) {
-    const NatMapping& m = it->second;
-    if (now - m.last_activity > timeout_for(m.lan_tuple.protocol)) {
-      by_wan_.erase(WanKey{m.wan_port, m.lan_tuple.protocol});
-      --ports_in_use_[ProtoIndex(m.lan_tuple.protocol)];
-      it = by_lan_.erase(it);
-      ++removed;
-      ++stats_.mappings_expired;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
 std::optional<MacAddress> NatTable::owner_of_port(std::uint16_t wan_port, Protocol proto) const {
-  const auto wan_it = by_wan_.find(WanKey{wan_port, proto});
-  if (wan_it == by_wan_.end()) return std::nullopt;
-  const auto lan_it = by_lan_.find(wan_it->second);
-  if (lan_it == by_lan_.end()) return std::nullopt;
-  return lan_it->second.device_mac;
+  const NatMapping* m = find_external(wan_port, proto);
+  if (m == nullptr) return std::nullopt;
+  return m->device_mac;
 }
 
 std::vector<NatMapping> NatTable::snapshot() const {
   std::vector<NatMapping> out;
-  out.reserve(by_lan_.size());
-  for (const auto& [tuple, mapping] : by_lan_) out.push_back(mapping);
+  out.reserve(mappings().size());
+  for (const auto& [tuple, mapping] : mappings()) out.push_back(mapping);
   std::sort(out.begin(), out.end(), [](const NatMapping& a, const NatMapping& b) {
     return a.lan_tuple < b.lan_tuple;
   });

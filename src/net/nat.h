@@ -3,16 +3,12 @@
 // The gateway's NAT rewrites every LAN flow onto the single WAN address, so
 // the outside world sees one device where the home has many; the firmware's
 // privileged position *behind* the NAT is what makes per-device attribution
-// possible at all. We implement a full port-restricted NAT44: per-flow
-// mappings, WAN port allocation, idle expiry with protocol-specific
-// timeouts, inbound translation back to the owning device, and counters.
-//
-// Two translation entry points share one mapping table: the struct path
-// (`translate_outbound`, the historical hot path) and the wire path
-// (`translate_outbound_wire`), which edits a real Ethernet frame in place —
-// fixed-offset tuple extraction, hash lookup, then an 8-byte rewrite plus
-// two incremental checksum updates using deltas cached on the mapping when
-// it was created (the fast-path header cache).
+// possible at all. The translation itself — per-flow mappings, idle expiry
+// with protocol-specific timeouts, the port-restricted inbound check, the
+// struct and wire entry points, the counters — is the shared
+// PortRestrictedNat (net/translator.h). This tier adds its port policy (one
+// round-robin cursor over the range, free ports counted per protocol) and
+// hands inbound packets back to the owning device.
 #pragma once
 
 #include <array>
@@ -20,13 +16,12 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/time.h"
 #include "net/addr.h"
 #include "net/packet.h"
-#include "net/wire.h"
+#include "net/translator.h"
 
 namespace bismark::net {
 
@@ -40,75 +35,44 @@ struct NatConfig {
   Duration icmp_idle_timeout{Seconds(30).ms};
 };
 
-/// One active translation entry. The two SourceRewrite caches are computed
-/// once at mapping creation so per-packet byte translation never touches
-/// checksum arithmetic beyond one fold.
-struct NatMapping {
-  FiveTuple lan_tuple;        // original LAN five-tuple
-  std::uint16_t wan_port{0};  // allocated external source port
-  MacAddress device_mac;      // LAN device owning the flow
-  TimePoint last_activity;
-  std::uint64_t packets{0};
-  wire::SourceRewrite out_rewrite;  // LAN src -> (WAN addr, wan_port)
-  wire::SourceRewrite in_rewrite;   // (WAN addr, wan_port) -> LAN src
-};
-
-/// Counters exposed for tests and the NAT micro-benchmark.
-struct NatStats {
-  std::uint64_t translations_out{0};
-  std::uint64_t translations_in{0};
-  std::uint64_t mappings_created{0};
-  std::uint64_t mappings_expired{0};
-  std::uint64_t port_exhaustion_drops{0};
-  std::uint64_t unknown_inbound_drops{0};
-  [[nodiscard]] std::uint64_t active() const { return mappings_created - mappings_expired; }
-};
-
-/// Index for per-protocol counters: tcp, udp, icmp.
-[[nodiscard]] constexpr std::size_t ProtoIndex(Protocol p) {
-  switch (p) {
-    case Protocol::kTcp: return 0;
-    case Protocol::kUdp: return 1;
-    case Protocol::kIcmp: return 2;
-  }
-  return 1;
-}
-
 /// Port-restricted cone NAT44.
-class NatTable {
+class NatTable : public PortRestrictedNat<NatTable> {
  public:
   explicit NatTable(NatConfig config);
 
   /// Translate an outbound (LAN→WAN) packet in place: the source becomes
   /// the WAN address and an allocated port. Creates a mapping on the first
   /// packet of a flow. Returns false (drop) on port exhaustion.
-  bool translate_outbound(Packet& packet);
+  bool translate_outbound(Packet& packet) { return outbound(packet, 0) != nullptr; }
 
   /// Translate an inbound (WAN→LAN) packet in place: the destination
   /// (WAN addr + port) is rewritten back to the owning LAN endpoint, and
   /// `lan_mac` is restored for attribution. Returns false for packets with
   /// no matching mapping (unsolicited inbound — dropped, as a NAT does).
-  bool translate_inbound(Packet& packet);
+  bool translate_inbound(Packet& packet) {
+    const NatMapping* m = inbound(packet);
+    if (m != nullptr) packet.lan_mac = m->device_mac;
+    return m != nullptr;
+  }
 
   /// Wire-path outbound translation: edit an Ethernet frame's bytes in
   /// place (source address/port + incremental IP/L4 checksum updates).
   /// `lan_mac` attributes a newly created mapping to its device. Returns
   /// false on malformed frames or port exhaustion.
-  bool translate_outbound_wire(std::span<std::byte> frame, TimePoint now, MacAddress lan_mac);
+  bool translate_outbound_wire(std::span<std::byte> frame, TimePoint now, MacAddress lan_mac) {
+    return outbound_wire(frame, now, lan_mac, 0) != nullptr;
+  }
 
   /// Wire-path inbound translation: destination rewrite back to the LAN
   /// endpoint with the same cached-delta arithmetic.
-  bool translate_inbound_wire(std::span<std::byte> frame, TimePoint now);
-
-  /// Expire idle mappings as of `now`. Returns how many were removed.
-  std::size_t expire_idle(TimePoint now);
+  bool translate_inbound_wire(std::span<std::byte> frame, TimePoint now) {
+    return inbound_wire(frame, now) != nullptr;
+  }
 
   /// Lookup the device owning an active WAN port (e.g. for diagnostics).
   [[nodiscard]] std::optional<MacAddress> owner_of_port(std::uint16_t wan_port,
                                                         Protocol proto) const;
 
-  [[nodiscard]] const NatStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t active_mappings() const { return by_lan_.size(); }
   [[nodiscard]] const NatConfig& config() const { return config_; }
 
   /// Snapshot of current mappings, sorted by LAN five-tuple. The backing
@@ -117,37 +81,20 @@ class NatTable {
   [[nodiscard]] std::vector<NatMapping> snapshot() const;
 
  private:
-  struct WanKey {
-    std::uint16_t port;
-    Protocol proto;
-    auto operator<=>(const WanKey&) const = default;
-  };
-  struct WanKeyHash {
-    [[nodiscard]] std::size_t operator()(const WanKey& k) const noexcept {
-      return static_cast<std::size_t>(HashMix64(
-          static_cast<std::uint64_t>(k.port) << 8 | static_cast<std::uint64_t>(k.proto)));
-    }
-  };
+  friend class PortRestrictedNat<NatTable>;
 
   NatConfig config_;
-  std::unordered_map<FiveTuple, NatMapping, FiveTupleHash> by_lan_;
-  std::unordered_map<WanKey, FiveTuple, WanKeyHash> by_wan_;
   std::uint16_t next_port_;
   /// Active allocations per protocol — makes full-range exhaustion an O(1)
   /// check instead of a 64k-probe scan on every packet.
   std::array<std::uint32_t, 3> ports_in_use_{};
-  NatStats stats_;
 
-  [[nodiscard]] Duration timeout_for(Protocol proto) const;
-  [[nodiscard]] std::uint32_t port_range_size() const {
-    return static_cast<std::uint32_t>(config_.port_range_hi) - config_.port_range_lo + 1;
-  }
-  std::optional<std::uint16_t> allocate_port(Protocol proto);
-  /// Find-or-create the mapping for an outbound tuple; nullptr on
-  /// exhaustion (the drop counter is bumped here, once per attempt).
-  NatMapping* outbound_mapping(const FiveTuple& tuple, TimePoint now, MacAddress lan_mac);
-  /// Inbound lookup + port-restricted-cone check; nullptr on no match.
-  NatMapping* inbound_mapping(const FiveTuple& tuple);
+  /// The next free port for `proto` at or after the round-robin cursor,
+  /// which all protocols share. A NAT44 serves one subscriber (the home).
+  std::optional<std::uint16_t> acquire_port(std::uint32_t subscriber, Protocol proto);
+  void release_port(const NatMapping& m) { --ports_in_use_[ProtoIndex(m.lan_tuple.protocol)]; }
 };
+
+extern template class PortRestrictedNat<NatTable>;
 
 }  // namespace bismark::net

@@ -23,18 +23,9 @@ Gateway::Gateway(GatewayConfig config, net::AccessLink& link, const Anonymizer& 
       isp_mac_(net::MacAddress::FromParts(0x02157e,
                                           static_cast<std::uint32_t>(config.cgn.cgn_id))),
       dhcp_(config.lan_prefix, config.lan_prefix.host(1)),
-      ethernet_(4),
-      radio24_(wireless::RadioConfig{wireless::Band::k2_4GHz,
-                                     wireless::DefaultChannel(wireless::Band::k2_4GHz), true}),
-      radio5_(wireless::RadioConfig{wireless::Band::k5GHz,
-                                    wireless::DefaultChannel(wireless::Band::k5GHz), true}),
       meter_(config.home, [this](const collect::ThroughputMinute& m) {
         if (repo_ && traffic_consented()) repo_->add_throughput_minute(m);
       }) {}
-
-wireless::AssociationTable& Gateway::radio(wireless::Band band) {
-  return band == wireless::Band::k2_4GHz ? radio24_ : radio5_;
-}
 
 void Gateway::on_dns(const net::DnsResponse& response, net::MacAddress device, TimePoint now) {
   if (!repo_ || !traffic_consented()) return;
@@ -93,11 +84,6 @@ void Gateway::on_flow_open(const traffic::FlowOpen& open) {
     open_flow_tuples_.insert(open_flow_tuples_.begin() + pos, open.lan_tuple);
   }
   maybe_gc_nat(open.opened);
-
-  // Let the LAN-side learning tables see the device.
-  ethernet_.observe_frame(open.device_mac, open.opened);
-  radio24_.touch(open.device_mac, open.opened);
-  radio5_.touch(open.device_mac, open.opened);
 }
 
 std::size_t Gateway::find_open_flow(net::FlowId id) const {

@@ -19,11 +19,9 @@
 #include "net/access_link.h"
 #include "net/cgn.h"
 #include "net/dhcp.h"
-#include "net/ethernet.h"
 #include "net/nat.h"
 #include "net/pcap.h"
 #include "traffic/generator.h"
-#include "wireless/association.h"
 
 namespace bismark::gateway {
 
@@ -63,9 +61,7 @@ class Gateway final : public traffic::TrafficSink {
 
   // --- LAN-side plumbing ---
   net::DhcpPool& dhcp() { return dhcp_; }
-  net::EthernetSwitch& ethernet() { return ethernet_; }
   net::NatTable& nat() { return nat_; }
-  wireless::AssociationTable& radio(wireless::Band band);
   [[nodiscard]] const net::AccessLink& link() const { return link_; }
 
   // --- traffic::TrafficSink ---
@@ -114,9 +110,6 @@ class Gateway final : public traffic::TrafficSink {
   net::MacAddress wan_mac_;  // the gateway's WAN-side source MAC
   net::MacAddress isp_mac_;  // next-hop (ISP edge) MAC on captured frames
   net::DhcpPool dhcp_;
-  net::EthernetSwitch ethernet_;
-  wireless::AssociationTable radio24_;
-  wireless::AssociationTable radio5_;
   ThroughputMeter meter_;
   UsageCapManager* caps_{nullptr};
   std::map<net::MacAddress, DeviceUsage> usage_;

@@ -54,7 +54,7 @@ void ReportWifiScans(collect::RecordSink& sink, collect::HomeId home,
   for (wireless::Band band : bands) {
     const int channel =
         band == wireless::Band::k2_4GHz ? config.channel_24 : config.channel_5;
-    const auto audible = neighborhood.audible_on(band, channel, config.scanner.sensitivity_dbm);
+    const auto audible = neighborhood.audible_on(band, channel, config.sensitivity_dbm);
     Rng band_rng = rng.fork(static_cast<std::uint64_t>(band));
 
     auto on = router_on.intervals().begin();
@@ -80,9 +80,8 @@ void ReportWifiScans(collect::RecordSink& sink, collect::HomeId home,
       rec.associated_clients = clients;
       sink.add_wifi_scan(rec);
 
-      const Duration next = clients > 0
-                                ? config.scanner.base_interval * config.scanner.backoff_factor
-                                : config.scanner.base_interval;
+      const Duration next =
+          clients > 0 ? config.base_interval * config.backoff_factor : config.base_interval;
       t += next;
     }
   }

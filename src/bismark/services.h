@@ -16,13 +16,11 @@
 #include "core/rng.h"
 #include "net/access_link.h"
 #include "wireless/neighbor.h"
-#include "wireless/scanner.h"
 
 namespace bismark::gateway {
 
 /// What the device-census services can see of the LAN at a given time.
-/// Implemented by home::Household in the full simulation and by the
-/// gateway's live tables in standalone use.
+/// Implemented by home::Household (its DeviceCensus); tests supply fakes.
 class ClientCensus {
  public:
   virtual ~ClientCensus() = default;
@@ -51,8 +49,17 @@ void ReportDeviceCounts(collect::RecordSink& sink, collect::HomeId home,
                         const ClientCensus& census, const IntervalSet& router_on,
                         Interval window, Duration interval = Hours(1));
 
+/// Section 3.2.2: "Each router attempts to scan for clients and access
+/// points every 10 minutes; unfortunately, the scanning process can
+/// sometimes cause wireless clients to disassociate from the router, so we
+/// reduce the scanning frequency if the router has associated clients."
+/// The back-off is modelled; the disassociations that motivate it are not.
 struct WifiServiceConfig {
-  wireless::ScannerConfig scanner;
+  Duration base_interval{Minutes(10).ms};
+  /// Multiplier applied when clients are associated (reduced frequency).
+  int backoff_factor{3};
+  /// Weakest neighbour signal a scan still hears.
+  double sensitivity_dbm{-92.0};
   /// Fraction of audible APs actually decoded in one scan pass (fading).
   double detection_prob{0.92};
   /// Channels the two radios are configured for. Defaults match BISmark's
@@ -63,7 +70,7 @@ struct WifiServiceConfig {
 
 /// Channel scans on both radios while the router is powered. Scans run at
 /// the base cadence when the radio has no clients and back off by
-/// `scanner.backoff_factor` otherwise.
+/// `backoff_factor` otherwise.
 void ReportWifiScans(collect::RecordSink& sink, collect::HomeId home,
                      const ClientCensus& census, const wireless::Neighborhood& neighborhood,
                      const IntervalSet& router_on, Interval window, Rng rng,

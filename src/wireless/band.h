@@ -27,11 +27,4 @@ enum class Band : int { k2_4GHz = 0, k5GHz = 1 };
 /// apart; 5 GHz channels are non-overlapping.
 [[nodiscard]] bool ChannelsOverlap(Band band, int a, int b);
 
-/// Radio configuration of one access point.
-struct RadioConfig {
-  Band band{Band::k2_4GHz};
-  int channel{11};
-  bool enabled{true};
-};
-
 }  // namespace bismark::wireless

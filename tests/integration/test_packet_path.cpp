@@ -1,6 +1,6 @@
-// Packet-plumbing integration: DHCP lease -> wireless association ->
-// NAT translation -> reply attribution, across every LAN substrate at
-// once — the per-packet path the bulk simulation abstracts into chunks.
+// Packet-plumbing integration: DHCP lease -> DNS -> NAT translation ->
+// reply attribution for wired and wireless devices at once — the
+// per-packet path the bulk simulation abstracts into chunks.
 #include <gtest/gtest.h>
 
 #include "bismark/gateway.h"
@@ -36,12 +36,12 @@ class PacketPathTest : public ::testing::Test {
 };
 
 TEST_F(PacketPathTest, WirelessDeviceFullRoundTrip) {
-  // 1. A phone associates on 2.4 GHz and gets a DHCP lease.
+  // 1. A phone gets a DHCP lease from the router's LAN pool.
   const MacAddress phone = MacAddress::FromParts(0x38AA3C, 0x1234);
-  ASSERT_TRUE(gateway_.radio(wireless::Band::k2_4GHz).associate(phone, t0));
   const auto lease = gateway_.dhcp().acquire(phone, t0);
   ASSERT_TRUE(lease.has_value());
   ASSERT_TRUE(lease->address.is_private());
+  EXPECT_EQ(gateway_.dhcp().gateway(), Ipv4Address(192, 168, 1, 1));
 
   // 2. It resolves a domain through the home's DNS path.
   DnsResolver resolver(zones_);
@@ -78,31 +78,22 @@ TEST_F(PacketPathTest, WirelessDeviceFullRoundTrip) {
 TEST_F(PacketPathTest, WiredAndWirelessDevicesShareOneWanAddress) {
   // A wired desktop and two wireless clients all surf at once; outside the
   // NAT they are one host.
-  struct Dev {
-    MacAddress mac;
-    bool wired;
-  };
-  const Dev devs[] = {
-      {MacAddress::FromParts(0x0024D7, 1), true},
-      {MacAddress::FromParts(0x7CD1C3, 2), false},
-      {MacAddress::FromParts(0x000D4B, 3), false},
+  const MacAddress devs[] = {
+      MacAddress::FromParts(0x0024D7, 1),
+      MacAddress::FromParts(0x7CD1C3, 2),
+      MacAddress::FromParts(0x000D4B, 3),
   };
   const Ipv4Address remote(93, 184, 216, 34);
 
   std::vector<std::uint16_t> wan_ports;
-  for (const auto& dev : devs) {
-    if (dev.wired) {
-      ASSERT_TRUE(gateway_.ethernet().plug_in(dev.mac, t0).has_value());
-    } else {
-      ASSERT_TRUE(gateway_.radio(wireless::Band::k2_4GHz).associate(dev.mac, t0));
-    }
-    const auto lease = gateway_.dhcp().acquire(dev.mac, t0);
+  for (const MacAddress mac : devs) {
+    const auto lease = gateway_.dhcp().acquire(mac, t0);
     ASSERT_TRUE(lease.has_value());
 
     Packet pkt;
     pkt.timestamp = t0;
     pkt.tuple = {lease->address, remote, 50000, 80, Protocol::kTcp};
-    pkt.lan_mac = dev.mac;
+    pkt.lan_mac = mac;
     ASSERT_TRUE(gateway_.nat().translate_outbound(pkt));
     EXPECT_EQ(pkt.tuple.src_ip, gateway_.nat().config().wan_address);
     wan_ports.push_back(pkt.tuple.src_port);
@@ -110,8 +101,6 @@ TEST_F(PacketPathTest, WiredAndWirelessDevicesShareOneWanAddress) {
   // Distinct devices, distinct WAN ports, one IP.
   EXPECT_NE(wan_ports[0], wan_ports[1]);
   EXPECT_NE(wan_ports[1], wan_ports[2]);
-  EXPECT_EQ(gateway_.ethernet().ports_in_use(), 1);
-  EXPECT_EQ(gateway_.radio(wireless::Band::k2_4GHz).client_count(), 2u);
 
   // Each reply still reaches the right device.
   for (std::size_t i = 0; i < 3; ++i) {
@@ -121,18 +110,16 @@ TEST_F(PacketPathTest, WiredAndWirelessDevicesShareOneWanAddress) {
                    Protocol::kTcp};
     reply.direction = Direction::kDownstream;
     ASSERT_TRUE(gateway_.nat().translate_inbound(reply));
-    EXPECT_EQ(reply.lan_mac, devs[i].mac);
+    EXPECT_EQ(reply.lan_mac, devs[i]);
   }
 }
 
 TEST_F(PacketPathTest, DeviceChurnRecyclesResources) {
   // Devices come and go; leases and mappings must not leak.
-  Rng rng(5);
   for (int round = 0; round < 50; ++round) {
     const MacAddress mac =
         MacAddress::FromParts(0x001EC2, static_cast<std::uint32_t>(round % 7 + 1));
     const TimePoint now = t0 + Minutes(10 * round);
-    gateway_.radio(wireless::Band::k2_4GHz).associate(mac, now);
     const auto lease = gateway_.dhcp().acquire(mac, now);
     ASSERT_TRUE(lease.has_value());
     Packet pkt;
@@ -141,9 +128,6 @@ TEST_F(PacketPathTest, DeviceChurnRecyclesResources) {
                  static_cast<std::uint16_t>(40000 + round), 443, Protocol::kUdp};
     pkt.lan_mac = mac;
     ASSERT_TRUE(gateway_.nat().translate_outbound(pkt));
-    if (rng.bernoulli(0.5)) {
-      gateway_.radio(wireless::Band::k2_4GHz).disassociate(mac);
-    }
     gateway_.nat().expire_idle(now);
   }
   // Only 7 distinct devices: the DHCP pool holds exactly 7 leases, and the

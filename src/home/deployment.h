@@ -112,6 +112,11 @@ struct DeploymentOptions {
   std::string pcap_out;
 };
 
+/// The CGN every home sits behind when `options.cgn` is set: 64 homes
+/// share one, with the options' block size and per-home port cap. The
+/// deployment gives each instance its own external address.
+[[nodiscard]] net::CgnConfig CgnTierConfig(const DeploymentOptions& options);
+
 /// Aggregate accounting of the upload pipeline across all homes, sourced
 /// from the obs metrics registry (the `bismark_upload_*_total` counters)
 /// after the per-shard merge — one authoritative place. The conservation

@@ -41,6 +41,7 @@
 #include "core/thread_pool.h"
 #include "home/deployment.h"
 #include "home/resume.h"
+#include "net/cgn.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
@@ -585,6 +586,17 @@ int main(int argc, char** argv) {
   for (const char* name : {"cgn-port-block", "cgn-max-ports-per-home"}) {
     if (args.has(name) && !args.has("cgn")) {
       return usage_error(std::string("--") + name + " requires --cgn");
+    }
+  }
+  // A block too large for a CGN's range to give each of its homes one
+  // would leave every home without a port: every packet would drop.
+  if (args.has("cgn")) {
+    const net::CgnTable cgn(home::CgnTierConfig(OptionsFrom(args)));
+    if (cgn.blocks_per_subscriber() == 0) {
+      return usage_error("--cgn-port-block must be at most " +
+                         std::to_string(cgn.max_port_block_size()) + " so each of a CGN's " +
+                         std::to_string(cgn.config().subscriber_count) +
+                         " homes gets a port block, got '" + *args.get("cgn-port-block") + "'");
     }
   }
   if (args.has("pcap-out") && args.has("resume")) {

@@ -51,12 +51,10 @@ struct FleetPartial {
   std::vector<int> max_unique_devices;
 };
 
-// Version 2 carries the per-country capacity table. Any other magic fails
-// closed, so a checkpoint from an older build is recomputed, not loaded.
 constexpr char kSummaryMagic[4] = {'F', 'L', 'S', '2'};
 
 /// The nine sketches in one fixed order, shared by the partial fold and
-/// both codec directions so they cannot drift.
+/// SerializeFleetSummary.
 constexpr QuantileSketch FleetSummary::*kSketches[] = {
     &FleetSummary::availability_fraction, &FleetSummary::downtimes_per_day,
     &FleetSummary::unique_devices,        &FleetSummary::capacity_down_mbps,
@@ -357,66 +355,20 @@ void WriteFleetSummary(const FleetSummary& summary, std::ostream& out) {
   }
 }
 
-namespace {
-
-void SketchField(collect::BinWriter& w, const QuantileSketch& sketch) { w.str(sketch.Serialize()); }
-
-void SketchField(collect::BinReader& r, QuantileSketch& sketch) {
-  if (!QuantileSketch::Deserialize(r.str(), &sketch)) r.fail();
-}
-
-/// One row of the FLS2 country table, the field list both codec
-/// directions use: code, roster homes, then the down and up sketches.
-template <typename Io, typename Code, typename Country>
-void CountryFields(Io& io, Code& code, Country& country) {
-  io.value(code);
-  io.template value_as<std::uint64_t>(country.homes);
-  SketchField(io, country.down_mbps);
-  SketchField(io, country.up_mbps);
-}
-
-/// The FLS2 head after the magic: roster homes, rows, then the nine
-/// sketches in kSketches order.
-template <typename Io, typename Summary>
-void SummaryFields(Io& io, Summary& summary) {
-  io.template value_as<std::uint64_t>(summary.homes);
-  io.value(summary.rows);
-  for (const auto sketch : kSketches) SketchField(io, summary.*sketch);
-}
-
-}  // namespace
-
 std::string SerializeFleetSummary(const FleetSummary& summary) {
   collect::BinWriter w;
   w.raw(kSummaryMagic, sizeof(kSummaryMagic));
-  SummaryFields(w, summary);
+  w.value_as<std::uint64_t>(summary.homes);
+  w.value(summary.rows);
+  for (const auto sketch : kSketches) w.str((summary.*sketch).Serialize());
   w.count(summary.capacity_by_country);
-  for (const auto& [code, country] : summary.capacity_by_country) CountryFields(w, code, country);
-  return w.buffer();
-}
-
-bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
-                             std::string* error) {
-  const auto fail = [error](const std::string& reason) {
-    if (error) *error = "fleet summary: " + reason;
-    return false;
-  };
-  collect::BinReader r(blob.data(), blob.size());
-  if (!r.magic(kSummaryMagic)) return fail("bad magic");
-  FleetSummary summary;
-  SummaryFields(r, summary);
-  if (r.failed()) return fail("malformed sketch blob");
-  const std::uint32_t countries = r.u32();
-  for (std::uint32_t i = 0; i < countries && !r.failed(); ++i) {
-    std::string code;
-    CountryCapacity country;
-    CountryFields(r, code, country);
-    summary.capacity_by_country.emplace(std::move(code), std::move(country));
+  for (const auto& [code, country] : summary.capacity_by_country) {
+    w.value(code);
+    w.value_as<std::uint64_t>(country.homes);
+    w.str(country.down_mbps.Serialize());
+    w.str(country.up_mbps.Serialize());
   }
-  if (r.failed()) return fail("malformed country table");
-  if (!r.at_end()) return fail("trailing bytes");
-  *out = std::move(summary);
-  return true;
+  return w.buffer();
 }
 
 }  // namespace bismark::analysis

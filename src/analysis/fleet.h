@@ -107,16 +107,11 @@ class FleetSummarizer {
 /// Render the summary as a fixed-width quantile table (p10/p50/p90/p99).
 void WriteFleetSummary(const FleetSummary& summary, std::ostream& out);
 
-/// Serialise every sketch (QuantileSketch::Serialize) plus the scalar
-/// counts into one blob. A finished fleet run checkpoints this into the
-/// spill manifest so a --resume of the completed run reloads the summary
-/// instead of re-streaming every segment (DESIGN §12).
+/// The byte form of a summary: the scalar counts, every sketch's
+/// QuantileSketch::Serialize bytes and the country table. Two summaries
+/// with equal bytes print and fold identically, so tests compare summaries
+/// by it. A comparison form, not a format: nothing stores or reads it back
+/// (a resumed fleet run recomputes its summary in the finish pass).
 [[nodiscard]] std::string SerializeFleetSummary(const FleetSummary& summary);
-
-/// Rebuild a summary from SerializeFleetSummary output. Fails closed:
-/// returns false (with *error if non-null) on any malformed or truncated
-/// blob — the caller recomputes rather than trusting damaged sketches.
-bool DeserializeFleetSummary(const std::string& blob, FleetSummary* out,
-                             std::string* error = nullptr);
 
 }  // namespace bismark::analysis

@@ -61,7 +61,6 @@ bool Gateway::process_outbound(net::Packet& pkt) {
     return false;  // CGN port exhaustion: the packet never reaches the WAN
   }
   if (pcap_ != nullptr) pcap_->capture(pkt.timestamp, config_.home.value, frame);
-  if (const auto t = net::wire::ExtractTuple(frame)) pkt.tuple = *t;
   return true;
 }
 

@@ -3,8 +3,9 @@
 //
 // One writer/reader pair serves every durable format: the fleet-scale spill
 // segments (collect/spill.h), the write-ahead manifest (collect/manifest.h),
-// the v3 snapshot meta file (collect/column_snapshot.h), the resume options
-// blob (home/resume.h) and the fleet summary checkpoint (analysis/fleet.h).
+// the v3 snapshot meta file (collect/column_snapshot.h) and the resume
+// options blob (home/resume.h). The writer also builds the fleet summary's
+// comparison bytes (analysis/fleet.h), which nothing reads back.
 // `value()` encodes one reflected member type by forwarding to
 // ColumnCodec<V> (collect/column_view.h), the single table of serialisable
 // member types: a record field of a new type fails to compile until its
@@ -16,7 +17,7 @@
 // record states its field list once, as one function template over the
 // codec, which a BinWriter instantiates to encode and a BinReader to decode
 // (WindowFields below, HomeInfoFields, the manifest records, the resume
-// options, the snapshot meta table and the fleet summary's country rows).
+// options and the snapshot meta table).
 // A field stored wider than its member says so with value_as<W>.
 //
 // The other shared layout is the section frame (SectionFormat): spill

@@ -17,7 +17,8 @@ namespace bismark::collect {
 
 namespace {
 
-constexpr char kManifestMagic[8] = {'B', 'S', 'M', 'K', 'M', 'A', 'N', '2'};
+/// "BSMKMAN" and the layout version, one ASCII digit.
+constexpr char kManifestMagic[8] = {'B', 'S', 'M', 'K', 'M', 'A', 'N', '3'};
 constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
 enum RecordType : std::uint8_t {
@@ -25,7 +26,6 @@ enum RecordType : std::uint8_t {
   kFileRecord = 2,
   kSectionRecord = 3,
   kShardDoneRecord = 4,
-  kCheckpointRecord = 5,
 };
 
 // Each record's one field list (collect/binio.h): ManifestWriter encodes
@@ -34,8 +34,8 @@ enum RecordType : std::uint8_t {
 template <typename Io, typename Config>
 void ConfigFields(Io& io, Config& cfg) {
   using C = ManifestConfig;
-  MemberFields(io, cfg, &C::spill_format, &C::schema_fingerprint, &C::budget_bytes, &C::workers,
-               &C::generation, &C::shard_count, &C::options_blob);
+  MemberFields(io, cfg, &C::schema_fingerprint, &C::budget_bytes, &C::generation,
+               &C::shard_count, &C::options_blob);
 }
 
 template <typename Io, typename Id, typename Name>
@@ -57,12 +57,6 @@ void ShardDoneFields(Io& io, Shard& shard, Homes& homes) {
   io.value(shard);
   io.count(homes);
   for (auto& home : homes) HomeInfoFields(io, home);
-}
-
-template <typename Io, typename Checkpoint>
-void CheckpointFields(Io& io, Checkpoint& ckpt) {
-  using C = ManifestCheckpoint;
-  MemberFields(io, ckpt, &C::sim_clock_ms, &C::shards_done, &C::sketch_blob);
 }
 
 }  // namespace
@@ -142,12 +136,6 @@ void ManifestWriter::shard_done(std::uint32_t shard, const std::vector<HomeInfo>
   append(kShardDoneRecord, w.buffer());
 }
 
-void ManifestWriter::checkpoint(const ManifestCheckpoint& ckpt) {
-  BinWriter w;
-  CheckpointFields(w, ckpt);
-  append(kCheckpointRecord, w.buffer());
-}
-
 void ManifestWriter::sync() {
   if (!out_.sync()) {
     throw std::runtime_error("spill: manifest fsync failed: " + out_.error());
@@ -161,8 +149,6 @@ namespace {
 struct Replay {
   bool has_config{false};
   ManifestConfig config;
-  bool has_checkpoint{false};
-  ManifestCheckpoint checkpoint;
   std::vector<std::string> files;
   /// Every committed section, all shards, tagged with the generation whose
   /// config record was in effect when it was appended. A shard's sections
@@ -186,9 +172,24 @@ struct Replay {
   std::string torn_reason;           // why replay stopped early, if it did
 };
 
+/// The error for a header that is not this build's magic: a manifest of
+/// another version names its version, anything else is foreign.
+std::string BadMagicError(const std::string& bytes) {
+  constexpr std::size_t kVersionAt = sizeof kManifestMagic - 1;
+  const char version = bytes[kVersionAt];
+  if (std::memcmp(bytes.data(), kManifestMagic, kVersionAt) != 0 || version < '0' ||
+      version > '9') {
+    return "not a spill manifest (bad magic)";
+  }
+  return std::string("spill manifest version ") + version + " (" +
+         bytes.substr(0, sizeof kManifestMagic) + ") is not supported; this build reads version " +
+         kManifestMagic[kVersionAt];
+}
+
 /// Replay the manifest bytes. Returns false with *error only for "this is
-/// not our manifest" conditions (bad magic on a non-torn header, config
-/// conflicts); torn tails are normal and reported via result fields.
+/// not our manifest" conditions (bad magic or another version on a non-torn
+/// header, config conflicts); torn tails are normal and reported via result
+/// fields.
 bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* error) {
   if (bytes.size() < sizeof kManifestMagic) {
     // A kill during creation can tear the 8-byte header itself; an empty
@@ -202,7 +203,7 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
     return true;
   }
   if (std::memcmp(bytes.data(), kManifestMagic, sizeof kManifestMagic) != 0) {
-    *error = "not a spill manifest (bad magic)";
+    *error = BadMagicError(bytes);
     return false;
   }
   std::size_t pos = sizeof kManifestMagic;
@@ -239,7 +240,6 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
             return false;
           }
           out->config.generation = std::max(out->config.generation, cfg.generation);
-          out->config.workers = cfg.workers;
         }
         out->current_gen = cfg.generation;
         break;
@@ -269,14 +269,6 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
         ShardDoneFields(r, shard, homes);
         if (r.failed() || !r.at_end()) return stop("malformed shard-done record");
         out->shard_homes[shard] = Replay::DoneShard{out->current_gen, std::move(homes)};
-        break;
-      }
-      case kCheckpointRecord: {
-        ManifestCheckpoint ckpt;
-        CheckpointFields(r, ckpt);
-        if (r.failed() || !r.at_end()) return stop("malformed checkpoint record");
-        out->has_checkpoint = true;
-        out->checkpoint = ckpt;  // last checkpoint wins
         break;
       }
       default:
@@ -353,17 +345,11 @@ bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* er
 
   rec.has_config = replay.has_config;
   rec.config = replay.config;
-  rec.has_checkpoint = replay.has_checkpoint;
-  rec.checkpoint = replay.checkpoint;
   rec.files = replay.files;
   if (!replay.has_config) {
     rec.diagnostics.push_back("manifest has no committed run config; all shards pending");
     *out = std::move(rec);
     return true;
-  }
-  if (replay.config.spill_format != kSpillFormatVersion) {
-    *error = "unsupported spill format version " + std::to_string(replay.config.spill_format);
-    return false;
   }
   if (replay.config.schema_fingerprint != SchemaFingerprint()) {
     *error =

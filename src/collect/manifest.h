@@ -5,7 +5,9 @@
 // append-only log of checksummed records, one per durable event, written in
 // strict WAL order: section bytes are flushed to the OS before the record
 // that references them is appended, so a record's presence proves its data
-// exists. Recovery replays the manifest, truncates a torn tail at the first
+// exists. These records are the whole durable state of a fleet run: a
+// checkpoint (SpillDir::checkpoint) only fsyncs them and appends nothing.
+// Recovery replays the manifest, truncates a torn tail at the first
 // record whose length or CRC fails, reads every referenced section back
 // through the spill merge's cursor (VerifySection: frame, row framing,
 // CRC32C), and quarantines anything that does not check out —
@@ -14,11 +16,14 @@
 // shard reproduces the same bytes).
 //
 // Record framing: u32 body_len | body | u32 crc32c(body), body = u8 type +
-// payload. File starts with the 8-byte magic "BSMKMAN2". Each record type's
-// payload is one field list (manifest.cpp: ConfigFields, FileFields,
-// SectionFields, ShardDoneFields with HomeInfoFields, CheckpointFields)
-// that ManifestWriter encodes and the replay decodes through (collect/binio.h).
-// Segment sections themselves wear the shared section frame of binio.h.
+// payload. File starts with the 8-byte magic "BSMKMAN3", the one version
+// marker of the manifest layout; a manifest of any other version is refused
+// before recovery touches the directory. There are four record types, each
+// with one field list (manifest.cpp: ConfigFields, FileFields,
+// SectionFields, ShardDoneFields with HomeInfoFields) that ManifestWriter
+// encodes and the replay decodes through (collect/binio.h). Segment
+// sections wear the shared section frame of binio.h, whose magics version
+// their layout.
 //
 // Layering: collect/ knows nothing about deployment knobs. The run
 // configuration travels as an opaque `options_blob` that home/deployment
@@ -36,9 +41,6 @@
 
 namespace bismark::collect {
 
-/// On-disk spill format version (segment framing + manifest records).
-inline constexpr std::uint32_t kSpillFormatVersion = 2;
-
 /// Fingerprint of the registered record schemas (kind names, field names,
 /// wire order). A resumed run must match the writer's fingerprint exactly —
 /// segments are not readable across schema changes.
@@ -46,22 +48,13 @@ inline constexpr std::uint32_t kSpillFormatVersion = 2;
 
 /// The kConfig record: everything a resume needs to rebuild the run.
 struct ManifestConfig {
-  std::uint32_t spill_format{kSpillFormatVersion};
   std::uint64_t schema_fingerprint{0};
   std::uint64_t budget_bytes{0};
-  std::uint32_t workers{1};     // informational; resume may use any count
   std::uint32_t generation{0};  // bumped once per resume attempt
   std::uint32_t shard_count{0};
   /// Deployment-encoded options (opaque here); resume decodes it and a
   /// mismatching blob on a later generation is a hard error.
   std::string options_blob;
-};
-
-/// The kCheckpoint record.
-struct ManifestCheckpoint {
-  std::int64_t sim_clock_ms{0};   ///< high-water sim-engine clock
-  std::uint64_t shards_done{0};   ///< committed shards at checkpoint time
-  std::string sketch_blob;        ///< serialized sketches (may be empty)
 };
 
 /// Serialised writer for the manifest file. Thread-compatible; SpillDir
@@ -76,9 +69,9 @@ class ManifestWriter {
   void file(std::uint32_t file_id, const std::string& name);
   void section(const SectionRef& ref);
   void shard_done(std::uint32_t shard, const std::vector<HomeInfo>& homes);
-  void checkpoint(const ManifestCheckpoint& ckpt);
 
-  /// fsync the manifest (checkpoints call this; plain records only flush).
+  /// fsync the manifest (the run config and checkpoints call this; plain
+  /// records only flush).
   void sync();
 
  private:
@@ -91,9 +84,6 @@ class ManifestWriter {
 struct SpillRecovery {
   bool has_config{false};
   ManifestConfig config;
-
-  bool has_checkpoint{false};
-  ManifestCheckpoint checkpoint;
 
   /// File table: id -> name relative to the spill dir.
   std::vector<std::string> files;
@@ -117,8 +107,9 @@ struct SpillRecovery {
 /// Replay `dir`'s manifest and verify every referenced section. Truncates
 /// the manifest's torn tail and segment-file garbage past the last committed
 /// byte (mutates the directory — recovery is a write operation). Returns
-/// false with *error when the directory is not resumable at all (missing or
-/// unrecognisable manifest, no committed config, schema mismatch).
+/// false with *error when the directory is not resumable at all
+/// (unrecognisable manifest, conflicting configs, schema mismatch). A
+/// manifest of another version is refused before anything is truncated.
 bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* error);
 
 /// Cheap config-only replay: no section verification, no mutation. For CLI

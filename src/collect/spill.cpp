@@ -166,7 +166,7 @@ void SpillDir::record_shard_done(std::uint32_t shard, const std::vector<HomeInfo
   manifest_->shard_done(shard, homes);
 }
 
-void SpillDir::write_checkpoint(const ManifestCheckpoint& ckpt) {
+void SpillDir::checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
   // fd-level fsync of every log: safe against the owning worker writing
   // concurrently (its buffered in-flight section is not manifested and
@@ -178,7 +178,6 @@ void SpillDir::write_checkpoint(const ManifestCheckpoint& ckpt) {
       throw std::runtime_error("spill: checkpoint fsync failed: " + error);
     }
   }
-  manifest_->checkpoint(ckpt);
   manifest_->sync();
 }
 

@@ -28,7 +28,9 @@
 // shared section frame of collect/binio.h (kSpillSection: magic "BSG2",
 // tags kind, shard and run; footer rows, body bytes, CRC32C, "END2"), and
 // the SpillDir keeps a write-ahead manifest (collect/manifest.h) whose
-// records commit sections only after their bytes reached the OS. The body
+// records commit sections only after their bytes reached the OS. Those
+// records are all a resume reads; a checkpoint is only an fsync barrier
+// over them and the segment logs. The body
 // is this module's alone: SegmentLog::append_rows writes each row as a u32
 // length and its EncodeRow payload, and the merge's cursor frames and
 // decodes them. All writes go through the injectable core::Io seam; cursors
@@ -54,7 +56,6 @@ namespace bismark::collect {
 struct HomeInfo;
 class ManifestWriter;
 struct ManifestConfig;
-struct ManifestCheckpoint;
 struct SpillRecovery;
 
 /// One run's spill settings. The merge takes none: it always reads every
@@ -179,9 +180,10 @@ class SpillDir {
   /// Commit a completed shard: its homes become recoverable and every
   /// section it registered becomes eligible for resume.
   void record_shard_done(std::uint32_t shard, const std::vector<HomeInfo>& homes);
-  /// Durability barrier: fsync every segment log and the manifest, then
-  /// append the checkpoint record.
-  void write_checkpoint(const ManifestCheckpoint& ckpt);
+  /// Durability barrier (--checkpoint-every): fsync every segment log,
+  /// then the manifest. Appends nothing; the write-ahead records already
+  /// say what is committed.
+  void checkpoint();
 
   [[nodiscard]] std::uint64_t rows_of_kind(std::size_t kind) const { return rows_[kind]; }
   [[nodiscard]] std::uint64_t total_rows() const;

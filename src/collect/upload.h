@@ -48,11 +48,6 @@ class IdempotentIngest {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Point subsequent commits at a different sink; dedup state survives,
-  /// mirroring a collector that rotates storage without forgetting what it
-  /// already ingested.
-  void rebind_sink(RecordSink& sink) { sink_ = &sink; }
-
  private:
   RecordSink* sink_;
   std::set<std::pair<int, std::uint64_t>> seen_;  // (home id, batch seq)

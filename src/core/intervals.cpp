@@ -52,20 +52,6 @@ double IntervalSet::coverage_fraction(TimePoint lo, TimePoint hi) const {
   return static_cast<double>(covered_within(lo, hi).ms) / static_cast<double>((hi - lo).ms);
 }
 
-std::vector<Interval> IntervalSet::gaps_within(TimePoint lo, TimePoint hi) const {
-  std::vector<Interval> gaps;
-  TimePoint cursor = lo;
-  for (const auto& iv : intervals_) {
-    if (iv.end <= lo) continue;
-    if (iv.start >= hi) break;
-    if (iv.start > cursor) gaps.push_back(Interval{cursor, std::min(iv.start, hi)});
-    cursor = std::max(cursor, iv.end);
-    if (cursor >= hi) break;
-  }
-  if (cursor < hi) gaps.push_back(Interval{cursor, hi});
-  return gaps;
-}
-
 IntervalSet IntervalSet::intersect(const IntervalSet& other) const {
   IntervalSet out;
   auto a = intervals_.begin();

@@ -44,9 +44,6 @@ class IntervalSet {
   /// Fraction of [lo, hi) covered, in [0, 1].
   [[nodiscard]] double coverage_fraction(TimePoint lo, TimePoint hi) const;
 
-  /// The uncovered gaps strictly inside [lo, hi).
-  [[nodiscard]] std::vector<Interval> gaps_within(TimePoint lo, TimePoint hi) const;
-
   /// Set intersection.
   [[nodiscard]] IntervalSet intersect(const IntervalSet& other) const;
   /// Clip to a window.

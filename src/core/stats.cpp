@@ -280,40 +280,6 @@ std::string QuantileSketch::Serialize() const {
   return out;
 }
 
-bool QuantileSketch::Deserialize(const std::string& blob, QuantileSketch* out) {
-  if (blob.size() < kSketchHeaderBytes ||
-      blob.compare(0, sizeof(kSketchMagic), kSketchMagic, sizeof(kSketchMagic)) != 0) {
-    return false;
-  }
-  const char* p = blob.data() + sizeof(kSketchMagic);
-  QuantileSketch sketch;
-  sketch.eps_ = std::bit_cast<double>(core::LoadLe<8>(p));
-  const std::uint64_t n = core::LoadLe<8>(p + 8);
-  const std::uint64_t count = core::LoadLe<8>(p + 24);
-  if (!(sketch.eps_ >= 1e-6 && sketch.eps_ <= 0.5)) return false;  // rejects NaN too
-  // Exactly `count` tuples: no truncation, no trailing bytes.
-  const std::size_t tuple_bytes = blob.size() - kSketchHeaderBytes;
-  if (tuple_bytes % kSketchTupleBytes != 0 || count != tuple_bytes / kSketchTupleBytes) {
-    return false;
-  }
-  sketch.n_ = static_cast<std::size_t>(n);
-  sketch.since_compress_ = static_cast<std::size_t>(core::LoadLe<8>(p + 16));
-  sketch.tuples_.reserve(static_cast<std::size_t>(count));
-  std::uint64_t mass = 0;
-  for (p = blob.data() + kSketchHeaderBytes; p != blob.data() + blob.size();
-       p += kSketchTupleBytes) {
-    const Tuple t{std::bit_cast<double>(core::LoadLe<8>(p)), core::LoadLe<8>(p + 8),
-                  core::LoadLe<8>(p + 16)};
-    if (t.g == 0 || std::isnan(t.v)) return false;
-    if (!sketch.tuples_.empty() && t.v < sketch.tuples_.back().v) return false;
-    mass += t.g;
-    sketch.tuples_.push_back(t);
-  }
-  if (mass != n) return false;  // rank-mass mismatch
-  *out = std::move(sketch);
-  return true;
-}
-
 double QuantileSketch::min() const { return tuples_.empty() ? 0.0 : tuples_.front().v; }
 
 double QuantileSketch::max() const { return tuples_.empty() ? 0.0 : tuples_.back().v; }

@@ -82,15 +82,12 @@ class QuantileSketch {
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
-  /// Self-contained little-endian blob of the full sketch state; a
-  /// deserialized sketch answers every query — and absorbs every future
-  /// add/merge — exactly like the original. Used by checkpoint/resume
-  /// (DESIGN §12).
+  /// Little-endian bytes of the full sketch state ("GKS1": eps, count,
+  /// compress cadence, tuples). Two sketches with equal bytes answer every
+  /// query and absorb every later add or merge identically, so tests
+  /// compare sketches by it. A comparison form, not a format: nothing
+  /// reads it back.
   [[nodiscard]] std::string Serialize() const;
-  /// Rebuild from Serialize() output. Fails closed: returns false on any
-  /// malformed blob (bad length, unsorted tuples, mass/count mismatch)
-  /// leaving *out untouched.
-  static bool Deserialize(const std::string& blob, QuantileSketch* out);
 
  private:
   /// One GK tuple: value v covers ranks [r_min, r_min + delta], where

@@ -520,7 +520,6 @@ void Deployment::run() {
   // not be re-run (resume only; always all-zero on a fresh run).
   std::vector<char> shard_recovered(shards, 0);
   recovery_.reset();
-  sim_clock_high_water_ms_ = 0;
 
   if (options_.resume && !fleet_mode()) {
     throw std::runtime_error("resume requires fleet mode (a memory budget and spill dir)");
@@ -562,8 +561,6 @@ void Deployment::run() {
       for (const std::uint32_t s : recovered->done_shards) {
         if (s < shards) shard_recovered[s] = 1;
       }
-      sim_clock_high_water_ms_ =
-          recovered->has_checkpoint ? recovered->checkpoint.sim_clock_ms : 0;
       repo_->enable_spill_recovered(scfg, *recovered);
       recovery_ = std::move(recovered);
     } else {
@@ -574,7 +571,6 @@ void Deployment::run() {
     collect::ManifestConfig mcfg;
     mcfg.schema_fingerprint = collect::SchemaFingerprint();
     mcfg.budget_bytes = options_.memory_budget_bytes;
-    mcfg.workers = static_cast<std::uint32_t>(workers);
     mcfg.generation = repo_->spill()->generation();
     mcfg.shard_count = static_cast<std::uint32_t>(shards);
     mcfg.options_blob = EncodeResumableOptions(options_);
@@ -607,7 +603,6 @@ void Deployment::run() {
   std::atomic<std::uint64_t> traffic_events{0};
   std::atomic<std::uint64_t> committed_shards{
       recovery_ ? static_cast<std::uint64_t>(recovery_->done_shards.size()) : 0};
-  std::atomic<std::int64_t> clock_high_water{sim_clock_high_water_ms_};
 
   collect::SpillDir* const spill = repo_->spill();
   const auto t_sharded = std::chrono::steady_clock::now();
@@ -651,23 +646,14 @@ void Deployment::run() {
     repo_->commit(std::move(batch));
     if (spill != nullptr) {
       spill->record_shard_done(static_cast<std::uint32_t>(shard), infos);
-      std::int64_t clock = engine->now().ms;
-      std::int64_t seen = clock_high_water.load(std::memory_order_relaxed);
-      while (clock > seen &&
-             !clock_high_water.compare_exchange_weak(seen, clock, std::memory_order_relaxed)) {
-      }
       const std::uint64_t done = committed_shards.fetch_add(1) + 1;
       if (options_.checkpoint_every != 0 && done % options_.checkpoint_every == 0) {
-        collect::ManifestCheckpoint ckpt;
-        ckpt.sim_clock_ms = clock_high_water.load(std::memory_order_relaxed);
-        ckpt.shards_done = done;
-        spill->write_checkpoint(ckpt);
-        recorder->record(obs::TraceKind::kCheckpoint, TimePoint{ckpt.sim_clock_ms}, -1, done);
+        spill->checkpoint();
+        recorder->record(obs::TraceKind::kCheckpoint, engine->now(), -1, done);
       }
     }
     for (auto& info : infos) repo_->register_home(std::move(info));
   });
-  sim_clock_high_water_ms_ = clock_high_water.load();
   telemetry_.wall_sharded_run_s = SecondsSince(t_sharded);
   telemetry_.pool = pool.last_round_stats();
   telemetry_.workers = pool.workers();
@@ -719,27 +705,6 @@ void Deployment::run() {
     BISMARK_LOG_INFO("deployment", "traffic window complete: %llu events across %zu shards",
                      static_cast<unsigned long long>(traffic_events.load()), shards);
   }
-}
-
-std::string Deployment::recovered_fleet_summary_blob() const {
-  if (!recovery_ || !recovery_->has_checkpoint) return {};
-  const std::size_t shards = shard_count();
-  // Only a provably-complete, provably-clean directory may serve a cached
-  // summary: every shard recovered, nothing quarantined, and the checkpoint
-  // written after the last shard committed.
-  if (recovery_->done_shards.size() != shards) return {};
-  if (recovery_->sections_quarantined != 0 || recovery_->shards_dropped != 0) return {};
-  if (recovery_->checkpoint.shards_done != shards) return {};
-  return recovery_->checkpoint.sketch_blob;
-}
-
-void Deployment::save_fleet_summary_checkpoint(const std::string& sketch_blob) {
-  if (!repo_->spilling()) return;
-  collect::ManifestCheckpoint ckpt;
-  ckpt.sim_clock_ms = sim_clock_high_water_ms_;
-  ckpt.shards_done = shard_count();
-  ckpt.sketch_blob = sketch_blob;
-  repo_->spill()->write_checkpoint(ckpt);
 }
 
 void Deployment::dump_flight_recorders(std::ostream& out) const {

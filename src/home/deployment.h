@@ -51,10 +51,10 @@ struct DeploymentOptions {
   std::size_t memory_budget_bytes{0};
   /// Segment-file directory for fleet mode ("" = "bsmk-segments").
   std::string spill_dir;
-  /// Fleet mode: write a durable checkpoint (fsync every segment log + the
-  /// manifest, then append a checkpoint record) every K committed shards.
-  /// 0 = checkpoints only where durability demands them (the run config
-  /// and each shard-done record are still write-ahead logged).
+  /// Fleet mode: every K committed shards, fsync every segment log and the
+  /// manifest (a durability barrier; nothing is appended). 0 = only the
+  /// write-ahead records: the run config is fsynced, and each section and
+  /// shard-done record reaches the OS before anything depends on it.
   std::uint64_t checkpoint_every{0};
   /// Resume an interrupted fleet run from spill_dir: recover the manifest
   /// (truncating torn tails, quarantining corrupt sections), adopt every
@@ -223,16 +223,11 @@ class Deployment {
   /// diagnostic line per recovery action.
   [[nodiscard]] const collect::SpillRecovery* recovery() const { return recovery_.get(); }
 
-  /// The recovered checkpoint's sketch blob, but only when it provably
-  /// describes the *complete* run: every shard recovered clean, nothing
-  /// quarantined, and the checkpoint itself covered all shards. Empty
-  /// otherwise — a stale summary is worse than a recomputed one.
-  [[nodiscard]] std::string recovered_fleet_summary_blob() const;
-
-  /// Append a final checkpoint carrying `sketch_blob` (the serialized fleet
-  /// summary) so a later --resume of the finished run can skip the
-  /// streaming summary pass. No-op outside fleet mode.
-  void save_fleet_summary_checkpoint(const std::string& sketch_blob);
+  /// Kept only so perfbench's bench_trace still compiles: a no-op. The
+  /// fleet summary has no durable form; a resumed run computes it in its
+  /// finish pass. Remove it, with bench_trace's call, in the next benchmark
+  /// change.
+  void save_fleet_summary_checkpoint(const std::string& /*unused*/) {}
 
   /// Post-mortem: dump every worker's flight recorder, merged and ordered
   /// by simulated time. Intended for test-failure diagnostics.
@@ -256,7 +251,6 @@ class Deployment {
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;  // one per worker
   std::map<int, Interval> churn_windows_;
   std::unique_ptr<collect::SpillRecovery> recovery_;  // set by a resumed run()
-  std::int64_t sim_clock_high_water_ms_{0};           // checkpointed engine clock
   std::uint64_t pcap_frames_captured_{0};
   std::uint64_t pcap_bytes_written_{0};
 

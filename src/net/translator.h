@@ -40,7 +40,6 @@ struct NatMapping {
   std::uint16_t wan_port{0};  // allocated external source port
   MacAddress device_mac;      // LAN device owning the flow (the NAT44 restores it inbound)
   TimePoint last_activity;
-  std::uint64_t packets{0};
   wire::SourceRewrite out_rewrite;  // inside src -> (external addr, wan_port)
   wire::SourceRewrite in_rewrite;   // (external addr, wan_port) -> inside src
 };
@@ -160,7 +159,6 @@ NatMapping* PortRestrictedNat<Tier>::outbound_mapping(const FiveTuple& tuple, Ti
   }
   NatMapping& m = it->second;
   m.last_activity = now;
-  ++m.packets;
   return &m;
 }
 
@@ -182,7 +180,6 @@ NatMapping* PortRestrictedNat<Tier>::inbound_mapping(const FiveTuple& tuple, Tim
     return nullptr;
   }
   m->last_activity = now;
-  ++m->packets;
   ++stats_.translations_in;
   return m;
 }

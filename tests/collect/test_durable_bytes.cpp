@@ -1,10 +1,12 @@
 // Byte pins for every durable format: each case encodes fixed inputs through
 // the production writer and compares the bytes with values recorded once.
 // A layout edit made identically on the writer and the reader passes every
-// round-trip test, yet orphans existing spill directories, checkpoints and
-// snapshots; these cases fail on it. Never re-record an expected value to
-// make a refactor pass: a changed byte here is a format change, and needs a
-// version bump.
+// round-trip test, yet orphans existing spill directories and snapshots;
+// these cases fail on it. Never re-record an expected value to make a
+// refactor pass: a changed byte here is a format change, and needs a
+// version bump. The sketch and fleet-summary bytes are no longer stored
+// anywhere, but tests compare sketches and summaries by them, so they stay
+// pinned too.
 //
 // Small blobs are pinned as literal hex, larger ones as their byte count
 // plus a 64-bit FNV-1a hash. No case runs a simulation, so no expected
@@ -129,10 +131,8 @@ TEST_F(DurableFormatBytes, ManifestWithEveryRecordType) {
     ManifestWriter writer;
     writer.open(path.string(), /*fresh=*/true);
     ManifestConfig cfg;
-    cfg.spill_format = kSpillFormatVersion;
     cfg.schema_fingerprint = 0x0123456789abcdefull;
     cfg.budget_bytes = 64ull << 20;
-    cfg.workers = 4;
     cfg.generation = 2;
     cfg.shard_count = 17;
     cfg.options_blob = "opaque-options";
@@ -149,25 +149,18 @@ TEST_F(DurableFormatBytes, ManifestWithEveryRecordType) {
     ref.crc = 0xcafef00du;
     writer.section(ref);
     writer.shard_done(9, {PinnedHome(41, "US"), PinnedHome(42, "ZA")});
-    ManifestCheckpoint ckpt;
-    ckpt.sim_clock_ms = -1234567;
-    ckpt.shards_done = 12;
-    ckpt.sketch_blob = std::string("sk\0etch", 7);
-    writer.checkpoint(ckpt);
   }
-  // Magic "BSMKMAN2", then one record of each type: u32 length, u8 type
+  // Magic "BSMKMAN3", then one record of each type: u32 length, u8 type
   // and payload, u32 CRC32C.
   EXPECT_EQ(Hex(ReadFile(path)),
-            "42534d4b4d414e32330000000102000000efcdab896745230100000004000000"
-            "000400000002000000110000000e0000006f70617175652d6f7074696f6e73f2"
-            "f876891a0000000200000000110000007365672d67322d77302e62736d6b7365"
-            "671e92f54e2d0000000306000000000000005544332211000000001000000000"
-            "0000210000000000000009000000050000000df0fecafafdcbb3630000000409"
-            "0000000200000029000000020000005553008057edfeffffffff010001010001"
-            "0000000000002940000000000000e83f020000002a000000020000005a410180"
-            "57edfeffffffff0100010100010000000000002940000000000000e83f020000"
-            "008cbf70391c000000057929edffffffffff0c0000000000000007000000736b"
-            "00657463689364795a");
+            "42534d4b4d414e332b00000001efcdab89674523010000000400000000020000"
+            "00110000000e0000006f70617175652d6f7074696f6e7340480c731a00000002"
+            "00000000110000007365672d67322d77302e62736d6b7365671e92f54e2d0000"
+            "0003060000000000000055443322110000000010000000000000210000000000"
+            "000009000000050000000df0fecafafdcbb36300000004090000000200000029"
+            "000000020000005553008057edfeffffffff0100010100010000000000002940"
+            "000000000000e83f020000002a000000020000005a41018057edfeffffffff01"
+            "00010100010000000000002940000000000000e83f020000008cbf7039");
 }
 
 TEST_F(DurableFormatBytes, ResumeOptionsBlobWithEveryFieldSet) {

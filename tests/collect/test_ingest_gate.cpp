@@ -82,20 +82,6 @@ TEST(IdempotentIngest, SameSeqFromDifferentHomesBothCommit) {
   EXPECT_EQ(gate.stats().batches_deduped, 0u);
 }
 
-TEST(IdempotentIngest, RebindKeepsDedupStateAcrossSinks) {
-  DataRepository first(Windows());
-  DataRepository second(Windows());
-  IdempotentIngest gate(first);
-  const auto stream = MakeStream({1});
-
-  EXPECT_TRUE(gate.deliver(stream[0]));
-  gate.rebind_sink(second);
-  EXPECT_FALSE(gate.deliver(stream[0])) << "dedup survives sink rotation";
-  EXPECT_TRUE(gate.deliver(stream[1]));
-  EXPECT_EQ(first.uptime().size(), 4u);
-  EXPECT_EQ(second.uptime().size(), 4u);
-}
-
 /// The satellite scenario: replay the whole batch stream N times through
 /// per-shard gates (each home pinned to its shard, as in the deployment
 /// runner) and require the merged repository to export byte-identically to

@@ -1,11 +1,14 @@
 // Write-ahead manifest recovery: replay, torn-tail truncation, mid-flight
-// section handling, quarantine, and the cross-generation pairing rules.
+// section handling, quarantine, the cross-generation pairing rules, and the
+// refusal of a manifest of another version.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,7 +48,6 @@ ManifestConfig TestRunConfig(std::uint32_t generation, std::uint32_t shards) {
   ManifestConfig cfg;
   cfg.schema_fingerprint = SchemaFingerprint();
   cfg.budget_bytes = 1 << 20;
-  cfg.workers = 2;
   cfg.generation = generation;
   cfg.shard_count = shards;
   cfg.options_blob = "opaque-options";
@@ -92,11 +94,10 @@ TEST_F(ManifestRecoveryTest, CleanRunRoundTrips) {
     Commit(spill, /*shard=*/1, /*run=*/0, "section-body-bytes");
     Commit(spill, /*shard=*/1, /*run=*/1, "more-bytes");
     spill.record_shard_done(1, {TestHome(10), TestHome(11)});
-    ManifestCheckpoint ckpt;
-    ckpt.sim_clock_ms = 123456;
-    ckpt.shards_done = 1;
-    ckpt.sketch_blob = "sketchy";
-    spill.write_checkpoint(ckpt);
+    // A checkpoint is an fsync barrier: the manifest gains no record.
+    const auto manifest_bytes = fs::file_size(dir_ + "/manifest.bsmkman");
+    spill.checkpoint();
+    EXPECT_EQ(fs::file_size(dir_ + "/manifest.bsmkman"), manifest_bytes);
   }
   SpillRecovery rec;
   std::string error;
@@ -105,9 +106,6 @@ TEST_F(ManifestRecoveryTest, CleanRunRoundTrips) {
   EXPECT_EQ(rec.config.generation, 0u);
   EXPECT_EQ(rec.config.shard_count, 4u);
   EXPECT_EQ(rec.config.options_blob, "opaque-options");
-  ASSERT_TRUE(rec.has_checkpoint);
-  EXPECT_EQ(rec.checkpoint.sim_clock_ms, 123456);
-  EXPECT_EQ(rec.checkpoint.sketch_blob, "sketchy");
   EXPECT_EQ(rec.done_shards, (std::vector<std::uint32_t>{1}));
   ASSERT_EQ(rec.homes.size(), 2u);
   EXPECT_EQ(rec.homes[0].id.value, 10);
@@ -160,6 +158,48 @@ TEST_F(ManifestRecoveryTest, GarbageManifestIsNotResumable) {
   std::string error;
   EXPECT_FALSE(RecoverSpillDir(dir_, &rec, &error));
   EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+}
+
+TEST_F(ManifestRecoveryTest, OlderManifestVersionIsRefusedUntouched) {
+  // A directory in the BSMKMAN2 layout: the same records behind the older
+  // magic, with a torn manifest tail and an uncommitted segment tail that a
+  // recovery would truncate.
+  {
+    SpillDir spill(TestConfig(dir_));
+    spill.write_run_config(TestRunConfig(0, 2));
+    Commit(spill, 0, 0, "committed");
+    spill.record_shard_done(0, {TestHome(1)});
+    Commit(spill, 1, 0, "uncommitted-shard");
+  }
+  {
+    std::fstream f(dir_ + "/manifest.bsmkman", std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(7);
+    f.put('2');
+    f.seekp(0, std::ios::end);
+    const char torn[] = {0x40, 0x00, 0x00, 0x00, 'p', 'a', 'r', 't'};
+    f.write(torn, sizeof torn);
+  }
+  const auto snapshot = [this] {
+    std::map<std::string, std::string> bytes;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes[entry.path().filename().string()].assign(std::istreambuf_iterator<char>(in), {});
+    }
+    return bytes;
+  };
+  const auto before = snapshot();
+  ASSERT_EQ(before.at("manifest.bsmkman").substr(0, 8), "BSMKMAN2");
+
+  ManifestConfig cfg;
+  std::string error;
+  EXPECT_FALSE(ReadManifestConfig(dir_, &cfg, &error));
+  EXPECT_NE(error.find("spill manifest version 2 (BSMKMAN2)"), std::string::npos) << error;
+  SpillRecovery rec;
+  error.clear();
+  EXPECT_FALSE(RecoverSpillDir(dir_, &rec, &error));
+  EXPECT_NE(error.find("spill manifest version 2 (BSMKMAN2)"), std::string::npos) << error;
+  EXPECT_NE(error.find("this build reads version 3"), std::string::npos) << error;
+  EXPECT_EQ(snapshot(), before);
 }
 
 TEST_F(ManifestRecoveryTest, MidFlightSectionsAreDroppedAndTruncated) {

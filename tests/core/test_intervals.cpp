@@ -92,34 +92,6 @@ TEST(IntervalSetTest, TotalAndCoverage) {
   EXPECT_DOUBLE_EQ(s.coverage_fraction(T(5), T(5)), 0.0);  // degenerate window
 }
 
-TEST(IntervalSetTest, GapsWithin) {
-  IntervalSet s;
-  s.add(T(1), T(2));
-  s.add(T(4), T(5));
-  const auto gaps = s.gaps_within(T(0), T(6));
-  ASSERT_EQ(gaps.size(), 3u);
-  EXPECT_EQ(gaps[0].start, T(0));
-  EXPECT_EQ(gaps[0].end, T(1));
-  EXPECT_EQ(gaps[1].start, T(2));
-  EXPECT_EQ(gaps[1].end, T(4));
-  EXPECT_EQ(gaps[2].start, T(5));
-  EXPECT_EQ(gaps[2].end, T(6));
-}
-
-TEST(IntervalSetTest, GapsWithinFullyCovered) {
-  IntervalSet s;
-  s.add(T(0), T(10));
-  EXPECT_TRUE(s.gaps_within(T(2), T(8)).empty());
-}
-
-TEST(IntervalSetTest, GapsWithinEmptySet) {
-  IntervalSet s;
-  const auto gaps = s.gaps_within(T(0), T(4));
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0].start, T(0));
-  EXPECT_EQ(gaps[0].end, T(4));
-}
-
 TEST(IntervalSetTest, Intersect) {
   IntervalSet a;
   a.add(T(0), T(4));

@@ -1,6 +1,6 @@
 // Property tests for the streaming quantile sketch: the GK rank-error
-// guarantee against exact order statistics, merge error budgeting, the
-// checkpoint codec, and batch insertion against one-at-a-time insertion.
+// guarantee against exact order statistics, merge error budgeting, and
+// batch insertion against one-at-a-time insertion.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -130,40 +130,10 @@ TEST(QuantileSketch, MinMaxExact) {
   EXPECT_DOUBLE_EQ(sketch.max(), hi);
 }
 
-TEST(QuantileSketch, SerializeRoundTripAnswersIdentically) {
-  Rng rng(7010);
-  QuantileSketch sketch(0.01);
-  for (int i = 0; i < 20000; ++i) sketch.add(rng.lognormal(2.0, 1.5));
-
-  QuantileSketch loaded;
-  ASSERT_TRUE(QuantileSketch::Deserialize(sketch.Serialize(), &loaded));
-  EXPECT_EQ(loaded.count(), sketch.count());
-  EXPECT_DOUBLE_EQ(loaded.eps(), sketch.eps());
-  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(loaded.quantile(q), sketch.quantile(q)) << q;
-  }
-
-  // A resumed sketch must keep absorbing adds exactly like the original
-  // (checkpoint/resume continues streaming into restored sketches).
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.uniform(0.0, 100.0);
-    sketch.add(v);
-    loaded.add(v);
-  }
-  for (const double q : {0.1, 0.5, 0.9}) {
-    EXPECT_DOUBLE_EQ(loaded.quantile(q), sketch.quantile(q)) << q;
-  }
-
-  QuantileSketch empty(0.005);
-  QuantileSketch empty_loaded;
-  ASSERT_TRUE(QuantileSketch::Deserialize(empty.Serialize(), &empty_loaded));
-  EXPECT_TRUE(empty_loaded.empty());
-}
-
 // add(span) merges a run of values at once; it must leave the same bytes
 // as add(double) on each value, for every stream shape, at every split of
-// the stream around the compress period, across merges that raise eps
-// mid-period and across checkpoint round trips.
+// the stream around the compress period, and across merges that raise eps
+// mid-period.
 TEST(QuantileSketch, BatchAddMatchesSequentialBytes) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   struct Stream {
@@ -225,36 +195,11 @@ TEST(QuantileSketch, BatchAddMatchesSequentialBytes) {
             ASSERT_EQ(batch.Serialize(), each.Serialize()) << "after a merge at " << at;
             ++checked;
           }
-          if (step % 5 == 2) {
-            QuantileSketch loaded;
-            if (QuantileSketch::Deserialize(batch.Serialize(), &loaded)) {
-              batch = loaded;
-            } else {
-              ASSERT_STREQ(stream.name, "NaN");  // only a NaN fails the codec
-            }
-          }
         }
       }
     }
   }
   EXPECT_GT(checked, 10000u);
-}
-
-TEST(QuantileSketch, DeserializeFailsClosedOnDamage) {
-  QuantileSketch sketch(0.01);
-  for (int i = 0; i < 1000; ++i) sketch.add(static_cast<double>(i));
-  const std::string blob = sketch.Serialize();
-
-  QuantileSketch out(0.5);
-  EXPECT_FALSE(QuantileSketch::Deserialize("", &out));
-  EXPECT_FALSE(QuantileSketch::Deserialize(blob.substr(0, blob.size() / 2), &out));
-  EXPECT_FALSE(QuantileSketch::Deserialize(blob + "x", &out));
-  std::string bent = blob;
-  bent[0] = static_cast<char>(bent[0] ^ 0x7);  // magic
-  EXPECT_FALSE(QuantileSketch::Deserialize(bent, &out));
-  // A failed load leaves *out untouched.
-  EXPECT_DOUBLE_EQ(out.eps(), 0.5);
-  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -166,27 +166,18 @@ void PrintRecovery(const home::Deployment& study) {
 }
 
 /// The end of a run: one finish pass (collect/finish.h) reads every kind
-/// once and feeds the fleet summary, the public and full-fidelity exports
-/// and the column snapshot together, whichever of them were asked for. The
-/// summary (fleet mode only) keeps its checkpoint cache: a resumed,
-/// already-clean run reloads the serialized sketches instead of
-/// re-streaming every segment, and a computed summary is checkpointed for
-/// the next resume. Outputs are reported in a fixed order once all are
-/// written.
-void FinishRun(home::Deployment& study, const ArgParser& args, bool fleet_summary) {
+/// once and feeds the fleet summary (fleet mode only), the public and
+/// full-fidelity exports and the column snapshot together, whichever of
+/// them were asked for. A resumed run, finished or not, computes its summary
+/// here too. Outputs are reported in a fixed order once all are written.
+void FinishRun(const home::Deployment& study, const ArgParser& args, bool fleet_summary) {
   const collect::DataRepository& repo = study.repository();
   const int workers = study.options().workers;
   collect::FinishPass pass(repo, workers > 0 ? static_cast<std::size_t>(workers)
                                             : static_cast<std::size_t>(
                                                   ThreadPool::HardwareWorkers()));
-  analysis::FleetSummary summary;
-  bool restored = false;
   std::optional<analysis::FleetSummarizer> summarizer;
-  if (fleet_summary) {
-    const std::string cached = study.recovered_fleet_summary_blob();
-    restored = !cached.empty() && analysis::DeserializeFleetSummary(cached, &summary);
-    if (!restored) summarizer.emplace(pass);
-  }
+  if (fleet_summary) summarizer.emplace(pass);
   const auto export_dir = args.get("export");
   const auto full_dir = args.get("export-full");
   const auto snapshot_dir = args.get("snapshot-out");
@@ -200,15 +191,7 @@ void FinishRun(home::Deployment& study, const ArgParser& args, bool fleet_summar
   pass.run();
   if (snapshot) snapshot->commit();
 
-  if (fleet_summary) {
-    if (restored) {
-      std::printf("fleet summary restored from checkpoint sketches\n");
-    } else {
-      summary = summarizer->take();
-      study.save_fleet_summary_checkpoint(analysis::SerializeFleetSummary(summary));
-    }
-    analysis::WriteFleetSummary(summary, std::cout);
-  }
+  if (summarizer) analysis::WriteFleetSummary(summarizer->take(), std::cout);
   if (public_csv) {
     std::printf("exported %zu public rows to %s (Traffic withheld, as in the paper)\n",
                 public_csv->rows(), export_dir->c_str());
@@ -493,9 +476,8 @@ int main(int argc, char** argv) {
   args.add_option("spill-dir",
                   "segment-file directory for --memory-budget-mb (default bsmk-segments)");
   args.add_option("checkpoint-every",
-                  "fleet mode: make the run durable (fsync segments + manifest, append a "
-                  "checkpoint record) every K committed shards (0 = only the write-ahead "
-                  "records)", "0");
+                  "fleet mode: make the run durable (fsync segments + manifest) every K "
+                  "committed shards (0 = only the write-ahead records)", "0");
   args.add_option("resume",
                   "resume an interrupted fleet run from this spill directory; run options "
                   "come from the recorded manifest (combine only with --workers, "

@@ -1,17 +1,18 @@
 // Shared little-endian binary codec and section frame for every durable
 // format derived from the schema layer.
 //
-// One writer/reader pair serves every durable format: the fleet-scale spill
-// segments (collect/spill.h), the write-ahead manifest (collect/manifest.h),
-// the v3 snapshot meta file (collect/column_snapshot.h) and the resume
-// options blob (home/resume.h). The writer also builds the fleet summary's
-// comparison bytes (analysis/fleet.h), which nothing reads back.
-// `value()` encodes one reflected member type by forwarding to
-// ColumnCodec<V> (collect/column_view.h), the single table of serialisable
-// member types: a record field of a new type fails to compile until its
-// codec is added there, and a value's row bytes are its column bytes by
-// construction. Only std::string differs between the two layouts: a row
-// carries it u32-length-prefixed, a column as offsets plus a blob.
+// One writer/reader pair serves every durable record: the write-ahead
+// manifest (collect/manifest.h), the v3 snapshot meta file
+// (collect/column_snapshot.h) and the resume options blob (home/resume.h).
+// The writer also builds the fleet summary's comparison bytes
+// (analysis/fleet.h), which nothing reads back. Rows are not records: spill
+// sections and snapshot stripes both store them in the column encoding of
+// collect/column_view.h. `value()` encodes one reflected member type by
+// forwarding to ColumnCodec<V> (column_view.h), the single table of
+// serialisable member types: a record field of a new type fails to compile
+// until its codec is added there, and a value's record bytes are its column
+// bytes by construction. Only std::string differs between the two layouts:
+// a record carries it u32-length-prefixed, a column as offsets plus a blob.
 //
 // BinWriter::value and BinReader::value share a name on purpose: a binary
 // record states its field list once, as one function template over the
@@ -74,8 +75,6 @@ class BinWriter {
   }
 
   [[nodiscard]] const std::string& buffer() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  void clear() { buf_.clear(); }
 
  private:
   std::string buf_;
@@ -152,20 +151,6 @@ class BinReader {
   const char* end_;
   bool failed_{false};
 };
-
-/// Encode one row field-by-field in Schema<T>::Fields() order (the row
-/// layout of spill sections).
-template <typename T>
-void EncodeRow(BinWriter& w, const T& row) {
-  std::apply([&w, &row](const auto&... field) { (w.value(row.*(field.member)), ...); },
-             Schema<T>::Fields());
-}
-
-template <typename T>
-void DecodeRow(BinReader& r, T& row) {
-  std::apply([&r, &row](const auto&... field) { (r.value(row.*(field.member)), ...); },
-             Schema<T>::Fields());
-}
 
 /// Visit `rec`'s `members` in the order listed: a record whose durable
 /// fields are plain members states its field list as one call.

@@ -30,71 +30,6 @@ void StripeFields(Io& io, Stripe& stripe) {
   }
 }
 
-/// One stripe's worth of buffered columns for kind T. `primary` holds the
-/// raw fixed-width values (or the u32 cumulative end offsets for string
-/// fields, whose payloads accumulate in `blob`). This is the writer's only
-/// O(data) state, bounded by the stripe limits.
-template <typename T>
-struct StripeBuilder {
-  static constexpr std::size_t kNumFields = TableView<T>::kNumFields;
-
-  std::array<std::string, kNumFields> primary;
-  std::array<std::string, kNumFields> blob;
-  std::uint64_t rows{0};
-  std::size_t bytes{0};
-
-  void add(const T& row) {
-    std::size_t f = 0;
-    std::apply([&](const auto&... field) { (add_field(f++, row.*(field.member)), ...); },
-               Schema<T>::Fields());
-    ++rows;
-  }
-
-  template <typename V>
-  void add_field(std::size_t f, const V& v) {
-    if constexpr (std::is_same_v<V, std::string>) {
-      blob[f].append(v);
-      StoreLe<4>(primary[f], static_cast<std::uint32_t>(blob[f].size()));
-      bytes += v.size() + 4;
-    } else {
-      ColumnCodec<V>::Store(primary[f], v);
-      bytes += ColumnCodec<V>::kWidth;
-    }
-  }
-
-  /// Frame and append every buffered column as one stripe of sections,
-  /// then reset. `offset` tracks the file write position.
-  ColumnStripeMeta flush_to(core::CheckedFile& file, std::uint64_t& offset,
-                            std::uint32_t stripe_index) {
-    ColumnStripeMeta sm;
-    sm.rows = rows;
-    const auto encodings = ColumnEncodings<T>();
-    for (std::uint32_t f = 0; f < kNumFields; ++f) {
-      ColumnSectionMeta sec;
-      sec.body_offset = offset + kSectionHeaderBytes;
-      sec.body_bytes = primary[f].size() + blob[f].size();
-      sec.encoding = encodings[f];
-      sec.crc = kColumnSection.write(file, {f, stripe_index, sec.encoding}, rows,
-                                     {primary[f], blob[f]});
-      offset = sec.body_offset + sec.body_bytes + kSectionFooterBytes;
-
-      const std::size_t pad = (8 - (offset % 8)) % 8;
-      if (pad != 0) {
-        static const char kZeros[8] = {};
-        file.write(kZeros, pad);
-        offset += pad;
-      }
-      primary[f].clear();
-      blob[f].clear();
-      sm.sections.push_back(sec);
-    }
-    rows = 0;
-    bytes = 0;
-    if (!file.ok()) Throw(file.error());
-    return sm;
-  }
-};
-
 }  // namespace
 
 struct ColumnSnapshotWriter::KindFile {
@@ -120,17 +55,40 @@ struct ColumnSnapshotWriter::KindColumns final : KindFile {
   void add(std::span<const T> rows) {
     for (const T& row : rows) {
       builder.add(row);
-      if (builder.rows >= kColumnStripeRows || builder.bytes >= kColumnStripeBytes) {
-        meta->stripes.push_back(builder.flush_to(file, offset, meta->stripes.size()));
-      }
+      if (builder.rows >= kColumnStripeRows || builder.bytes >= kColumnStripeBytes) flush();
     }
   }
 
   void finish() {
-    if (builder.rows > 0) {
-      meta->stripes.push_back(builder.flush_to(file, offset, meta->stripes.size()));
-    }
+    if (builder.rows > 0) flush();
     if (!file.sync() || !file.close()) Throw(file.error());
+  }
+
+  /// Frame each buffered column as one section of the next stripe, padded
+  /// to 8 bytes, and reset the builder.
+  void flush() {
+    const auto stripe_index = static_cast<std::uint32_t>(meta->stripes.size());
+    ColumnStripeMeta& sm = meta->stripes.emplace_back();
+    sm.rows = builder.rows;
+    const auto encodings = ColumnEncodings<T>();
+    for (std::uint32_t f = 0; f < TableView<T>::kNumFields; ++f) {
+      ColumnSectionMeta& sec = sm.sections.emplace_back();
+      sec.body_offset = offset + kSectionHeaderBytes;
+      sec.body_bytes = builder.primary[f].size() + builder.blob[f].size();
+      sec.encoding = encodings[f];
+      sec.crc = kColumnSection.write(file, {f, stripe_index, sec.encoding}, sm.rows,
+                                     {builder.primary[f], builder.blob[f]});
+      offset = sec.body_offset + sec.body_bytes + kSectionFooterBytes;
+
+      const std::size_t pad = (8 - (offset % 8)) % 8;
+      if (pad != 0) {
+        static const char kZeros[8] = {};
+        file.write(kZeros, pad);
+        offset += pad;
+      }
+    }
+    builder.clear();
+    if (!file.ok()) Throw(file.error());
   }
 
   ColumnKindMeta* meta;
@@ -373,12 +331,13 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
                                           core::Crc32c(body, sec.body_bytes));
       }
       if (!why.empty()) corrupt(s, f, why);
-      if (sec.encoding == 0 && sm.rows > 0) {
-        // String section: the final cumulative offset must equal the blob
-        // length, or views would run off the mapped bytes.
-        const std::uint64_t blob_bytes = sec.body_bytes - 4 * sm.rows;
-        const std::uint64_t last = LoadLe<4>(data + sec.body_offset + 4 * (sm.rows - 1));
-        if (last != blob_bytes) corrupt(s, f, "string offsets inconsistent with blob");
+      if (sec.encoding == 0) {
+        // String section: offsets that decrease, or a final offset other
+        // than the blob length, would let views run off the mapped bytes.
+        const auto blob_bytes = StringBlobBytes(body, sm.rows);
+        if (!blob_bytes || *blob_bytes != sec.body_bytes - 4 * sm.rows) {
+          corrupt(s, f, "string offsets inconsistent with blob");
+        }
       }
       std::uint64_t section_end = sec.body_offset + sec.body_bytes + kSectionFooterBytes;
       section_end += (8 - (section_end % 8)) % 8;

@@ -43,10 +43,14 @@
 //                 | u32 end magic "END3"                        24 bytes
 //     padding     zero bytes to the next 8-byte boundary
 //
-// Spill sections wear the same frame, written and checked by the same
-// SectionFormat code, so the crash-safety story carries over: the reader
-// verifies every frame and CRC of a kind file against the meta table the
-// first time that kind is touched, and fails closed on any mismatch.
+// Spill sections (collect/spill.h) wear the same frame and the same column
+// encoding: one StripeBuilder (collect/column_view.h) encodes both, and
+// one TableView decodes both. Where the snapshot frames each column of a
+// stripe as its own section, a spill section appends whole stripes, each
+// behind its u32 row count. The crash-safety story carries over: the
+// reader verifies every frame, CRC and string column of a kind file
+// against the meta table the first time that kind is touched, and fails
+// closed on any mismatch.
 // Readers get the bytes through core::MappedFile — mmap when the kernel
 // grants it, a buffered read otherwise — and every open is recorded in the
 // core::IoReadStats counters, which is how tests prove a single-figure

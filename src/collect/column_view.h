@@ -1,10 +1,14 @@
-// Zero-copy typed views over columnar snapshot sections (DESIGN §14).
+// The column encoding of every durable row, and zero-copy typed views over
+// it (DESIGN §14).
 //
-// A BSMKSNAP v3 snapshot stores each data set as one file of per-field
-// column sections: fixed-width fields as raw little-endian values packed
-// contiguously, strings as a u32 cumulative-end-offset array followed by
-// one concatenated blob. The view types here sit directly on those mapped
-// bytes — no decode pass, no row materialisation unless asked for:
+// Rows are stored in stripes of columns: fixed-width fields as raw
+// little-endian values packed contiguously, strings as a u32
+// cumulative-end-offset array followed by one concatenated blob. A BSMKSNAP
+// v3 snapshot frames each column of a stripe as its own section
+// (collect/column_snapshot.h); a spill section body is a run of whole
+// stripes (collect/spill.h). One StripeBuilder encodes both, and the view
+// types here decode both, sitting directly on the mapped or buffered bytes
+// — no decode pass, no row materialisation unless asked for:
 //
 //   ColumnCodec<V>   — per-member-type width + load/store: the one table
 //                      of serialisable member types. BinWriter/BinReader
@@ -15,18 +19,21 @@
 //   StringColumnView — string_view access over an offsets+blob column.
 //   TableView<T>     — all of a stripe's columns; row(i) materialises a
 //                      full record, column<I>() is the zero-copy path.
+//   StripeBuilder<T> — buffers rows of T as one stripe's columns.
 //
-// Invariants the reader verifies before constructing a view (so operator[]
-// can skip bounds arithmetic): fixed sections hold exactly rows * kWidth
-// bytes; string sections hold exactly 4 * rows offset bytes plus a blob
-// whose length equals the final offset, with offsets non-decreasing
-// (enforced by construction at write time and by CRC32C at read time).
+// Invariants every reader verifies before constructing a view (so
+// operator[] can skip bounds arithmetic): a fixed column holds exactly
+// rows * kWidth bytes; a string column holds exactly 4 * rows offset bytes
+// plus a blob whose length equals the final offset, with offsets
+// non-decreasing (StringBlobBytes, checked even where a CRC32C covers the
+// bytes).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -213,10 +220,10 @@ struct ColumnCodec<net::VendorClass> {
   }
 };
 
-/// Strings are not fixed-width; their sections carry encoding 0 and the
-/// offsets+blob body StringColumnView reads (rows length-prefix them, see
-/// BinWriter::str). The codec exists only so compile-time width tables can
-/// expand over every field uniformly.
+/// Strings are not fixed-width; their columns carry encoding 0 and the
+/// offsets+blob body StringColumnView reads (a binary record
+/// length-prefixes them, see BinWriter::str). The codec exists only so
+/// compile-time width tables can expand over every field uniformly.
 template <>
 struct ColumnCodec<std::string> {
   static constexpr std::uint32_t kWidth = 0;
@@ -270,6 +277,20 @@ class StringColumnView {
   const char* blob_{nullptr};
   std::uint64_t rows_{0};
 };
+
+/// The blob length of a string column (its last end offset), or nullopt
+/// when its `rows` u32 end offsets at `offsets` decrease anywhere: the
+/// check every reader makes before a StringColumnView may index the column.
+[[nodiscard]] inline std::optional<std::uint64_t> StringBlobBytes(const char* offsets,
+                                                                  std::uint64_t rows) {
+  std::uint64_t last = 0;
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    const std::uint64_t end = core::LoadLe<4>(offsets + 4 * i);
+    if (end < last) return std::nullopt;
+    last = end;
+  }
+  return last;
+}
 
 namespace coldetail {
 
@@ -349,5 +370,58 @@ template <typename T>
       },
       Schema<T>::Fields());
 }
+
+/// One stripe's worth of buffered columns for kind T. `primary[f]` holds
+/// field f's fixed-width values, or for a string field its u32 cumulative
+/// end offsets, whose payloads accumulate in `blob[f]`. The snapshot frames
+/// each column as a section of its own (collect/column_snapshot.cpp); a
+/// spill section appends whole stripes (append_stripe). Either writer's
+/// only O(data) state, bounded by its stripe limit.
+template <typename T>
+struct StripeBuilder {
+  static constexpr std::size_t kNumFields = TableView<T>::kNumFields;
+
+  std::array<std::string, kNumFields> primary;
+  std::array<std::string, kNumFields> blob;
+  std::uint64_t rows{0};
+  std::size_t bytes{0};
+
+  void add(const T& row) {
+    std::size_t f = 0;
+    std::apply([&](const auto&... field) { (add_field(f++, row.*(field.member)), ...); },
+               Schema<T>::Fields());
+    ++rows;
+  }
+
+  /// Append the buffered rows to `out` as one spill stripe — u32 row count,
+  /// then each column in Fields() order — and reset.
+  void append_stripe(std::string& out) {
+    core::StoreLe<4>(out, static_cast<std::uint32_t>(rows));
+    for (std::size_t f = 0; f < kNumFields; ++f) {
+      out.append(primary[f]);
+      out.append(blob[f]);
+    }
+    clear();
+  }
+
+  void clear() {
+    for (std::string& column : primary) column.clear();
+    for (std::string& column : blob) column.clear();
+    rows = bytes = 0;
+  }
+
+ private:
+  template <typename V>
+  void add_field(std::size_t f, const V& v) {
+    if constexpr (std::is_same_v<V, std::string>) {
+      blob[f].append(v);
+      core::StoreLe<4>(primary[f], static_cast<std::uint32_t>(blob[f].size()));
+      bytes += v.size() + 4;
+    } else {
+      ColumnCodec<V>::Store(primary[f], v);
+      bytes += ColumnCodec<V>::kWidth;
+    }
+  }
+};
 
 }  // namespace bismark::collect

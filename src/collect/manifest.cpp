@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -18,7 +19,7 @@ namespace bismark::collect {
 namespace {
 
 /// "BSMKMAN" and the layout version, one ASCII digit.
-constexpr char kManifestMagic[8] = {'B', 'S', 'M', 'K', 'M', 'A', 'N', '3'};
+constexpr char kManifestMagic[8] = {'B', 'S', 'M', 'K', 'M', 'A', 'N', '4'};
 constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
 enum RecordType : std::uint8_t {
@@ -280,54 +281,34 @@ bool ReplayManifestBytes(const std::string& bytes, Replay* out, std::string* err
   return true;
 }
 
-bool LoadFile(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
 }  // namespace
-
-bool ReadManifestConfig(const std::string& dir, ManifestConfig* out, std::string* error) {
-  const std::string path = dir + "/manifest.bsmkman";
-  std::string bytes;
-  if (!LoadFile(path, &bytes, error)) {
-    *error = "no spill manifest at " + path;
-    return false;
-  }
-  Replay replay;
-  if (!ReplayManifestBytes(bytes, &replay, error)) return false;
-  if (!replay.has_config) {
-    *error = "spill manifest at " + path + " has no committed run config";
-    return false;
-  }
-  *out = replay.config;
-  return true;
-}
 
 bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* error) {
   namespace fs = std::filesystem;
   const std::string manifest_path = dir + "/manifest.bsmkman";
   SpillRecovery rec;
 
-  std::string bytes;
-  std::string load_error;
-  if (!LoadFile(manifest_path, &bytes, &load_error)) {
-    // No manifest at all (kill before creation, or an empty dir): nothing
-    // durable, every shard pending. The caller starts the run fresh.
-    rec.diagnostics.push_back("no manifest found; treating directory as empty");
-    *out = std::move(rec);
-    return true;
+  std::ifstream in(manifest_path, std::ios::binary);
+  if (!in) {
+    *error = "no spill manifest at " + manifest_path;
+    return false;
   }
-
+  const std::string bytes(std::istreambuf_iterator<char>(in), {});
   Replay replay;
   if (!ReplayManifestBytes(bytes, &replay, error)) return false;
+  // Every refusal comes before the first truncation: a directory this build
+  // cannot resume keeps every byte. Without a committed config (a kill
+  // before its fsync) nothing in the directory says what run it was.
+  if (!replay.has_config) {
+    *error = "no committed run config in " + manifest_path;
+    return false;
+  }
+  if (replay.config.schema_fingerprint != SchemaFingerprint()) {
+    *error =
+        "schema fingerprint mismatch: segments were written by an incompatible build and "
+        "cannot be resumed";
+    return false;
+  }
 
   if (!replay.torn_reason.empty()) {
     std::ostringstream os;
@@ -343,20 +324,8 @@ bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* er
     }
   }
 
-  rec.has_config = replay.has_config;
   rec.config = replay.config;
   rec.files = replay.files;
-  if (!replay.has_config) {
-    rec.diagnostics.push_back("manifest has no committed run config; all shards pending");
-    *out = std::move(rec);
-    return true;
-  }
-  if (replay.config.schema_fingerprint != SchemaFingerprint()) {
-    *error =
-        "schema fingerprint mismatch: segments were written by an incompatible build and "
-        "cannot be resumed";
-    return false;
-  }
 
   // Partition committed sections by shard; only shards with a shard-done
   // record can contribute (anything else was mid-flight at the crash).

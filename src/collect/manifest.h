@@ -9,16 +9,19 @@
 // checkpoint (SpillDir::checkpoint) only fsyncs them and appends nothing.
 // Recovery replays the manifest, truncates a torn tail at the first
 // record whose length or CRC fails, reads every referenced section back
-// through the spill merge's cursor (VerifySection: frame, row framing,
+// through the spill merge's cursor (VerifySection: frame, stripe framing,
 // CRC32C), and quarantines anything that does not check out —
 // dropping the owning shard back to "pending" so the resumed run regenerates
 // it (per-home content is a pure function of (seed, home id), so a re-run
-// shard reproduces the same bytes).
+// shard reproduces the same bytes). `run|report --resume` recovers a
+// directory once, at startup, and hands the result to the deployment.
 //
 // Record framing: u32 body_len | body | u32 crc32c(body), body = u8 type +
-// payload. File starts with the 8-byte magic "BSMKMAN3", the one version
-// marker of the manifest layout; a manifest of any other version is refused
-// before recovery touches the directory. There are four record types, each
+// payload. File starts with the 8-byte magic "BSMKMAN4", the one version
+// marker of the manifest layout: it changes whenever the manifest or the
+// section layout it commits does. A manifest of any other version, or one
+// written under another schema fingerprint, is refused before recovery
+// changes a byte of the directory. There are four record types, each
 // with one field list (manifest.cpp: ConfigFields, FileFields,
 // SectionFields, ShardDoneFields with HomeInfoFields) that ManifestWriter
 // encodes and the replay decodes through (collect/binio.h). Segment
@@ -82,7 +85,6 @@ class ManifestWriter {
 
 /// Everything recovery learned from a spill directory.
 struct SpillRecovery {
-  bool has_config{false};
   ManifestConfig config;
 
   /// File table: id -> name relative to the spill dir.
@@ -107,14 +109,10 @@ struct SpillRecovery {
 /// Replay `dir`'s manifest and verify every referenced section. Truncates
 /// the manifest's torn tail and segment-file garbage past the last committed
 /// byte (mutates the directory — recovery is a write operation). Returns
-/// false with *error when the directory is not resumable at all
-/// (unrecognisable manifest, conflicting configs, schema mismatch). A
-/// manifest of another version is refused before anything is truncated.
+/// false with *error when the directory is not resumable at all (no
+/// manifest, no committed run config, an unrecognisable manifest, another
+/// manifest version, conflicting configs, schema mismatch), and then has
+/// truncated nothing.
 bool RecoverSpillDir(const std::string& dir, SpillRecovery* out, std::string* error);
-
-/// Cheap config-only replay: no section verification, no mutation. For CLI
-/// startup (`--resume` rebuilds its options from this before committing to
-/// a full recovery).
-bool ReadManifestConfig(const std::string& dir, ManifestConfig* out, std::string* error);
 
 }  // namespace bismark::collect

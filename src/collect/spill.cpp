@@ -18,6 +18,13 @@ namespace bismark::collect {
 
 namespace {
 
+/// A merge cursor's share of the read-ahead, clamped to 1–16 KiB.
+constexpr std::size_t kMinReadAhead = 1 << 10;
+constexpr std::size_t kMaxReadAhead = 16 << 10;
+/// A spill stripe closes once its columns reach the smallest read-ahead
+/// share, so a cursor framing one stripe buffers about one share.
+constexpr std::size_t kStripeBytes = kMinReadAhead;
+
 int OpenForRead(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -50,14 +57,13 @@ void SegmentLog::check(bool ok, const char* op) {
 template <typename T>
 SectionRef SegmentLog::append_rows(std::uint32_t shard, std::uint32_t run,
                                    std::span<const T> rows) {
-  BinWriter row;
+  StripeBuilder<T> stripe;
   std::string body;
-  for (const T& r : rows) {
-    row.clear();
-    EncodeRow(row, r);
-    core::StoreLe<4>(body, row.size());
-    body.append(row.buffer());
+  for (const T& row : rows) {
+    stripe.add(row);
+    if (stripe.bytes >= kStripeBytes) stripe.append_stripe(body);
   }
+  if (stripe.rows > 0) stripe.append_stripe(body);
   return append(static_cast<std::uint32_t>(kRecordIndexOf<T>), shard, run, rows.size(), body);
 }
 
@@ -215,17 +221,16 @@ std::uint64_t SpillDir::bytes_spilled() const {
 
 namespace {
 
-/// Sequential decoder over one section: a small read-ahead buffer refilled
-/// by pread from a shared descriptor, so a merge holds O(sections ×
-/// read-ahead) memory no matter how large the sections are. Checks the
-/// frame's header against the manifest's SectionRef on open, and the row
-/// framing, body CRC32C and footer at exhaustion — every read re-checks
-/// every byte it reads.
+/// Sequential stripe framer over one section of kind T: a small read-ahead
+/// buffer refilled by pread from a shared descriptor, so a merge holds
+/// O(sections × read-ahead) memory no matter how large the sections are —
+/// a cursor never buffers more than the larger of its read-ahead and one
+/// stripe. Checks the frame's header against the manifest's SectionRef on
+/// open, each stripe's framing as it reaches it, and the body CRC32C and
+/// footer at exhaustion — every read re-checks every byte it reads.
+template <typename T>
 class SectionCursor {
  public:
-  static constexpr std::size_t kMinReadAhead = 1 << 10;
-  static constexpr std::size_t kMaxReadAhead = 16 << 10;
-
   SectionCursor(int fd, std::string path, const SectionRef& ref, bool verify,
                 std::size_t read_ahead, std::atomic<std::uint64_t>& bytes_read)
       : fd_(fd),
@@ -245,21 +250,37 @@ class SectionCursor {
     check(kSpillSection.check_header(header, frame_));
   }
 
-  /// Frame the next row; returns an empty view at section end (after the
-  /// one-time CRC + footer verification).
-  [[nodiscard]] std::pair<const char*, std::size_t> next_row() {
+  /// View the next stripe, valid until the next call; an empty view at
+  /// section end, after the one-time CRC + footer verification. The CRC
+  /// comes last, so the framing fails closed on its own before a view
+  /// could read past the buffer: on a row count out of range, a string
+  /// column whose end offsets decrease, or a stripe that runs past the body.
+  TableView<T> next_stripe() {
     if (rows_read_ == ref_.rows) {
       finish();
-      return {nullptr, 0};
+      return {};
     }
     ensure(4);
-    const auto len = static_cast<std::uint32_t>(core::LoadLe<4>(buf_.data() + pos_));
-    pos_ += 4;
+    const std::uint64_t rows = core::LoadLe<4>(buf_.data() + pos_);
+    if (rows == 0 || rows > ref_.rows - rows_read_) fail("stripe row count out of range");
+    constexpr auto kEncodings = ColumnEncodings<T>();
+    std::array<std::uint64_t, kEncodings.size()> column_at{};  // from the stripe's start
+    std::uint64_t len = 4;
+    for (std::size_t f = 0; f < kEncodings.size(); ++f) {
+      column_at[f] = len;
+      len += rows * (kEncodings[f] != 0 ? kEncodings[f] : 4);
+      if (kEncodings[f] != 0) continue;
+      ensure(len);
+      const auto blob = StringBlobBytes(buf_.data() + pos_ + column_at[f], rows);
+      if (!blob) fail("string end offsets decrease");
+      len += *blob;
+    }
     ensure(len);
-    const char* row = buf_.data() + pos_;
+    std::array<const char*, kEncodings.size()> columns{};
+    for (std::size_t f = 0; f < columns.size(); ++f) columns[f] = buf_.data() + pos_ + column_at[f];
     pos_ += len;
-    ++rows_read_;
-    return {row, len};
+    rows_read_ += rows;
+    return TableView<T>(columns, rows);
   }
 
  private:
@@ -278,9 +299,9 @@ class SectionCursor {
     if (finished_) return;
     finished_ = true;
     if (!verify_) return;
-    // Every body byte must be accounted for by the rows we decoded.
+    // Every body byte must be accounted for by the stripes we framed.
     if (remaining_file_ != 0 || pos_ != buf_.size()) {
-      fail("body length does not match row framing");
+      fail("body length does not match stripe framing");
     }
     char footer[kSectionFooterBytes];
     read_exact(footer, sizeof footer, "truncated footer");
@@ -299,19 +320,20 @@ class SectionCursor {
     bytes_read_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  void ensure(std::size_t n) {
-    if (buf_.size() - pos_ >= n) return;
+  /// Buffer at least `n` bytes past pos_, dropping what precedes it.
+  void ensure(std::uint64_t n) {
+    const std::size_t have = buf_.size() - pos_;
+    if (have >= n) return;
+    if (n - have > remaining_file_) fail("stripe runs past the section body");
     buf_.erase(0, pos_);
     pos_ = 0;
-    const std::size_t have = buf_.size();
     std::size_t read_more = have < read_ahead_ ? read_ahead_ - have : 0;
-    if (have + read_more < n) read_more = n - have;  // a row longer than the read-ahead
+    if (have + read_more < n) read_more = static_cast<std::size_t>(n - have);  // a long stripe
     if (read_more > remaining_file_) read_more = static_cast<std::size_t>(remaining_file_);
     buf_.resize(have + read_more);
     read_exact(buf_.data() + have, read_more, "short read (file truncated mid-section)");
     if (verify_) crc_ = core::Crc32c(buf_.data() + have, read_more, crc_);
     remaining_file_ -= read_more;
-    if (buf_.size() < n) fail("row frame extends past the section body");
   }
 
   int fd_;
@@ -351,32 +373,38 @@ void VerifySection(const std::string& path, const SectionRef& ref) {
     ~Closer() { ::close(fd); }
   } closer{fd};
   std::atomic<std::uint64_t> bytes_read{0};
-  SectionCursor cursor(fd, path, ref, /*verify=*/true, SectionCursor::kMaxReadAhead, bytes_read);
-  while (cursor.next_row().first != nullptr) {
-  }
+  ForEachRecordType([&](auto tag) {
+    using T = typename decltype(tag)::type;
+    if (kRecordIndexOf<T> != ref.kind) return;
+    SectionCursor<T> cursor(fd, path, ref, /*verify=*/true, kMaxReadAhead, bytes_read);
+    while (cursor.next_stripe().rows() != 0) {
+    }
+  });
 }
 
 // --- one-level merge --------------------------------------------------------
 
 /// K-way merge of every section of kind T, in canonical stream order. Each
-/// cursor's current row lives in `heads_`; the heap holds only (key,
-/// position) pairs, so the winning row is moved out, never copied, and its
-/// slot is refilled in place.
+/// cursor's current row lives in `heads_`, decoded from the stripe its
+/// source is reading; the heap holds only (key, position) pairs, so the
+/// winning row is moved out, never copied, and its slot is refilled in
+/// place.
 template <typename T>
 class SpilledRowStream<T>::Merge {
  public:
-  Merge(SpillDir& dir, const std::vector<SectionRef>& sections) : heads_(sections.size()) {
+  Merge(SpillDir& dir, const std::vector<SectionRef>& sections)
+      : sources_(sections.size()), heads_(sections.size()) {
     const bool verify = dir.config().verify_checksums;
     const std::size_t read_ahead =
         std::clamp(kMergeReadAheadBytes / std::max<std::size_t>(sections.size(), 1),
-                   SectionCursor::kMinReadAhead, SectionCursor::kMaxReadAhead);
-    cursors_.reserve(sections.size());
-    for (const SectionRef& ref : sections) {
-      cursors_.push_back(std::make_unique<SectionCursor>(dir.read_fd(ref.file),
-                                                         dir.file_path(ref.file), ref, verify,
-                                                         read_ahead, dir.bytes_read()));
+                   kMinReadAhead, kMaxReadAhead);
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      const SectionRef& ref = sections[i];
+      sources_[i].cursor = std::make_unique<SectionCursor<T>>(
+          dir.read_fd(ref.file), dir.file_path(ref.file), ref, verify, read_ahead,
+          dir.bytes_read());
     }
-    for (std::uint32_t order = 0; order < cursors_.size(); ++order) {
+    for (std::uint32_t order = 0; order < sources_.size(); ++order) {
       if (load(order)) heap_.push_back({Schema<T>::SortKey(heads_[order]), order});
     }
     std::make_heap(heap_.begin(), heap_.end(), After);
@@ -403,23 +431,33 @@ class SpilledRowStream<T>::Merge {
     std::uint32_t order;  // position in the canonical stream order
   };
 
+  /// One section's cursor and the stripe it is reading.
+  struct Source {
+    std::unique_ptr<SectionCursor<T>> cursor;
+    TableView<T> stripe;
+    std::uint64_t row{0};  // the stripe's next row
+  };
+
   /// Heap order (the smallest entry on top): SortKey, then stream position.
   static bool After(const Entry& a, const Entry& b) {
     if (a.key != b.key) return b.key < a.key;
     return a.order > b.order;
   }
 
-  /// Decode cursor `order`'s next row into its head slot.
+  /// Decode source `order`'s next row into its head slot, framing its next
+  /// stripe once the current one is spent.
   bool load(std::uint32_t order) {
-    auto [data, len] = cursors_[order]->next_row();
-    if (data == nullptr) return false;
-    BinReader r(data, len);
-    DecodeRow(r, heads_[order]);
-    if (r.failed() || !r.at_end()) throw std::runtime_error("spill: corrupt row");
+    Source& source = sources_[order];
+    if (source.row == source.stripe.rows()) {
+      source.stripe = source.cursor->next_stripe();
+      source.row = 0;
+      if (source.stripe.rows() == 0) return false;
+    }
+    source.stripe.row(source.row++, &heads_[order]);
     return true;
   }
 
-  std::vector<std::unique_ptr<SectionCursor>> cursors_;
+  std::vector<Source> sources_;
   std::vector<T> heads_;
   std::vector<Entry> heap_;
 };

@@ -21,22 +21,25 @@
 // through one read-only descriptor per segment file, which SpillDir opens on
 // first use and every merge shares, so open descriptors grow with neither
 // sections nor open kinds. A merge's cursors split 4 MiB of read-ahead
-// evenly, 1–16 KiB each, so its memory stays flat up to 4096 sections. No
+// evenly, 1–16 KiB each, and a stripe closes at 1 KiB, so a cursor buffers
+// about one share and a merge's memory stays flat up to 4096 sections. No
 // row is written twice.
 //
-// Durability (segment format v2, DESIGN §12): every section wears the
-// shared section frame of collect/binio.h (kSpillSection: magic "BSG2",
-// tags kind, shard and run; footer rows, body bytes, CRC32C, "END2"), and
+// Durability (segment format v3, DESIGN §12): every section wears the
+// shared section frame of collect/binio.h (kSpillSection: magic "BSG3",
+// tags kind, shard and run; footer rows, body bytes, CRC32C, "END3"), and
 // the SpillDir keeps a write-ahead manifest (collect/manifest.h) whose
 // records commit sections only after their bytes reached the OS. Those
 // records are all a resume reads; a checkpoint is only an fsync barrier
-// over them and the segment logs. The body
-// is this module's alone: SegmentLog::append_rows writes each row as a u32
-// length and its EncodeRow payload, and the merge's cursor frames and
-// decodes them. All writes go through the injectable core::Io seam; cursors
-// re-check the frame, row framing and CRC on every read and fail closed on
-// any mismatch, and resume recovery verifies a section by reading it with
-// the same cursor (VerifySection).
+// over them and the segment logs. The body is the snapshot's column
+// encoding (collect/column_view.h): SegmentLog::append_rows feeds the
+// sorted run through a StripeBuilder and appends each closed stripe — u32
+// row count, then each column in Schema<T>::Fields() order — and the
+// merge's cursor frames the stripes and decodes rows through TableView.
+// All writes go through the injectable core::Io seam; cursors re-check the
+// frame, stripe framing and CRC on every read and fail closed on any
+// mismatch, and resume recovery verifies a section by reading it with the
+// same cursor (VerifySection).
 #pragma once
 
 #include <array>
@@ -82,7 +85,7 @@ struct SpillConfig {
 /// Spill sections: the shared frame (collect/binio.h), tagged with the
 /// section's kind, shard and run.
 inline constexpr SectionFormat kSpillSection{
-    0x32475342u, 0x32444E45u, {"kind", "shard", "run"}};  // "BSG2" … "END2"
+    0x33475342u, 0x33444E45u, {"kind", "shard", "run"}};  // "BSG3" … "END3"
 
 /// One sorted run of rows of a single kind inside a segment file.
 struct SectionRef {
@@ -109,9 +112,9 @@ class SegmentLog {
   /// Create (truncate) the file. Throws on failure.
   void open();
 
-  /// Append `rows` as one section of kind T: each row a u32 length and its
-  /// EncodeRow payload, so cursors frame rows without schema-dependent
-  /// sizes. Defined in spill.cpp, one instantiation per kind.
+  /// Append `rows` as one section of kind T whose body is their column
+  /// stripes, each closed once its columns reach 1 KiB. Defined in
+  /// spill.cpp, one instantiation per kind.
   template <typename T>
   SectionRef append_rows(std::uint32_t shard, std::uint32_t run, std::span<const T> rows);
 
@@ -219,8 +222,9 @@ class SpillDir {
 
 /// Read committed section `ref` of the segment file at `path` to its end
 /// through a merge's cursor, checking everything a merge checks: the header
-/// against `ref`, row framing, the body CRC32C and the footer. Throws
-/// "spill: corrupt …" at the first mismatch. Resume recovery's verifier.
+/// against `ref`, the framing of its stripes as columns of `ref.kind`, the
+/// body CRC32C and the footer. Throws "spill: corrupt …" at the first
+/// mismatch. Resume recovery's verifier.
 void VerifySection(const std::string& path, const SectionRef& ref);
 
 /// Pull-based reader of kind T's rows in canonical repository order —

@@ -113,8 +113,6 @@ Deployment::Deployment(DeploymentOptions options)
   repo_ = std::make_unique<collect::DataRepository>(options_.windows);
 }
 
-Deployment::~Deployment() = default;
-
 void Deployment::build() {
   Rng root(options_.seed);
   const auto& windows = options_.windows;
@@ -519,7 +517,7 @@ void Deployment::run() {
   // Shards whose rows and homes were recovered from the manifest and must
   // not be re-run (resume only; always all-zero on a fresh run).
   std::vector<char> shard_recovered(shards, 0);
-  recovery_.reset();
+  const collect::SpillRecovery* const recovered = options_.resume.get();
 
   if (options_.resume && !fleet_mode()) {
     throw std::runtime_error("resume requires fleet mode (a memory budget and spill dir)");
@@ -535,34 +533,25 @@ void Deployment::run() {
     scfg.budget_bytes = options_.memory_budget_bytes;
     scfg.workers = static_cast<std::size_t>(workers);
     scfg.verify_checksums = options_.spill_verify_checksums;
-    if (options_.resume) {
-      auto recovered = std::make_unique<collect::SpillRecovery>();
-      std::string err;
-      if (!collect::RecoverSpillDir(scfg.dir, recovered.get(), &err)) {
-        throw std::runtime_error("resume: " + err);
+    if (recovered != nullptr) {
+      // The blob pins every content-determining option, so equality here
+      // guarantees the recovered sections merge byte-identically with the
+      // shards this run regenerates.
+      if (recovered->config.options_blob != EncodeResumableOptions(options_)) {
+        throw std::runtime_error(
+            "resume: options do not match the run recorded in " + scfg.dir +
+            " (seed/windows/roster/fault knobs must be identical; pass --resume "
+            "alone and let the manifest supply them)");
       }
-      if (recovered->has_config) {
-        // The blob pins every content-determining option, so equality here
-        // guarantees the recovered sections merge byte-identically with the
-        // shards this run regenerates.
-        if (recovered->config.options_blob != EncodeResumableOptions(options_)) {
-          throw std::runtime_error(
-              "resume: options do not match the run recorded in " + scfg.dir +
-              " (seed/windows/roster/fault knobs must be identical; pass --resume "
-              "alone and let the manifest supply them)");
-        }
-        if (recovered->config.shard_count != shards) {
-          throw std::runtime_error(
-              "resume: shard plan mismatch (manifest has " +
-              std::to_string(recovered->config.shard_count) + " shards, this run plans " +
-              std::to_string(shards) + ")");
-        }
+      if (recovered->config.shard_count != shards) {
+        throw std::runtime_error("resume: shard plan mismatch (manifest has " +
+                                 std::to_string(recovered->config.shard_count) +
+                                 " shards, this run plans " + std::to_string(shards) + ")");
       }
       for (const std::uint32_t s : recovered->done_shards) {
         if (s < shards) shard_recovered[s] = 1;
       }
       repo_->enable_spill_recovered(scfg, *recovered);
-      recovery_ = std::move(recovered);
     } else {
       repo_->enable_spill(scfg);
     }
@@ -584,7 +573,7 @@ void Deployment::run() {
   // shard. One extra shard holds the recovery counters, appended only on
   // resume so a fresh run's merged registry (and with it every golden) is
   // untouched.
-  std::vector<obs::MetricsShard> metric_shards(shards + (recovery_ ? 1 : 0));
+  std::vector<obs::MetricsShard> metric_shards(shards + (recovered != nullptr ? 1 : 0));
 
   // One capture buffer per shard: gateways append frames in simulation
   // order, and the writer merges all buffers into the canonical
@@ -602,7 +591,7 @@ void Deployment::run() {
   }
   std::atomic<std::uint64_t> traffic_events{0};
   std::atomic<std::uint64_t> committed_shards{
-      recovery_ ? static_cast<std::uint64_t>(recovery_->done_shards.size()) : 0};
+      recovered != nullptr ? static_cast<std::uint64_t>(recovered->done_shards.size()) : 0};
 
   collect::SpillDir* const spill = repo_->spill();
   const auto t_sharded = std::chrono::steady_clock::now();
@@ -665,18 +654,18 @@ void Deployment::run() {
   // sort.
   const auto t_commit = std::chrono::steady_clock::now();
   repo_->finalize_deterministic_order();
-  if (recovery_) {
+  if (recovered != nullptr) {
     obs::MetricsShard& rs = metric_shards[shards];
-    rs.counter("bismark_recovery_sections_verified_total").inc(recovery_->sections_verified);
+    rs.counter("bismark_recovery_sections_verified_total").inc(recovered->sections_verified);
     rs.counter("bismark_recovery_sections_quarantined_total")
-        .inc(recovery_->sections_quarantined);
+        .inc(recovered->sections_quarantined);
     rs.counter("bismark_recovery_shards_recovered_total")
-        .inc(static_cast<std::uint64_t>(recovery_->done_shards.size()));
-    rs.counter("bismark_recovery_shards_dropped_total").inc(recovery_->shards_dropped);
+        .inc(static_cast<std::uint64_t>(recovered->done_shards.size()));
+    rs.counter("bismark_recovery_shards_dropped_total").inc(recovered->shards_dropped);
     rs.counter("bismark_recovery_manifest_bytes_truncated_total")
-        .inc(recovery_->manifest_bytes_truncated);
+        .inc(recovered->manifest_bytes_truncated);
     rs.counter("bismark_recovery_segment_bytes_truncated_total")
-        .inc(recovery_->segment_bytes_truncated);
+        .inc(recovered->segment_bytes_truncated);
   }
   metrics_ = obs::MergeShards(metric_shards);
   upload_stats_ = UploadStatsFromMetrics(metrics_);

@@ -1,6 +1,9 @@
 // The full study: build the Table 1 roster of homes, run every
 // measurement service over the Table 2 windows, and return the populated
-// data repository — the input to the analysis layer and every bench.
+// data repository — the input to the analysis layer and every bench. A
+// fleet run spills to a segment directory (collect/spill.h); a resumed one
+// is handed that directory already recovered (DeploymentOptions::resume),
+// so the deployment never reads a manifest itself.
 #pragma once
 
 #include <iosfwd>
@@ -56,12 +59,13 @@ struct DeploymentOptions {
   /// write-ahead records: the run config is fsynced, and each section and
   /// shard-done record reaches the OS before anything depends on it.
   std::uint64_t checkpoint_every{0};
-  /// Resume an interrupted fleet run from spill_dir: recover the manifest
-  /// (truncating torn tails, quarantining corrupt sections), adopt every
-  /// completed shard's rows and homes, and re-run only the rest. The
-  /// content-determining options above must match the recorded run —
-  /// run() refuses a mismatching resume. Requires memory_budget_bytes > 0.
-  bool resume{false};
+  /// Resume an interrupted fleet run: spill_dir as collect::RecoverSpillDir
+  /// recovered it (torn tails truncated, corrupt sections quarantined).
+  /// run() adopts every completed shard's rows and homes and re-runs only
+  /// the rest. The content-determining options above must match the
+  /// recorded run — run() refuses a mismatching resume. Requires
+  /// memory_budget_bytes > 0. Null: a fresh run.
+  std::shared_ptr<const collect::SpillRecovery> resume;
   /// Read-side segment CRC verification. The checksum-overhead bench is
   /// the only caller that turns this off; every production path keeps it on.
   bool spill_verify_checksums{true};
@@ -153,7 +157,6 @@ struct RunTelemetry {
 class Deployment {
  public:
   explicit Deployment(DeploymentOptions options);
-  ~Deployment();  // out-of-line: recovery_ holds an incomplete type here
 
   /// Assemble the roster (deterministic in the seed). No household exists
   /// yet: each shard task in run() constructs its homes, registers them in
@@ -218,11 +221,6 @@ class Deployment {
   /// the worker count).
   [[nodiscard]] std::size_t shard_count() const { return shard_plan().size(); }
 
-  /// What resume recovered from the spill directory (null unless the last
-  /// run() had options.resume set). Counts, truncations, and one
-  /// diagnostic line per recovery action.
-  [[nodiscard]] const collect::SpillRecovery* recovery() const { return recovery_.get(); }
-
   /// Kept only so perfbench's bench_trace still compiles: a no-op. The
   /// fleet summary has no durable form; a resumed run computes it in its
   /// finish pass. Remove it, with bench_trace's call, in the next benchmark
@@ -250,7 +248,6 @@ class Deployment {
   RunTelemetry telemetry_;
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;  // one per worker
   std::map<int, Interval> churn_windows_;
-  std::unique_ptr<collect::SpillRecovery> recovery_;  // set by a resumed run()
   std::uint64_t pcap_frames_captured_{0};
   std::uint64_t pcap_bytes_written_{0};
 

@@ -36,8 +36,9 @@ fs::path FreshDir(const char* tag) {
   return dir;
 }
 
-/// A few hundred rows across three kinds — enough that every segment file
-/// holds several committed sections worth corrupting.
+/// A few hundred rows across four kinds — enough that every segment file
+/// holds several committed sections worth corrupting. The DNS rows give
+/// the sections a string column: queries of varied length, some empty.
 void EmitHome(RecordSink& sink, const DatasetWindows& w, int home_idx) {
   const HomeId home{home_idx};
   Rng rng(3000 + static_cast<std::uint64_t>(home_idx));
@@ -65,6 +66,17 @@ void EmitHome(RecordSink& sink, const DatasetWindows& w, int home_idx) {
     tm.bytes_down = B(1000 * (i + home_idx));
     tm.peak_down_bps = rng.uniform(0.0, 1e7);
     sink.add_throughput_minute(tm);
+  }
+  for (int i = 0; i < 20; ++i) {
+    DnsLogRecord dns;
+    dns.home = home;
+    dns.when = w.traffic.start + Minutes(3 * i);
+    dns.device_mac = net::MacAddress::FromParts(0x001122, static_cast<std::uint32_t>(i % 4));
+    const auto length = static_cast<std::size_t>(i % 5 == 0 ? 0 : (7 * i + home_idx) % 40);
+    dns.query = std::string(length, static_cast<char>('a' + i % 26));
+    dns.anonymized = i % 3 == 0;
+    dns.a_records = i % 4;
+    sink.add_dns(dns);
   }
 }
 
@@ -112,6 +124,7 @@ void ReadEverything(const DataRepository& repo) {
   repo.for_each_row<CapacityRecord>([&](const CapacityRecord&) { ++rows; });
   repo.for_each_row<WifiScanRecord>([&](const WifiScanRecord&) { ++rows; });
   repo.for_each_row<ThroughputMinute>([&](const ThroughputMinute&) { ++rows; });
+  repo.for_each_row<DnsLogRecord>([&](const DnsLogRecord&) { ++rows; });
   ASSERT_GT(rows, 0u);
 }
 
@@ -336,6 +349,7 @@ TEST(CorruptionFuzz, RecoveredDirectoryIsUsableAfterQuarantine) {
   ExpectSameRows<CapacityRecord>(resumed, ram);
   ExpectSameRows<WifiScanRecord>(resumed, ram);
   ExpectSameRows<ThroughputMinute>(resumed, ram);
+  ExpectSameRows<DnsLogRecord>(resumed, ram);
   fs::remove_all(dir);
 }
 

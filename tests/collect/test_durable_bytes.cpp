@@ -116,12 +116,13 @@ TEST_F(DurableFormatBytes, SpillSectionOfTwoHeartbeatRuns) {
   repo.commit(std::move(batch));
   repo.finalize_deterministic_order();
 
-  // Header (magic "BSG2", kind 0, shard 3, run 0), two u32-length-prefixed
-  // rows in sort order, footer (rows, body bytes, CRC32C, end magic "END2").
+  // Header (magic "BSG3", kind 0, shard 3, run 0), one stripe of the two
+  // rows in sort order (u32 row count, then the home, start and end
+  // columns), footer (rows, body bytes, CRC32C, end magic "END3").
   EXPECT_EQ(Hex(ReadFile(dir_ / "seg-g0-w0.bsmkseg")),
-            "425347320000000003000000000000001400000005000000005fb4bf3a010000"
-            "c0c406c03a0100001400000007000000003c22c03a01000080c1a2c13a010000"
-            "0200000000000000300000000000000002182d18454e4432");
+            "4253473300000000030000000000000002000000050000000700000000"
+            "5fb4bf3a010000003c22c03a010000c0c406c03a01000080c1a2c13a0100"
+            "0002000000000000002c0000000000000058e5e49f454e4433");
 }
 
 TEST_F(DurableFormatBytes, ManifestWithEveryRecordType) {
@@ -150,10 +151,10 @@ TEST_F(DurableFormatBytes, ManifestWithEveryRecordType) {
     writer.section(ref);
     writer.shard_done(9, {PinnedHome(41, "US"), PinnedHome(42, "ZA")});
   }
-  // Magic "BSMKMAN3", then one record of each type: u32 length, u8 type
+  // Magic "BSMKMAN4", then one record of each type: u32 length, u8 type
   // and payload, u32 CRC32C.
   EXPECT_EQ(Hex(ReadFile(path)),
-            "42534d4b4d414e332b00000001efcdab89674523010000000400000000020000"
+            "42534d4b4d414e342b00000001efcdab89674523010000000400000000020000"
             "00110000000e0000006f70617175652d6f7074696f6e7340480c731a00000002"
             "00000000110000007365672d67322d77302e62736d6b7365671e92f54e2d0000"
             "0003060000000000000055443322110000000010000000000000210000000000"

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,12 +38,24 @@ SpillConfig TestConfig(const std::string& dir) {
   return cfg;
 }
 
-/// `payload` as one u32-length-prefixed row: recovery checks row framing,
-/// so a committed test section must hold the rows its record claims.
-std::string OneRow(const std::string& payload) {
+/// Test sections hold DNS rows: recovery frames each section's stripes,
+/// and the query column gives each section a body of its own length.
+constexpr std::uint32_t kDns = kRecordIndexOf<DnsLogRecord>;
+
+DnsLogRecord DnsRow(const std::string& query) {
+  DnsLogRecord row;
+  row.home = HomeId{1};
+  row.query = query;
+  return row;
+}
+
+/// `rows` as the one-stripe section body SegmentLog::append_rows writes.
+std::string StripeBody(const std::vector<DnsLogRecord>& rows) {
+  StripeBuilder<DnsLogRecord> stripe;
+  for (const DnsLogRecord& row : rows) stripe.add(row);
   std::string body;
-  core::StoreLe<4>(body, payload.size());
-  return body + payload;
+  stripe.append_stripe(body);
+  return body;
 }
 
 ManifestConfig TestRunConfig(std::uint32_t generation, std::uint32_t shards) {
@@ -64,27 +78,52 @@ class ManifestRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Append a committed one-row section for `shard` through the real write
-  /// path.
+  /// Append a committed one-row DNS section for `shard` through the real
+  /// write path.
   static SectionRef Commit(SpillDir& spill, std::uint32_t shard, std::uint32_t run,
-                           const std::string& payload) {
-    SegmentLog& log = spill.log_for_worker(0);
-    const SectionRef ref = log.append(/*kind=*/0, shard, run, /*rows=*/1, OneRow(payload));
-    spill.register_section(0, ref);
+                           const std::string& query) {
+    const DnsLogRecord row = DnsRow(query);
+    const SectionRef ref =
+        spill.log_for_worker(0).append_rows<DnsLogRecord>(shard, run, std::span(&row, 1));
+    spill.register_section(kDns, ref);
     return ref;
+  }
+
+  /// Every file of the directory and its bytes.
+  [[nodiscard]] std::map<std::string, std::string> DirBytes() const {
+    std::map<std::string, std::string> bytes;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes[entry.path().filename().string()].assign(std::istreambuf_iterator<char>(in), {});
+    }
+    return bytes;
+  }
+
+  /// A crash mid-append: a length prefix promising more bytes than exist.
+  void AppendTornRecord() const {
+    std::ofstream out(dir_ + "/manifest.bsmkman", std::ios::binary | std::ios::app);
+    const char torn[] = {0x40, 0x00, 0x00, 0x00, 'p', 'a', 'r', 't'};
+    out.write(torn, sizeof torn);
   }
 
   std::string dir_;
 };
 
-TEST_F(ManifestRecoveryTest, MissingManifestIsAnEmptyDirectory) {
+TEST_F(ManifestRecoveryTest, DirectoryWithoutRunConfigIsRefusedUntouched) {
+  // Nothing says what run wrote the directory: no manifest at all, or one
+  // killed before its config record, here with a torn tail besides.
   fs::create_directories(dir_);
   SpillRecovery rec;
   std::string error;
-  ASSERT_TRUE(RecoverSpillDir(dir_, &rec, &error)) << error;
-  EXPECT_FALSE(rec.has_config);
-  ASSERT_FALSE(rec.diagnostics.empty());
-  EXPECT_NE(rec.diagnostics[0].find("no manifest found"), std::string::npos);
+  EXPECT_FALSE(RecoverSpillDir(dir_, &rec, &error));
+  EXPECT_NE(error.find("no spill manifest"), std::string::npos) << error;
+  { SpillDir spill(TestConfig(dir_)); }  // file records only
+  AppendTornRecord();
+  const auto before = DirBytes();
+  error.clear();
+  EXPECT_FALSE(RecoverSpillDir(dir_, &rec, &error));
+  EXPECT_NE(error.find("no committed run config"), std::string::npos) << error;
+  EXPECT_EQ(DirBytes(), before);
 }
 
 TEST_F(ManifestRecoveryTest, CleanRunRoundTrips) {
@@ -102,7 +141,6 @@ TEST_F(ManifestRecoveryTest, CleanRunRoundTrips) {
   SpillRecovery rec;
   std::string error;
   ASSERT_TRUE(RecoverSpillDir(dir_, &rec, &error)) << error;
-  ASSERT_TRUE(rec.has_config);
   EXPECT_EQ(rec.config.generation, 0u);
   EXPECT_EQ(rec.config.shard_count, 4u);
   EXPECT_EQ(rec.config.options_blob, "opaque-options");
@@ -111,13 +149,8 @@ TEST_F(ManifestRecoveryTest, CleanRunRoundTrips) {
   EXPECT_EQ(rec.homes[0].id.value, 10);
   EXPECT_EQ(rec.sections_verified, 2u);
   EXPECT_EQ(rec.sections_quarantined, 0u);
-  EXPECT_EQ(rec.sections[0].size(), 2u);
-  EXPECT_EQ(rec.sections[0][0].bytes, OneRow("section-body-bytes").size());
-
-  // The cheap config-only read agrees.
-  ManifestConfig cfg;
-  ASSERT_TRUE(ReadManifestConfig(dir_, &cfg, &error)) << error;
-  EXPECT_EQ(cfg.options_blob, "opaque-options");
+  EXPECT_EQ(rec.sections[kDns].size(), 2u);
+  EXPECT_EQ(rec.sections[kDns][0].bytes, StripeBody({DnsRow("section-body-bytes")}).size());
 }
 
 TEST_F(ManifestRecoveryTest, TornManifestTailIsTruncated) {
@@ -129,12 +162,7 @@ TEST_F(ManifestRecoveryTest, TornManifestTailIsTruncated) {
   }
   const std::string manifest = dir_ + "/manifest.bsmkman";
   const auto clean_size = fs::file_size(manifest);
-  {
-    // A crash mid-append: a length prefix promising more bytes than exist.
-    std::ofstream out(manifest, std::ios::binary | std::ios::app);
-    const char torn[] = {0x40, 0x00, 0x00, 0x00, 'p', 'a', 'r', 't'};
-    out.write(torn, sizeof torn);
-  }
+  AppendTornRecord();
   SpillRecovery rec;
   std::string error;
   ASSERT_TRUE(RecoverSpillDir(dir_, &rec, &error)) << error;
@@ -161,7 +189,7 @@ TEST_F(ManifestRecoveryTest, GarbageManifestIsNotResumable) {
 }
 
 TEST_F(ManifestRecoveryTest, OlderManifestVersionIsRefusedUntouched) {
-  // A directory in the BSMKMAN2 layout: the same records behind the older
+  // A directory in the BSMKMAN3 layout: the same records behind the older
   // magic, with a torn manifest tail and an uncommitted segment tail that a
   // recovery would truncate.
   {
@@ -174,32 +202,18 @@ TEST_F(ManifestRecoveryTest, OlderManifestVersionIsRefusedUntouched) {
   {
     std::fstream f(dir_ + "/manifest.bsmkman", std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(7);
-    f.put('2');
-    f.seekp(0, std::ios::end);
-    const char torn[] = {0x40, 0x00, 0x00, 0x00, 'p', 'a', 'r', 't'};
-    f.write(torn, sizeof torn);
+    f.put('3');
   }
-  const auto snapshot = [this] {
-    std::map<std::string, std::string> bytes;
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      std::ifstream in(entry.path(), std::ios::binary);
-      bytes[entry.path().filename().string()].assign(std::istreambuf_iterator<char>(in), {});
-    }
-    return bytes;
-  };
-  const auto before = snapshot();
-  ASSERT_EQ(before.at("manifest.bsmkman").substr(0, 8), "BSMKMAN2");
+  AppendTornRecord();
+  const auto before = DirBytes();
+  ASSERT_EQ(before.at("manifest.bsmkman").substr(0, 8), "BSMKMAN3");
 
-  ManifestConfig cfg;
-  std::string error;
-  EXPECT_FALSE(ReadManifestConfig(dir_, &cfg, &error));
-  EXPECT_NE(error.find("spill manifest version 2 (BSMKMAN2)"), std::string::npos) << error;
   SpillRecovery rec;
-  error.clear();
+  std::string error;
   EXPECT_FALSE(RecoverSpillDir(dir_, &rec, &error));
-  EXPECT_NE(error.find("spill manifest version 2 (BSMKMAN2)"), std::string::npos) << error;
-  EXPECT_NE(error.find("this build reads version 3"), std::string::npos) << error;
-  EXPECT_EQ(snapshot(), before);
+  EXPECT_NE(error.find("spill manifest version 3 (BSMKMAN3)"), std::string::npos) << error;
+  EXPECT_NE(error.find("this build reads version 4"), std::string::npos) << error;
+  EXPECT_EQ(DirBytes(), before);
 }
 
 TEST_F(ManifestRecoveryTest, MidFlightSectionsAreDroppedAndTruncated) {
@@ -216,7 +230,7 @@ TEST_F(ManifestRecoveryTest, MidFlightSectionsAreDroppedAndTruncated) {
   std::string error;
   ASSERT_TRUE(RecoverSpillDir(dir_, &rec, &error)) << error;
   EXPECT_EQ(rec.done_shards, (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(rec.sections[0].size(), 1u);
+  EXPECT_EQ(rec.sections[kDns].size(), 1u);
   EXPECT_GT(rec.segment_bytes_truncated, 0u);
   // The orphan's bytes are gone from the segment file: the next generation
   // appends over them and a later recovery must not see stale frames.
@@ -264,8 +278,8 @@ TEST_F(ManifestRecoveryTest, SectionWhoseRowsDoNotFrameItsBodyIsQuarantined) {
     SpillDir spill(TestConfig(dir_));
     spill.write_run_config(TestRunConfig(0, 1));
     SegmentLog& log = spill.log_for_worker(0);
-    spill.register_section(0, log.append(0, /*shard=*/0, /*run=*/0, /*rows=*/2,
-                                         OneRow("only-one-row")));
+    spill.register_section(kDns, log.append(kDns, /*shard=*/0, /*run=*/0, /*rows=*/2,
+                                            StripeBody({DnsRow("only-one-row")})));
     spill.record_shard_done(0, {TestHome(1)});
   }
   SpillRecovery rec;
@@ -317,9 +331,7 @@ TEST_F(ManifestRecoveryTest, StaleGenerationSectionsAreNotPairedWithLaterDones) 
     SpillDir spill(TestConfig(dir_), first);
     EXPECT_EQ(spill.generation(), 1u);
     spill.write_run_config(TestRunConfig(1, 2));
-    SegmentLog& log = spill.log_for_worker(0);
-    const SectionRef ref = log.append(0, /*shard=*/1, /*run=*/0, 1, OneRow("gen1-shard1-redo"));
-    spill.register_section(0, ref);
+    Commit(spill, /*shard=*/1, /*run=*/0, "gen1-shard1-redo");
     spill.record_shard_done(1, {TestHome(2)});
   }
   SpillRecovery second;
@@ -327,26 +339,72 @@ TEST_F(ManifestRecoveryTest, StaleGenerationSectionsAreNotPairedWithLaterDones) 
   EXPECT_EQ(second.done_shards, (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(second.sections_quarantined, 0u);
   EXPECT_EQ(second.shards_dropped, 0u);
-  ASSERT_EQ(second.sections[0].size(), 2u);
+  ASSERT_EQ(second.sections[kDns].size(), 2u);
   // Shard 1's surviving section is the generation-1 redo, not the orphan.
-  for (const SectionRef& ref : second.sections[0]) {
+  for (const SectionRef& ref : second.sections[kDns]) {
     if (ref.shard == 1) {
-      EXPECT_EQ(ref.bytes, OneRow("gen1-shard1-redo").size());
+      EXPECT_EQ(ref.bytes, StripeBody({DnsRow("gen1-shard1-redo")}).size());
     }
   }
 }
 
 TEST_F(ManifestRecoveryTest, SchemaDriftRefusesToResume) {
+  // A drifted writer's directory with a torn manifest tail and an
+  // uncommitted segment tail: refused before recovery truncates either.
   {
     SpillDir spill(TestConfig(dir_));
     ManifestConfig cfg = TestRunConfig(0, 2);
     cfg.schema_fingerprint = cfg.schema_fingerprint ^ 0x1;  // drifted writer
     spill.write_run_config(cfg);
+    Commit(spill, 0, 0, "committed");
+    spill.record_shard_done(0, {TestHome(1)});
+    Commit(spill, 1, 0, "uncommitted-shard");
   }
+  AppendTornRecord();
+  const auto before = DirBytes();
   SpillRecovery rec;
   std::string error;
   EXPECT_FALSE(RecoverSpillDir(dir_, &rec, &error));
   EXPECT_NE(error.find("schema"), std::string::npos) << error;
+  EXPECT_EQ(DirBytes(), before);
+}
+
+TEST_F(ManifestRecoveryTest, DecreasingStringEndOffsetIsQuarantined) {
+  // A committed DNS section whose CRC and footer agree with its record, but
+  // whose query column's end offsets decrease. Only the stripe framing can
+  // tell, and it must before any view reads the column's blob.
+  std::string body = StripeBody({DnsRow("abc"), DnsRow(""), DnsRow("de")});
+  // The offsets (3, 3, 5) follow the u32 row count and the home, when and
+  // device_mac columns: 4, 8 and 6 bytes a row.
+  const std::size_t second_offset = 4 + 3 * (4 + 8 + 6) + 4;
+  ASSERT_EQ(core::LoadLe<4>(body.data() + second_offset), 3u);
+  body[second_offset] = 1;  // 3, 1, 5
+  {
+    DataRepository repo(DatasetWindows::Paper());
+    repo.enable_spill(TestConfig(dir_));
+    SpillDir& spill = *repo.spill();
+    spill.write_run_config(TestRunConfig(0, 2));
+    spill.register_section(kDns, spill.log_for_worker(0).append(kDns, /*shard=*/0, /*run=*/0,
+                                                                /*rows=*/3, body));
+    spill.record_shard_done(0, {TestHome(1)});
+    Commit(spill, 1, 0, "healthy");
+    spill.record_shard_done(1, {TestHome(2)});
+    try {
+      repo.for_each_row<DnsLogRecord>([](const DnsLogRecord&) {});
+      ADD_FAILURE() << "a decreasing end offset must fail the merge";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("spill: corrupt section"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("string end offsets decrease"), std::string::npos)
+          << e.what();
+    }
+  }
+  SpillRecovery rec;
+  std::string error;
+  ASSERT_TRUE(RecoverSpillDir(dir_, &rec, &error)) << error;
+  EXPECT_EQ(rec.sections_quarantined, 1u);
+  EXPECT_EQ(rec.shards_dropped, 1u);
+  EXPECT_EQ(rec.done_shards, (std::vector<std::uint32_t>{1}));
 }
 
 }  // namespace

@@ -107,39 +107,6 @@ TEST(SchemaCodecs, RejectsOutOfRangeAndTrailingGarbage) {
   EXPECT_FALSE(CsvDecode(std::string("true"), flag));  // only "1"/"0"
 }
 
-TEST(SchemaCodecs, BinaryRowRoundTripsAndShortReadsFail) {
-  // The spill row codec: each field in its ColumnCodec encoding, strings
-  // length-prefixed. Every proper prefix of a row must latch failed().
-  TrafficFlowRecord flow;
-  flow.home = HomeId{7};
-  flow.flow = net::FlowId{0xdeadbeef01ull};
-  flow.first_packet = TimePoint{360000};
-  flow.last_packet = TimePoint{420000};
-  flow.protocol = net::Protocol::kUdp;
-  flow.dst_port = 443;
-  flow.device_mac = net::MacAddress({0x02, 0x11, 0x22, 0x33, 0x44, 0x55});
-  flow.bytes_up = Bytes{1234};
-  flow.bytes_down = Bytes{56789};
-  flow.domain = "anon-3f2a";
-  flow.domain_anonymized = true;
-  BinWriter w;
-  EncodeRow(w, flow);
-
-  BinReader r(w.buffer().data(), w.size());
-  TrafficFlowRecord back;
-  DecodeRow(r, back);
-  EXPECT_FALSE(r.failed());
-  EXPECT_TRUE(r.at_end());
-  EXPECT_EQ(back, flow);
-
-  for (std::size_t cut = 0; cut < w.size(); ++cut) {
-    BinReader partial(w.buffer().data(), cut);
-    TrafficFlowRecord out;
-    DecodeRow(partial, out);
-    EXPECT_TRUE(partial.failed()) << "prefix of " << cut << " bytes";
-  }
-}
-
 TEST(SchemaAdmission, HeartbeatRunsClipToTheWindow) {
   DatasetWindows w{};
   w.heartbeats = {TimePoint{1000}, TimePoint{5000}};

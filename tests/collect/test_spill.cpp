@@ -79,16 +79,24 @@ TEST(SpillRoundTrip, ExportBytesIdentical) {
 
 // A cursor reads ahead at most 16 KiB, so a row with a 20 KiB domain takes
 // the path that grows its buffer past the read-ahead. Each such row
-// crosses the flush threshold alone, so every section holds one.
+// crosses the flush threshold alone, so every section holds one, after 20
+// short rows with empty and embedded-NUL domains. It sorts first, so every
+// section frames a one-row stripe and then stripes of many rows.
 TEST(SpillRoundTrip, RowsLongerThanTheReadAhead) {
   const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
   const auto emit = [&w](RecordSink& sink, int home_idx) {
     for (int i = 0; i < 3; ++i) {
       TrafficFlowRecord flow;
       flow.home = HomeId{home_idx};
-      flow.flow = net::FlowId{static_cast<std::uint64_t>(home_idx) * 10 + i};
+      flow.last_packet = w.traffic.start + Hours(i + 1);
+      for (int j = 0; j < 20; ++j) {
+        flow.flow = net::FlowId{static_cast<std::uint64_t>(home_idx) * 100 + i * 21 + j};
+        flow.first_packet = w.traffic.start + Hours(i) + Minutes(1 + j);
+        flow.domain = j % 2 ? std::string("a\0b\0", 4) : std::string();
+        sink.add_flow(flow);
+      }
+      flow.flow = net::FlowId{static_cast<std::uint64_t>(home_idx) * 100 + i * 21 + 20};
       flow.first_packet = w.traffic.start + Hours(i);
-      flow.last_packet = flow.first_packet + Minutes(5);
       flow.domain = std::string(20 << 10, static_cast<char>('a' + (home_idx + i) % 26));
       sink.add_flow(flow);
     }
@@ -117,6 +125,7 @@ TEST(SpillRoundTrip, RowsLongerThanTheReadAhead) {
   spilled.finalize_deterministic_order();
   const auto sections = spilled.spill()->sections_of_kind(kRecordIndexOf<TrafficFlowRecord>);
   ASSERT_EQ(sections.size(), static_cast<std::size_t>(kLongHomes * 3));
+  for (const SectionRef& ref : sections) EXPECT_EQ(ref.rows, 21u);
   ExpectSameRows<TrafficFlowRecord>(ram, spilled);
 
   // A byte flipped in the middle of one long row fails the read closed.
@@ -169,6 +178,9 @@ TEST(SpillCheckpoint, FirstAppendRacesCheckpoint) {
   cfg.workers = 2;
   {
     SpillDir spill(cfg);
+    ManifestConfig run;
+    run.schema_fingerprint = SchemaFingerprint();
+    spill.write_run_config(run);  // a directory recovery accepts
     std::thread worker([&spill] { spill.log_for_worker(1).append(0, 0, 0, 0, std::string()); });
     std::thread checkpointer([&spill] { spill.checkpoint(); });
     worker.join();

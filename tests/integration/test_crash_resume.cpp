@@ -7,12 +7,14 @@
 // The kill is real: the child process installs a kill fault plan, runs the
 // study, and std::_Exit(137)s mid-write with no flushing and no destructors
 // — exactly what `kill -9` leaves behind. The parent then recovers the
-// directory in-process.
+// directory in-process, once, as `run --resume` does at startup, and hands
+// the recovery to the resumed deployment.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -101,15 +103,23 @@ class CrashResumeTest : public ::testing::Test {
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
-  /// Resume the killed directory in-process and return its export bytes.
-  static std::string ResumeAndExport(int workers, const std::string& spill_dir,
-                                     const home::Deployment** out_dep = nullptr) {
+  /// Recover `spill_dir` once, as the CLI does before anything runs.
+  static std::shared_ptr<const collect::SpillRecovery> Recover(const std::string& spill_dir) {
+    auto recovered = std::make_shared<collect::SpillRecovery>();
+    std::string error;
+    EXPECT_TRUE(collect::RecoverSpillDir(spill_dir, recovered.get(), &error)) << error;
+    return recovered;
+  }
+
+  /// Resume the killed directory in-process and return its export bytes;
+  /// `*out_rec` gets what recovery found.
+  static std::string ResumeAndExport(
+      int workers, const std::string& spill_dir,
+      std::shared_ptr<const collect::SpillRecovery>* out_rec = nullptr) {
     DeploymentOptions options = FleetStudy(workers, spill_dir);
-    options.resume = true;
-    static std::unique_ptr<Deployment> keep;  // outlive the returned pointer
-    keep = Deployment::RunStudy(std::move(options));
-    if (out_dep != nullptr) *out_dep = keep.get();
-    return ExportAllCsv(keep->repository());
+    options.resume = Recover(spill_dir);
+    if (out_rec != nullptr) *out_rec = options.resume;
+    return ExportAllCsv(Deployment::RunStudy(std::move(options))->repository());
   }
 
   static std::string* reference_csv_;
@@ -120,9 +130,9 @@ std::string* CrashResumeTest::reference_csv_ = nullptr;
 TEST_F(CrashResumeTest, EarlyKillResumesToIdenticalExports) {
   const auto dir = FreshDir("early");
   ASSERT_EQ(RunAndKill(/*workers=*/4, dir.string(), /*kill_at_write=*/1), 137);
-  const Deployment* dep = nullptr;
-  EXPECT_EQ(ResumeAndExport(/*workers=*/1, dir.string(), &dep), *reference_csv_);
-  ASSERT_NE(dep->recovery(), nullptr);
+  std::shared_ptr<const collect::SpillRecovery> rec;
+  EXPECT_EQ(ResumeAndExport(/*workers=*/1, dir.string(), &rec), *reference_csv_);
+  EXPECT_TRUE(rec->done_shards.empty());  // killed before any shard committed
   fs::remove_all(dir);
 }
 
@@ -138,11 +148,10 @@ TEST_F(CrashResumeTest, MidRunKillResumesToIdenticalExports) {
       fs::remove_all(dir);
       continue;
     }
-    const Deployment* dep = nullptr;
-    EXPECT_EQ(ResumeAndExport(/*workers=*/4, dir.string(), &dep), *reference_csv_)
+    std::shared_ptr<const collect::SpillRecovery> rec;
+    EXPECT_EQ(ResumeAndExport(/*workers=*/4, dir.string(), &rec), *reference_csv_)
         << "kill at write " << kill;
-    ASSERT_NE(dep->recovery(), nullptr);
-    recovered_some |= dep->recovery()->sections_verified > 0;
+    recovered_some |= rec->sections_verified > 0;
     fs::remove_all(dir);
   }
   EXPECT_TRUE(recovered_some);
@@ -164,11 +173,10 @@ TEST_F(CrashResumeTest, ResumeOfACompletedRunIsANoOpWithSameBytes) {
   // Let the run finish normally, then resume the finished directory.
   EXPECT_EQ(ExportAllCsv(Deployment::RunStudy(FleetStudy(2, dir.string()))->repository()),
             *reference_csv_);
-  const Deployment* dep = nullptr;
-  EXPECT_EQ(ResumeAndExport(/*workers=*/2, dir.string(), &dep), *reference_csv_);
-  ASSERT_NE(dep->recovery(), nullptr);
-  EXPECT_EQ(dep->recovery()->shards_dropped, 0u);
-  EXPECT_EQ(dep->recovery()->sections_quarantined, 0u);
+  std::shared_ptr<const collect::SpillRecovery> rec;
+  EXPECT_EQ(ResumeAndExport(/*workers=*/2, dir.string(), &rec), *reference_csv_);
+  EXPECT_EQ(rec->shards_dropped, 0u);
+  EXPECT_EQ(rec->sections_quarantined, 0u);
   fs::remove_all(dir);
 }
 
@@ -176,7 +184,7 @@ TEST_F(CrashResumeTest, ResumeWithDriftedOptionsIsRefused) {
   const auto dir = FreshDir("drift");
   ASSERT_EQ(RunAndKill(/*workers=*/2, dir.string(), /*kill_at_write=*/4), 137);
   DeploymentOptions drifted = FleetStudy(2, dir.string());
-  drifted.resume = true;
+  drifted.resume = Recover(dir.string());
   drifted.seed = 999;  // not the run the manifest records
   EXPECT_THROW(Deployment::RunStudy(std::move(drifted)), std::runtime_error);
   fs::remove_all(dir);
@@ -187,7 +195,7 @@ TEST_F(CrashResumeTest, ResumeWithoutFleetModeIsRefused) {
   options.seed = 1;
   options.windows = collect::DatasetWindows::Compressed(MakeTime({2013, 3, 1}), 1);
   options.roster_scale = 0.2;
-  options.resume = true;  // no budget, no spill dir
+  options.resume = std::make_shared<collect::SpillRecovery>();  // no budget, no spill dir
   EXPECT_THROW(Deployment::RunStudy(std::move(options)), std::runtime_error);
 }
 

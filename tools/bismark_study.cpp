@@ -115,28 +115,31 @@ home::DeploymentOptions OptionsFrom(const ArgParser& args) {
   return options;
 }
 
-/// --resume: the manifest's config record supplies every content-determining
+/// --resume: recover the spill directory, the one time it is read, before
+/// anything runs. Its config record supplies every content-determining
 /// option; only execution knobs (workers, checkpoint cadence) come from the
-/// command line.
-bool OptionsFromManifest(const std::string& dir, const ArgParser& args,
+/// command line. A directory this build cannot resume is refused here,
+/// before recovery changes a byte of it.
+bool OptionsFromSpillDir(const std::string& dir, const ArgParser& args,
                          home::DeploymentOptions* out, std::string* error) {
-  collect::ManifestConfig cfg;
-  if (!collect::ReadManifestConfig(dir, &cfg, error)) return false;
-  if (!home::DecodeResumableOptions(cfg.options_blob, out, error)) return false;
-  out->memory_budget_bytes = static_cast<std::size_t>(cfg.budget_bytes);
+  auto recovered = std::make_shared<collect::SpillRecovery>();
+  if (!collect::RecoverSpillDir(dir, recovered.get(), error)) return false;
+  if (!home::DecodeResumableOptions(recovered->config.options_blob, out, error)) return false;
+  out->memory_budget_bytes = static_cast<std::size_t>(recovered->config.budget_bytes);
   out->spill_dir = dir;
-  out->resume = true;
+  out->resume = std::move(recovered);
   out->workers = static_cast<int>(args.get_int("workers", 1));
   out->checkpoint_every = static_cast<std::uint64_t>(args.get_int("checkpoint-every", 0));
   return true;
 }
 
-/// Resolve run options for `run`/`report`: from the manifest on --resume,
-/// from the flags otherwise. Returns false after printing a usage error.
+/// Resolve run options for `run`/`report`: from the recovered spill
+/// directory on --resume, from the flags otherwise. Returns false after
+/// printing the error.
 bool ResolveRunOptions(const ArgParser& args, home::DeploymentOptions* out) {
   if (const auto resume_dir = args.get("resume")) {
     std::string error;
-    if (!OptionsFromManifest(*resume_dir, args, out, &error)) {
+    if (!OptionsFromSpillDir(*resume_dir, args, out, &error)) {
       std::fprintf(stderr, "error: cannot resume from %s: %s\n", resume_dir->c_str(),
                    error.c_str());
       return false;
@@ -150,7 +153,7 @@ bool ResolveRunOptions(const ArgParser& args, home::DeploymentOptions* out) {
 /// One line of recovery accounting, plus a stderr line per action the
 /// operator should know about (truncated tails, quarantined sections).
 void PrintRecovery(const home::Deployment& study) {
-  const collect::SpillRecovery* rec = study.recovery();
+  const collect::SpillRecovery* rec = study.options().resume.get();
   if (rec == nullptr) return;
   std::printf("resumed from %s: %zu/%zu shards recovered, %llu sections verified, "
               "%llu quarantined, %llu manifest + %llu segment bytes truncated\n",
@@ -241,7 +244,12 @@ int CmdRun(const ArgParser& args) {
   }
 
   const auto& up = study->upload_stats();
-  std::printf("upload pipeline: %llu records spooled, %llu delivered in %llu batches "
+  std::printf("upload pipeline");
+  if (options.resume) {  // the manifest keeps no metrics: count this run's shards only
+    std::printf(" (only the %zu of %zu shards this run simulated)",
+                study->shard_count() - options.resume->done_shards.size(), study->shard_count());
+  }
+  std::printf(": %llu records spooled, %llu delivered in %llu batches "
               "(%llu attempts, %llu retries); %llu resends deduped, %llu dropped, "
               "%llu stranded\n",
               static_cast<unsigned long long>(up.records_spooled),

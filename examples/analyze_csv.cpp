@@ -6,7 +6,6 @@
 //   ./examples/analyze_csv <release-dir>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "analysis/diurnal.h"
@@ -31,8 +30,9 @@ int main(int argc, char** argv) {
   const auto report = collect::ImportPublicDatasets(repo, argv[1]);
   std::printf("Imported %zu rows from %s (%zu heartbeat runs, %zu uptime, %zu capacity, "
               "%zu device-census, %zu wifi)\n",
-              report.total_rows(), argv[1], report.heartbeat_runs(), report.uptime(),
-              report.capacity(), report.device_counts(), report.wifi_scans());
+              report.total_rows(), argv[1], report.rows<collect::HeartbeatRun>(),
+              report.rows<collect::UptimeRecord>(), report.rows<collect::CapacityRecord>(),
+              report.rows<collect::DeviceCountRecord>(), report.rows<collect::WifiScanRecord>());
   for (const auto& e : report.errors) std::fprintf(stderr, "  warning: %s\n", e.c_str());
   if (report.total_rows() == 0) {
     std::fprintf(stderr, "nothing imported — is %s a release directory?\n", argv[1]);
@@ -42,20 +42,8 @@ int main(int argc, char** argv) {
   // The public release carries no home metadata (country/region), so the
   // regional splits of the paper need an external mapping. Everything
   // per-home still works; register bare home rows so the analyses run.
-  {
-    std::set<int> ids;
-    for (const auto& run : repo.heartbeat_runs()) ids.insert(run.home.value);
-    for (const auto& rec : repo.device_counts()) ids.insert(rec.home.value);
-    for (int id : ids) {
-      collect::HomeInfo info;
-      info.id = collect::HomeId{id};
-      info.country_code = "??";
-      info.reports_devices = true;
-      repo.register_home(info);
-    }
-    std::printf("Registered %zu homes (no region metadata in the public release).\n\n",
-                ids.size());
-  }
+  std::printf("Registered %zu homes (no region metadata in the public release).\n\n",
+              collect::RegisterReleaseHomes(repo));
 
   // Availability from heartbeats alone.
   const auto homes = analysis::AnalyzeAvailability(repo, {Minutes(10), 25.0});

@@ -66,7 +66,7 @@ Uploader::Uploader(sim::Engine& engine, UploadSpool& spool, const net::FaultPlan
       policy_(policy),
       rng_(rng) {}
 
-void Uploader::attach_obs(obs::MetricsShard* shard, obs::FlightRecorder* recorder) {
+void Uploader::attach_obs(obs::MetricsShard* shard) {
 #if BISMARK_OBS_ENABLED
   if (shard != nullptr) {
     // Occupancy as a fraction of capacity: ten 10%-wide buckets.
@@ -76,23 +76,10 @@ void Uploader::attach_obs(obs::MetricsShard* shard, obs::FlightRecorder* recorde
     backoff_minutes_ = shard->histogram("bismark_upload_backoff_delay_minutes",
                                         obs::HistoSpec{0.0, 360.0, 12});
   }
-  recorder_ = recorder;
 #else
   (void)shard;
-  (void)recorder;
 #endif
 }
-
-#if BISMARK_OBS_ENABLED
-void Uploader::note_drops(TimePoint now) {
-  const std::uint64_t total = spool_.dropped().total;
-  if (total > dropped_seen_ && recorder_ != nullptr) {
-    recorder_->record(obs::TraceKind::kSpoolDrop, now, home_.value, total - dropped_seen_,
-                      total);
-  }
-  dropped_seen_ = total;
-}
-#endif
 
 Duration Uploader::BackoffDelay(const UploadPolicy& policy, int attempt, Rng& rng) {
   Duration d = policy.backoff_base;
@@ -129,13 +116,8 @@ std::uint64_t Uploader::stranded() const {
 void Uploader::flush(TimePoint now) {
   spool_.arrive_until(now);
 #if BISMARK_OBS_ENABLED
-  note_drops(now);
   occupancy_.observe(static_cast<double>(spool_.queued()) /
                      static_cast<double>(spool_.capacity()));
-  if (recorder_ != nullptr) {
-    recorder_->record(obs::TraceKind::kFlushAttempt, now, home_.value, spool_.queued(),
-                      next_seq_);
-  }
 #endif
   if (in_flight_) return;  // the retry timer owns the channel
   pump(now);
@@ -160,65 +142,33 @@ void Uploader::attempt_in_flight(TimePoint now) {
       if (ingest_.deliver(*in_flight_)) {
         ++stats_.batches_delivered;
         stats_.records_delivered += in_flight_->records.size();
-#if BISMARK_OBS_ENABLED
-        if (recorder_ != nullptr) {
-          recorder_->record(obs::TraceKind::kBatchDelivered, now, home_.value,
-                            in_flight_->records.size(), in_flight_->seq);
-        }
-#endif
       } else {
         ++stats_.duplicates_sent;
-#if BISMARK_OBS_ENABLED
-        if (recorder_ != nullptr) {
-          recorder_->record(obs::TraceKind::kBatchDeduped, now, home_.value, 0,
-                            in_flight_->seq);
-        }
-#endif
       }
       if (outcome == net::DeliveryOutcome::kDelivered) {
-#if BISMARK_OBS_ENABLED
-        if (failed_attempts_ > 0 && recorder_ != nullptr && streak_begin_ms_ >= 0) {
-          recorder_->record(obs::TraceEvent{streak_begin_ms_, now.ms,
-                                            obs::TraceKind::kBackoffSpan, home_.value,
-                                            static_cast<std::uint64_t>(failed_attempts_),
-                                            in_flight_->seq});
-        }
-        streak_begin_ms_ = -1;
-#endif
         in_flight_.reset();
         failed_attempts_ = 0;
       } else {
-        schedule_retry(now);
+        schedule_retry();
       }
       break;
     case net::DeliveryOutcome::kLostRequest:
     case net::DeliveryOutcome::kCollectorDown:
-      schedule_retry(now);
+      schedule_retry();
       break;
   }
 }
 
-void Uploader::schedule_retry(TimePoint now) {
+void Uploader::schedule_retry() {
   ++failed_attempts_;
   ++stats_.retries;
   const Duration delay = BackoffDelay(policy_, failed_attempts_, rng_);
 #if BISMARK_OBS_ENABLED
-  if (streak_begin_ms_ < 0) streak_begin_ms_ = now.ms;
   backoff_minutes_.observe(delay.minutes());
-  if (recorder_ != nullptr) {
-    recorder_->record(obs::TraceKind::kRetryArmed, now, home_.value,
-                      static_cast<std::uint64_t>(failed_attempts_),
-                      static_cast<std::uint64_t>(delay.ms));
-  }
-#else
-  (void)now;
 #endif
   retry_handle_ = engine_.schedule_after(delay, [this] {
     const TimePoint at = engine_.now();
     spool_.arrive_until(at);
-#if BISMARK_OBS_ENABLED
-    note_drops(at);
-#endif
     attempt_in_flight(at);
     if (!in_flight_) pump(at);  // acked: drain backlog accumulated meanwhile
   });

@@ -24,7 +24,6 @@
 #include "core/rng.h"
 #include "net/fault_plan.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/engine.h"
 
 namespace bismark::gateway {
@@ -117,15 +116,12 @@ class Uploader {
   Uploader(const Uploader&) = delete;
   Uploader& operator=(const Uploader&) = delete;
 
-  /// Hook this uploader into a metrics shard and flight recorder. Resolves
-  /// the handles once (cold); afterwards each flush samples spool occupancy
-  /// into `bismark_spool_occupancy_ratio`, each armed retry feeds
-  /// `bismark_upload_backoff_delay_minutes`, and delivery/retry/dedup
-  /// events land in the recorder with sim-time stamps. A failure streak
-  /// (first failed attempt .. successful delivery) is recorded as one
-  /// kBackoffSpan. Compiles to nothing under BISMARK_OBS=OFF. Call before
-  /// start(); both pointers may be null.
-  void attach_obs(obs::MetricsShard* shard, obs::FlightRecorder* recorder);
+  /// Hook this uploader into a metrics shard. Resolves the handles once
+  /// (cold); afterwards each flush samples spool occupancy into
+  /// `bismark_spool_occupancy_ratio` and each armed retry feeds
+  /// `bismark_upload_backoff_delay_minutes`. Compiles to nothing under
+  /// BISMARK_OBS=OFF. Call before start(); `shard` may be null.
+  void attach_obs(obs::MetricsShard* shard);
 
   /// Seal the spool and schedule periodic flushes over `window` (plus the
   /// drain grace, bounded by how far the caller runs the engine). The first
@@ -161,11 +157,7 @@ class Uploader {
   void flush(TimePoint now);
   void pump(TimePoint now);
   void attempt_in_flight(TimePoint now);
-  void schedule_retry(TimePoint now);
-#if BISMARK_OBS_ENABLED
-  /// Trace new spool-ledger drops since the last call.
-  void note_drops(TimePoint now);
-#endif
+  void schedule_retry();
 
   sim::Engine& engine_;
   UploadSpool& spool_;
@@ -184,9 +176,6 @@ class Uploader {
 #if BISMARK_OBS_ENABLED
   obs::Histo occupancy_;          // spool fill fraction, sampled per flush
   obs::Histo backoff_minutes_;    // armed backoff delays
-  obs::FlightRecorder* recorder_{nullptr};
-  std::int64_t streak_begin_ms_{-1};   // first failure of the current streak
-  std::uint64_t dropped_seen_{0};      // spool ledger total already traced
 #endif
 };
 

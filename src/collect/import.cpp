@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <tuple>
 
 namespace bismark::collect {
@@ -169,6 +170,17 @@ BISMARK_FOR_EACH_RECORD_KIND(BISMARK_IMPORT_INSTANTIATE)
 
 ImportReport ImportPublicDatasets(DataRepository& repo, const std::string& directory) {
   return ImportDirectory(repo, directory, CsvView::kRelease);
+}
+
+std::size_t RegisterReleaseHomes(DataRepository& repo) {
+  std::set<int> ids;
+  repo.for_each_row<HeartbeatRun>([&ids](const HeartbeatRun& run) { ids.insert(run.home.value); });
+  repo.for_each_row<DeviceCountRecord>(
+      [&ids](const DeviceCountRecord& rec) { ids.insert(rec.home.value); });
+  for (const int id : ids) {
+    repo.register_home(HomeInfo{.id = HomeId{id}, .country_code = "??", .reports_devices = true});
+  }
+  return ids.size();
 }
 
 ImportReport ImportAllDatasets(DataRepository& repo, const std::string& directory) {

@@ -37,11 +37,6 @@ struct ImportReport {
   [[nodiscard]] std::size_t rows() const {
     return by_kind[kRecordIndexOf<T>];
   }
-  [[nodiscard]] std::size_t heartbeat_runs() const { return rows<HeartbeatRun>(); }
-  [[nodiscard]] std::size_t uptime() const { return rows<UptimeRecord>(); }
-  [[nodiscard]] std::size_t capacity() const { return rows<CapacityRecord>(); }
-  [[nodiscard]] std::size_t device_counts() const { return rows<DeviceCountRecord>(); }
-  [[nodiscard]] std::size_t wifi_scans() const { return rows<WifiScanRecord>(); }
 
   [[nodiscard]] bool ok() const { return errors.empty(); }
   [[nodiscard]] std::size_t total_rows() const {
@@ -80,6 +75,12 @@ std::size_t ImportDatasetCsv(DataRepository& repo, std::istream& in, ImportRepor
 /// HomeInfo rows separately — exactly the constraint real consumers of the
 /// release face.
 ImportReport ImportPublicDatasets(DataRepository& repo, const std::string& directory);
+
+/// Register a bare HomeInfo for every home an imported public release holds
+/// heartbeat runs or device counts for: country "??" (the release names
+/// none) and `reports_devices`, so the per-home analyses run. Returns the
+/// number of homes registered.
+std::size_t RegisterReleaseHomes(DataRepository& repo);
 
 /// Read every kind's full-fidelity CSV from `directory` (as written by
 /// ExportAllDatasets) into `repo`.

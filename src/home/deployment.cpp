@@ -42,10 +42,6 @@ constexpr std::size_t kShardHomes = 4;
 /// household state never exceeds a few dozen homes per worker.
 constexpr std::size_t kFleetShardHomes = 32;
 
-/// Per-worker flight-recorder depth: enough to see the tail of a failing
-/// run (a few homes' worth of upload churn) without meaningful memory.
-constexpr std::size_t kRecorderCapacity = 1024;
-
 /// NAT444 topology: homes per carrier-grade NAT, assigned in roster order.
 /// Each subscriber slot owns a disjoint slice of the CGN's external port
 /// range (RFC 7422), so a home's CGN state is a pure function of its
@@ -293,8 +289,7 @@ void Deployment::run_shard_heartbeats(const ShardHomes& homes,
 void Deployment::run_shard_passive(const ShardHomes& homes,
                                    const std::vector<collect::HomeInfo>& infos,
                                    collect::IngestBatch& batch, sim::Engine& engine,
-                                   obs::MetricsShard& metrics,
-                                   obs::FlightRecorder* recorder) {
+                                   obs::MetricsShard& metrics) {
   const auto& w = options_.windows;
   const std::uint64_t fault_seed =
       options_.fault_seed != 0 ? options_.fault_seed : options_.seed;
@@ -354,7 +349,7 @@ void Deployment::run_shard_passive(const ShardHomes& homes,
     collect::IdempotentIngest ingest(batch);
     gateway::Uploader uploader(engine, spool, fault_plan_, ingest, home->id(),
                                options_.upload, Rng::Stream(fault_seed, kUploadSalt, id));
-    uploader.attach_obs(&metrics, recorder);
+    uploader.attach_obs(&metrics);
     engine.reset(w.heartbeats.start);
     uploader.start(w.heartbeats);
     engine.run_until(w.heartbeats.end + options_.upload.drain_grace);
@@ -504,7 +499,6 @@ void Deployment::run() {
   upload_stats_ = UploadStats{};
   metrics_ = obs::MetricsSnapshot{};
   telemetry_ = RunTelemetry{};
-  recorders_.clear();
 
   compute_collector_outages();
   telemetry_.wall_outage_prepass_s = SecondsSince(t_run);
@@ -567,12 +561,11 @@ void Deployment::run() {
   }
 
   // One metrics shard per *shard* (determinism unit; each shard task also
-  // stages into its own batch), one engine and one flight recorder per
-  // *worker* (execution unit). The metrics shards merge in shard-index order
-  // below, so their contents are independent of which worker ran which
-  // shard. One extra shard holds the recovery counters, appended only on
-  // resume so a fresh run's merged registry (and with it every golden) is
-  // untouched.
+  // stages into its own batch), one engine per *worker* (execution unit).
+  // The metrics shards merge in shard-index order below, so their contents
+  // are independent of which worker ran which shard. One extra shard holds
+  // the recovery counters, appended only on resume so a fresh run's merged
+  // registry (and with it every golden) is untouched.
   std::vector<obs::MetricsShard> metric_shards(shards + (recovered != nullptr ? 1 : 0));
 
   // One capture buffer per shard: gateways append frames in simulation
@@ -585,10 +578,6 @@ void Deployment::run() {
   ThreadPool pool(workers);
   std::vector<std::unique_ptr<sim::Engine>> engines(
       static_cast<std::size_t>(pool.workers()));
-  recorders_.reserve(static_cast<std::size_t>(pool.workers()));
-  for (int wkr = 0; wkr < pool.workers(); ++wkr) {
-    recorders_.push_back(std::make_unique<obs::FlightRecorder>(kRecorderCapacity));
-  }
   std::atomic<std::uint64_t> traffic_events{0};
   std::atomic<std::uint64_t> committed_shards{
       recovered != nullptr ? static_cast<std::uint64_t>(recovered->done_shards.size()) : 0};
@@ -598,10 +587,8 @@ void Deployment::run() {
   pool.parallel_for(shards, [&](std::size_t shard, int worker) {
     if (shard_recovered[shard]) return;  // rows + homes adopted from the manifest
     obs::MetricsShard& metrics = metric_shards[shard];
-    obs::FlightRecorder* recorder = recorders_[static_cast<std::size_t>(worker)].get();
     auto& engine = engines[static_cast<std::size_t>(worker)];
     if (!engine) engine = std::make_unique<sim::Engine>(options_.windows.heartbeats.start);
-    engine->set_recorder(recorder);
 
     // A shard owns its households only for the duration of this task:
     // construct them from their slots, writing into the shard's own batch
@@ -621,7 +608,7 @@ void Deployment::run() {
     }
 
     run_shard_heartbeats(homes, batch, metrics);
-    run_shard_passive(homes, infos, batch, *engine, metrics, recorder);
+    run_shard_passive(homes, infos, batch, *engine, metrics);
     if (options_.run_traffic) {
       traffic_events += run_shard_traffic(homes, *engine, metrics,
                                           capture ? &pcap_buffers[shard] : nullptr);
@@ -638,7 +625,6 @@ void Deployment::run() {
       const std::uint64_t done = committed_shards.fetch_add(1) + 1;
       if (options_.checkpoint_every != 0 && done % options_.checkpoint_every == 0) {
         spill->checkpoint();
-        recorder->record(obs::TraceKind::kCheckpoint, engine->now(), -1, done);
       }
     }
     for (auto& info : infos) repo_->register_home(std::move(info));
@@ -694,13 +680,6 @@ void Deployment::run() {
     BISMARK_LOG_INFO("deployment", "traffic window complete: %llu events across %zu shards",
                      static_cast<unsigned long long>(traffic_events.load()), shards);
   }
-}
-
-void Deployment::dump_flight_recorders(std::ostream& out) const {
-  std::vector<const obs::FlightRecorder*> recs;
-  recs.reserve(recorders_.size());
-  for (const auto& r : recorders_) recs.push_back(r.get());
-  obs::DumpMergedFlightRecorders(recs, out);
 }
 
 std::unique_ptr<Deployment> Deployment::RunStudy(DeploymentOptions options) {

@@ -6,7 +6,6 @@
 // so the deployment never reads a manifest itself.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,7 +19,6 @@
 #include "net/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/trace.h"
 #include "traffic/domains.h"
 
 namespace bismark::sim {
@@ -227,10 +225,6 @@ class Deployment {
   /// change.
   void save_fleet_summary_checkpoint(const std::string& /*unused*/) {}
 
-  /// Post-mortem: dump every worker's flight recorder, merged and ordered
-  /// by simulated time. Intended for test-failure diagnostics.
-  void dump_flight_recorders(std::ostream& out) const;
-
   /// Convenience: build + run in one call.
   static std::unique_ptr<Deployment> RunStudy(DeploymentOptions options);
 
@@ -246,7 +240,6 @@ class Deployment {
   UploadStats upload_stats_;
   obs::MetricsSnapshot metrics_;
   RunTelemetry telemetry_;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;  // one per worker
   std::map<int, Interval> churn_windows_;
   std::uint64_t pcap_frames_captured_{0};
   std::uint64_t pcap_bytes_written_{0};
@@ -280,7 +273,7 @@ class Deployment {
                             obs::MetricsShard& metrics);
   void run_shard_passive(const ShardHomes& homes, const std::vector<collect::HomeInfo>& infos,
                          collect::IngestBatch& batch, sim::Engine& engine,
-                         obs::MetricsShard& metrics, obs::FlightRecorder* recorder);
+                         obs::MetricsShard& metrics);
   std::uint64_t run_shard_traffic(const ShardHomes& homes, sim::Engine& engine,
                                   obs::MetricsShard& metrics, net::PcapBuffer* pcap);
 };

@@ -12,10 +12,11 @@
 // exports already carry.
 //
 // Compile-out: building with -DBISMARK_OBS=OFF sets BISMARK_OBS_ENABLED=0,
-// which removes every hot-path instrumentation site (engine event tracing,
-// per-flush spool sampling, uploader trace events) at preprocessing time.
-// The registry types themselves stay available, so the coarse once-per-home
-// accounting that feeds home::UploadStats works in both builds.
+// which removes every hot-path instrumentation site (the uploader's
+// per-flush spool-occupancy and per-retry backoff histograms) at
+// preprocessing time. The registry types themselves stay available, so the
+// coarse once-per-home accounting that feeds home::UploadStats works in
+// both builds.
 #pragma once
 
 #include <cstdint>

@@ -146,11 +146,6 @@ void Engine::fire_top() {
   Slot* s = &slots_[idx];
   s->pos = kPosFiring;
   now_ = s->when;
-#if BISMARK_OBS_ENABLED
-  if (recorder_ != nullptr) {
-    recorder_->record(obs::TraceKind::kEngineEvent, s->when, -1, s->seq);
-  }
-#endif
   const bool repeating = s->period.ms > 0;
   // Run the callback from the stack: it may schedule events, which can grow
   // the slab and relocate slots while it executes.

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/time.h"
-#include "obs/trace.h"
 
 namespace bismark::sim {
 
@@ -216,11 +215,6 @@ class Engine {
   [[nodiscard]] std::uint64_t callbacks_inline() const { return cb_inline_; }
   [[nodiscard]] std::uint64_t callbacks_heap() const { return cb_heap_; }
 
-  /// Attach a flight recorder; every executed event is then traced with
-  /// its simulated fire time. The engine does not own the recorder. The
-  /// per-event recording compiles out entirely under BISMARK_OBS=OFF.
-  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
-
  private:
   friend class EventHandle;
 
@@ -275,7 +269,6 @@ class Engine {
   std::size_t queue_peak_{0};
   std::uint64_t cb_inline_{0};
   std::uint64_t cb_heap_{0};
-  obs::FlightRecorder* recorder_{nullptr};
 };
 
 }  // namespace bismark::sim

@@ -1,8 +1,12 @@
 // Uploader: deterministic retry/backoff scheduling, clean cancellation via
-// EventHandle, and store-and-forward recovery across collector outages.
+// EventHandle, store-and-forward recovery across collector outages, and the
+// two histograms it records into an attached metrics shard.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "bismark/uploader.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace bismark {
@@ -155,6 +159,39 @@ TEST(Uploader, RecoversAllRecordsAfterCollectorOutage) {
   EXPECT_EQ(spool.dropped().total, 0u);
   EXPECT_EQ(uploader.stranded(), 0u);
   EXPECT_GT(uploader.stats().retries, 0u) << "the outage was survived by retrying";
+}
+
+TEST(Uploader, AttachedShardHistogramsCountFlushesAndRetries) {
+  sim::Engine engine(TimePoint{0});
+  UploadSpool spool(4096);
+  for (int h = 0; h < 48; ++h) spool.add_uptime(Uptime(h + 0.25));
+  IntervalSet outage;
+  outage.add(TimePoint{0} + Hours(2), TimePoint{0} + Hours(30));
+  const net::FaultPlan plan(net::FaultConfig{}, outage);
+
+  CountingSink sink;
+  collect::IdempotentIngest ingest(sink);
+  Uploader uploader(engine, spool, plan, ingest, collect::HomeId{7}, FastPolicy(),
+                    Rng::Stream(1, 2, 5));
+  obs::MetricsShard shard;
+  uploader.attach_obs(&shard);
+  uploader.start(Interval{TimePoint{0}, TimePoint{0} + Hours(48)});
+  engine.run_until(TimePoint{0} + Hours(50));
+  uploader.stop();
+  ASSERT_GT(uploader.stats().retries, 0u) << "the outage must arm retries";
+
+  const obs::MetricsSnapshot m =
+      obs::MergeShards(std::span<const obs::MetricsShard>(&shard, 1));
+#if BISMARK_OBS_ENABLED
+  ASSERT_EQ(m.histograms.size(), 2u);
+  EXPECT_EQ(m.histograms.at("bismark_upload_backoff_delay_minutes").count,
+            uploader.stats().retries)
+      << "one observation per armed retry";
+  EXPECT_GT(m.histograms.at("bismark_spool_occupancy_ratio").count, 0u)
+      << "one observation per flush";
+#else
+  EXPECT_TRUE(m.histograms.empty()) << "BISMARK_OBS=OFF registers no histogram";
+#endif
 }
 
 TEST(Uploader, UndersizedSpoolDropsExactlyTheExcessDuringOutage) {

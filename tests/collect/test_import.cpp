@@ -95,7 +95,7 @@ TEST(ReadCsvRecordTest, CrlfReleaseFileImportsCleanly) {
       {}, {TimePoint{0}, TimePoint{1000000}}, {}, {}, {}, {}});
   ImportUptime(repo, in, report);
   EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
-  EXPECT_EQ(report.uptime(), 2u);
+  EXPECT_EQ(report.rows<UptimeRecord>(), 2u);
   ASSERT_EQ(repo.uptime().size(), 2u);
   EXPECT_EQ(repo.uptime()[1].uptime, Seconds(7200));
 }
@@ -164,7 +164,7 @@ TEST_F(ImportTest, RoundTripThroughStreams) {
     ImportWifi(target_, s, report);
   }
   EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
-  EXPECT_EQ(report.heartbeat_runs(), 3u);
+  EXPECT_EQ(report.rows<HeartbeatRun>(), 3u);
 
   // Heartbeat runs identical.
   ASSERT_EQ(target_.heartbeat_runs().size(), source_.heartbeat_runs().size());
@@ -225,6 +225,26 @@ TEST_F(ImportTest, AnalysisIdenticalOnImportedData) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ImportTest, ReleaseHomesAreThoseWithHeartbeatsOrDeviceCounts) {
+  // Home 1 has heartbeats, home 2 heartbeats and a device count, home 3
+  // only a device count; home 4 has only uptime and is not registered.
+  const auto& w = source_.windows();
+  DeviceCountRecord dc;
+  dc.home = HomeId{3};
+  dc.sampled = w.devices.start + Hours(5);
+  source_.add_device_count(dc);
+  source_.add_uptime({HomeId{4}, w.uptime.start + Hours(1), Hours(1)});
+
+  EXPECT_EQ(RegisterReleaseHomes(source_), 3u);
+  ASSERT_EQ(source_.homes().size(), 3u);
+  for (const int id : {1, 2, 3}) {
+    const HomeInfo* info = source_.find_home(HomeId{id});
+    ASSERT_NE(info, nullptr) << "home " << id;
+    EXPECT_EQ(info->country_code, "??");
+    EXPECT_TRUE(info->reports_devices);
+  }
+}
+
 TEST_F(ImportTest, MissingDirectoryReportsErrors) {
   const auto report = ImportPublicDatasets(target_, "/nonexistent/bismark-release");
   EXPECT_FALSE(report.ok());
@@ -244,7 +264,7 @@ TEST_F(ImportTest, MalformedRowsSkippedAndReported) {
   const Interval window{TimePoint{0}, TimePoint{1000000}};
   DataRepository repo(DatasetWindows{window, window, window, {}, {}, {}});
   ImportHeartbeats(repo, s, report);
-  EXPECT_EQ(report.heartbeat_runs(), 1u);
+  EXPECT_EQ(report.rows<HeartbeatRun>(), 1u);
   EXPECT_EQ(repo.heartbeat_runs().size(), 1u);
   EXPECT_EQ(report.errors.size(), 4u);
 
@@ -255,7 +275,7 @@ TEST_F(ImportTest, MalformedRowsSkippedAndReported) {
   uptime << "1,1000,3600.000\n";
   uptime << "2,2000,-1.000\n";  // negative uptime
   ImportUptime(repo, uptime, report);
-  EXPECT_EQ(report.uptime(), 1u);
+  EXPECT_EQ(report.rows<UptimeRecord>(), 1u);
   EXPECT_EQ(report.errors.size(), 5u);
 
   std::stringstream capacity;
@@ -263,7 +283,7 @@ TEST_F(ImportTest, MalformedRowsSkippedAndReported) {
   capacity << "1,1000,20.500,4.250\n";
   capacity << "2,2000,fast,4.250\n";  // non-numeric down_mbps
   ImportCapacity(repo, capacity, report);
-  EXPECT_EQ(report.capacity(), 1u);
+  EXPECT_EQ(report.rows<CapacityRecord>(), 1u);
   ASSERT_EQ(report.errors.size(), 6u);
   EXPECT_EQ(report.errors[2], "heartbeats.csv:5: malformed row");
   EXPECT_EQ(report.errors[3], "heartbeats.csv:6: malformed row");
@@ -282,7 +302,7 @@ TEST_F(ImportTest, RowsOutsideWindowsSkippedNotCounted) {
   ImportReport report;
   DataRepository repo(DatasetWindows{{}, {TimePoint{0}, TimePoint{2000}}, {}, {}, {}, {}});
   EXPECT_EQ(ImportUptime(repo, s, report), 1u);
-  EXPECT_EQ(report.uptime(), 1u);
+  EXPECT_EQ(report.rows<UptimeRecord>(), 1u);
   EXPECT_EQ(repo.uptime().size(), 1u);
   ASSERT_EQ(report.errors.size(), 1u);
   EXPECT_EQ(report.errors[0],
@@ -294,7 +314,7 @@ TEST_F(ImportTest, WrongHeaderRejected) {
   s << "totally,wrong,header\n1,2,3\n";
   ImportReport report;
   ImportUptime(target_, s, report);
-  EXPECT_EQ(report.uptime(), 0u);
+  EXPECT_EQ(report.rows<UptimeRecord>(), 0u);
   ASSERT_FALSE(report.errors.empty());
   EXPECT_NE(report.errors[0].find("unexpected header"), std::string::npos);
 }
@@ -320,9 +340,9 @@ TEST(ImportDeploymentScaleTest, FullStudyReleaseRoundTrips) {
   for (const auto& info : source.homes()) imported.register_home(info);
   const auto report = ImportPublicDatasets(imported, dir);
   EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
-  EXPECT_EQ(report.heartbeat_runs(), source.heartbeat_runs().size());
-  EXPECT_EQ(report.device_counts(), source.device_counts().size());
-  EXPECT_EQ(report.wifi_scans(), source.wifi_scans().size());
+  EXPECT_EQ(report.rows<HeartbeatRun>(), source.heartbeat_runs().size());
+  EXPECT_EQ(report.rows<DeviceCountRecord>(), source.device_counts().size());
+  EXPECT_EQ(report.rows<WifiScanRecord>(), source.wifi_scans().size());
 
   const auto original = analysis::AnalyzeAvailability(source, {Minutes(10), 10.0});
   const auto roundtrip = analysis::AnalyzeAvailability(imported, {Minutes(10), 10.0});

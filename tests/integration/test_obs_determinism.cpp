@@ -1,8 +1,7 @@
 // The obs subsystem's headline contract: the rendered metrics and the
 // deterministic run report are byte-identical for any --workers value and
 // across repeated runs, with fault injection active (fixed fault seed) —
-// the same guarantee the CSV exports carry. On a mismatch, the merged
-// flight recorders are dumped for the post-mortem.
+// the same guarantee the CSV exports carry.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -47,12 +46,6 @@ std::string DeterministicReportJson(const Deployment& study) {
   return out.str();
 }
 
-std::string FlightDump(const Deployment& study) {
-  std::ostringstream out;
-  study.dump_flight_recorders(out);
-  return out.str();
-}
-
 class ObsDeterminismTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -80,9 +73,7 @@ TEST_F(ObsDeterminismTest, SerialRunExercisesThePipeline) {
   // Conservation: spooled == delivered + dropped + stranded, exactly.
   const obs::Conservation c = obs::ConservationFromMetrics(m);
   EXPECT_TRUE(c.holds()) << "spooled=" << c.spooled << " delivered=" << c.delivered
-                         << " dropped=" << c.dropped << " stranded=" << c.stranded
-                         << "\n"
-                         << FlightDump(*serial_);
+                         << " dropped=" << c.dropped << " stranded=" << c.stranded;
 
   // UploadStats is a view of the same registry — they must agree.
   const home::UploadStats& up = serial_->upload_stats();
@@ -98,8 +89,7 @@ TEST_F(ObsDeterminismTest, MetricsBytesIdenticalAcrossWorkerCounts) {
   for (const int workers : {4, 8}) {
     const auto parallel = Deployment::RunStudy(FaultedStudy(workers));
     EXPECT_EQ(serial_text, MetricsText(*parallel))
-        << "metrics diverged at --workers " << workers << "\n"
-        << FlightDump(*parallel);
+        << "metrics diverged at --workers " << workers;
   }
 }
 

@@ -20,7 +20,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "analysis/cgn.h"
@@ -380,17 +379,7 @@ int CmdAnalyze(const ArgParser& args) {
     std::printf("imported %zu rows from %s\n", report.total_rows(), path.c_str());
     for (const auto& e : report.errors) std::fprintf(stderr, "warning: %s\n", e.c_str());
     if (report.total_rows() == 0) return 1;
-
-    std::set<int> ids;
-    for (const auto& run : repo->heartbeat_runs()) ids.insert(run.home.value);
-    for (const auto& rec : repo->device_counts()) ids.insert(rec.home.value);
-    for (int id : ids) {
-      collect::HomeInfo info;
-      info.id = collect::HomeId{id};
-      info.country_code = "??";
-      info.reports_devices = true;
-      repo->register_home(info);
-    }
+    collect::RegisterReleaseHomes(*repo);
   }
 
   const auto homes = analysis::AnalyzeAvailability(*repo, {Minutes(10), 25.0});
@@ -611,16 +600,18 @@ int main(int argc, char** argv) {
     }
   }
   // The spill directory must be a writable directory before any work runs.
+  // --resume never creates its directory: a missing one is left to the
+  // recovery, which refuses it ("cannot resume from DIR: ...").
   {
+    namespace fs = std::filesystem;
+    std::error_code ec;
     std::string dir;
     if (const auto resume_dir = args.get("resume")) {
-      dir = *resume_dir;
+      if (fs::exists(*resume_dir, ec)) dir = *resume_dir;
     } else if (args.get_int("memory-budget-mb", 0) > 0) {
       dir = args.get_or("spill-dir", "bsmk-segments");
     }
     if (!dir.empty()) {
-      namespace fs = std::filesystem;
-      std::error_code ec;
       if (fs::exists(dir, ec) && !fs::is_directory(dir, ec)) {
         return usage_error("spill dir " + dir + " exists and is not a directory");
       }

@@ -167,21 +167,32 @@ void FeedFlows(const Roster&, std::span<const collect::TrafficFlowRecord> rows,
   AddBatch(p.summary.flow_kbytes, rows, [](const auto& rec) { return rec.total_bytes().kb(); });
 }
 
+/// One sketch group's feeder and the only fields of its kind it reads.
 template <typename T>
-using Feed = void (*)(const Roster&, std::span<const T>, FleetPartial&);
+struct Feeder {
+  void (*feed)(const Roster&, std::span<const T>, FleetPartial&);
+  collect::FieldMask<T> fields;
+};
 
-/// Call `visit` with every sketch group's feeder. The two wifi sketches
+/// Call `visit` with every sketch group's Feeder. The two wifi sketches
 /// read the largest kind, so they are two groups: the finish pass feeds
 /// them concurrently.
 template <typename Visit>
 void ForEachFeeder(Visit&& visit) {
-  visit(&FeedHeartbeats);
-  visit(&FeedDevices);
-  visit(&FeedCapacity);
-  visit(&FeedVisibleAps);
-  visit(&FeedAssociatedClients);
-  visit(&FeedThroughput);
-  visit(&FeedFlows);
+  using collect::FieldsOf;
+  using HB = collect::HeartbeatRun;
+  using DC = collect::DeviceCountRecord;
+  using CR = collect::CapacityRecord;
+  using WS = collect::WifiScanRecord;
+  using TM = collect::ThroughputMinute;
+  using TF = collect::TrafficFlowRecord;
+  visit(Feeder{&FeedHeartbeats, FieldsOf<&HB::home, &HB::start, &HB::end>});
+  visit(Feeder{&FeedDevices, FieldsOf<&DC::home, &DC::unique_total>});
+  visit(Feeder{&FeedCapacity, FieldsOf<&CR::home, &CR::downstream, &CR::upstream>});
+  visit(Feeder{&FeedVisibleAps, FieldsOf<&WS::visible_aps>});
+  visit(Feeder{&FeedAssociatedClients, FieldsOf<&WS::associated_clients>});
+  visit(Feeder{&FeedThroughput, FieldsOf<&TM::peak_down_bps>});
+  visit(Feeder{&FeedFlows, FieldsOf<&TF::bytes_up, &TF::bytes_down>});
 }
 
 /// The partial every feeder's output ends up in: the summary's scalars,
@@ -235,9 +246,10 @@ struct FleetSummarizer::State {
 FleetSummarizer::FleetSummarizer(collect::FinishPass& pass)
     : state_(std::make_unique<State>(pass.repository())) {
   // Each feeder is one consumer writing its own fields of the total, so
-  // consumers never share mutable state.
-  ForEachFeeder([&]<typename T>(Feed<T> feed) {
-    pass.add<T>([state = state_.get(), feed](std::span<const T> rows) {
+  // consumers never share mutable state. The pass's rows are whole, since
+  // the exports and the snapshot writer share them.
+  ForEachFeeder([&]<typename T>(Feeder<T> feeder) {
+    pass.add<T>([state = state_.get(), feed = feeder.feed](std::span<const T> rows) {
       feed(state->roster, rows, state->total);
     });
   });
@@ -260,31 +272,34 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
 
   // One task per (kind, stripe) runs every feeder of that kind over the
   // stripe into the task's own partial, so the scan is embarrassingly
-  // parallel. Determinism comes from the fold below, which takes partials
-  // in stripe index order — a property of the snapshot, not of how many
-  // threads scanned it.
+  // parallel. It reads only the fields its feeders name, so it checks and
+  // pages in only their column sections. Determinism comes from the fold
+  // below, which takes partials in stripe index order — a property of the
+  // snapshot, not of how many threads scanned it.
   std::array<std::vector<FleetPartial>, collect::kRecordKinds> partials;
   std::vector<std::function<void()>> tasks;
   collect::ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
-    bool fed = false;
-    ForEachFeeder([&]<typename U>(Feed<U>) { fed |= std::is_same_v<U, T>; });
-    if (!fed) return;
+    collect::FieldMask<T> fields;
+    ForEachFeeder([&]<typename U>(Feeder<U> feeder) {
+      if constexpr (std::is_same_v<U, T>) fields = fields | feeder.fields;
+    });
+    if (fields.empty()) return;
     std::vector<FleetPartial>& parts = partials[collect::kRecordIndexOf<T>];
     parts.resize(repo.columns()->stripes_of_kind(collect::kRecordIndexOf<T>));
     for (std::size_t s = 0; s < parts.size(); ++s) {
-      tasks.emplace_back([&repo, &roster, &part = parts[s], s] {
-        collect::RowReader<T> reader(repo, s);
+      tasks.emplace_back([&repo, &roster, &part = parts[s], s, fields] {
+        collect::RowReader<T> reader(repo, s, fields);
         std::vector<T> buffer;
         for (std::span<const T> rows; !(rows = reader.read(buffer)).empty();) {
-          ForEachFeeder([&]<typename U>(Feed<U> feed) {
-            if constexpr (std::is_same_v<U, T>) feed(roster, rows, part);
+          ForEachFeeder([&]<typename U>(Feeder<U> feeder) {
+            if constexpr (std::is_same_v<U, T>) feeder.feed(roster, rows, part);
           });
         }
       });
     }
   });
-  ThreadPool pool(static_cast<int>(workers));
+  ThreadPool pool(PoolWorkers(workers, tasks.size()));
   pool.parallel_for(tasks.size(), [&](std::size_t i, int) { tasks[i](); });
 
   FleetPartial total = EmptyTotal(repo, roster);

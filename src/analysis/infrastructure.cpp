@@ -45,13 +45,17 @@ MeanWithSpread AcrossHomes(const std::vector<double>& home_means) {
 
 /// The largest unique_total of every home with a census row, floored at 0,
 /// in ascending home id order (MeanUniqueDevices' floating-point mean
-/// depends on that order). One hash lookup per row.
+/// depends on that order). One hash lookup per row, and a column-backed
+/// read decodes only the two fields it uses.
 std::vector<int> MaxUniqueDevicesByHome(const collect::DataRepository& repo) {
+  using collect::DeviceCountRecord;
   std::unordered_map<int, int> by_home;
-  repo.for_each_row<collect::DeviceCountRecord>([&](const collect::DeviceCountRecord& rec) {
-    int& max = by_home.try_emplace(rec.home.value, 0).first->second;
-    max = std::max(max, rec.unique_total);
-  });
+  repo.for_each_row<DeviceCountRecord>(
+      [&](const DeviceCountRecord& rec) {
+        int& max = by_home.try_emplace(rec.home.value, 0).first->second;
+        max = std::max(max, rec.unique_total);
+      },
+      collect::FieldsOf<&DeviceCountRecord::home, &DeviceCountRecord::unique_total>);
   std::vector<std::pair<int, int>> homes(by_home.begin(), by_home.end());
   std::sort(homes.begin(), homes.end());
   std::vector<int> out;

@@ -18,6 +18,12 @@ using core::StoreLe;
 
 [[noreturn]] void Throw(const std::string& why) { throw std::runtime_error("snapshot: " + why); }
 
+[[noreturn]] void Corrupt(const std::string& path, std::size_t stripe, std::size_t field,
+                          const std::string& why) {
+  Throw("corrupt " + path + " stripe " + std::to_string(stripe) + " field " +
+        std::to_string(field) + ": " + why);
+}
+
 /// One stripe's meta-table entry, the field list both commit() and Open()
 /// use: the stripe's row count, then per field its section's body offset,
 /// body bytes, CRC32C and encoding. A reader sizes `sections` first.
@@ -282,6 +288,7 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
     if (ok && ks.meta.rows > 0 && ks.meta.file.empty()) {
       bad(std::string("missing column file name for ") + Schema<T>::kKindName);
     }
+    if (ok) ks.checked = std::make_unique<std::atomic<bool>[]>(ks.meta.stripes.size() * kFields);
     snap->total_rows_ += ks.meta.rows;
   });
 
@@ -291,18 +298,13 @@ std::shared_ptr<const ColumnSnapshot> ColumnSnapshot::Open(const std::string& di
   return snap;
 }
 
-void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
+void ColumnSnapshot::map_kind(std::size_t kind) const {
   const KindState& ks = kinds_[kind];
-  if (ks.opened.load(std::memory_order_acquire)) return;
+  if (ks.mapped.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(open_mu_);
-  if (ks.opened.load(std::memory_order_relaxed)) return;
+  if (ks.mapped.load(std::memory_order_relaxed)) return;
 
   const std::string path = dir_ + "/" + ks.meta.file;
-  const auto corrupt = [&path](std::size_t stripe, std::size_t field, const std::string& why) {
-    Throw("corrupt " + path + " stripe " + std::to_string(stripe) + " field " +
-          std::to_string(field) + ": " + why);
-  };
-
   std::string io_error;
   if (!ks.map.open(path, &io_error)) Throw(io_error);
   const char* data = ks.map.data();
@@ -316,28 +318,12 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
   std::uint64_t end = kColumnFileHeaderBytes;
   for (std::uint32_t s = 0; s < ks.meta.stripes.size(); ++s) {
     const ColumnStripeMeta& sm = ks.meta.stripes[s];
-    if (sm.sections.size() != field_count) corrupt(s, 0, "field count mismatch");
+    if (sm.sections.size() != field_count) Corrupt(path, s, 0, "field count mismatch");
     for (std::uint32_t f = 0; f < sm.sections.size(); ++f) {
       const ColumnSectionMeta& sec = sm.sections[f];
       if (sec.body_offset < kColumnFileHeaderBytes + kSectionHeaderBytes ||
           sec.body_offset + sec.body_bytes + kSectionFooterBytes > size) {
-        corrupt(s, f, "section out of bounds (truncated file?)");
-      }
-      const SectionFrame want{{f, s, sec.encoding}, sm.rows, sec.body_bytes, sec.crc};
-      const char* body = data + sec.body_offset;
-      std::string why = kColumnSection.check_header(body - kSectionHeaderBytes, want);
-      if (why.empty()) {
-        why = kColumnSection.check_footer(body + sec.body_bytes, want,
-                                          core::Crc32c(body, sec.body_bytes));
-      }
-      if (!why.empty()) corrupt(s, f, why);
-      if (sec.encoding == 0) {
-        // String section: offsets that decrease, or a final offset other
-        // than the blob length, would let views run off the mapped bytes.
-        const auto blob_bytes = StringBlobBytes(body, sm.rows);
-        if (!blob_bytes || *blob_bytes != sec.body_bytes - 4 * sm.rows) {
-          corrupt(s, f, "string offsets inconsistent with blob");
-        }
+        Corrupt(path, s, f, "section out of bounds (truncated file?)");
       }
       std::uint64_t section_end = sec.body_offset + sec.body_bytes + kSectionFooterBytes;
       section_end += (8 - (section_end % 8)) % 8;
@@ -346,7 +332,52 @@ void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
   }
   if (end != size) Throw("corrupt " + path + ": trailing bytes past last section");
 
-  ks.opened.store(true, std::memory_order_release);
+  ks.mapped.store(true, std::memory_order_release);
+}
+
+const char* ColumnSnapshot::section_body(std::size_t kind, std::size_t stripe,
+                                         std::size_t field) const {
+  map_kind(kind);
+  const KindState& ks = kinds_[kind];
+  const ColumnStripeMeta& sm = ks.meta.stripes[stripe];
+  const ColumnSectionMeta& sec = sm.sections[field];
+  const char* body = ks.map.data() + sec.body_offset;
+  std::atomic<bool>& checked = ks.checked[stripe * sm.sections.size() + field];
+  if (checked.load(std::memory_order_acquire)) return body;
+
+  const auto corrupt = [&](const std::string& why) {
+    Corrupt(dir_ + "/" + ks.meta.file, stripe, field, why);
+  };
+  const SectionFrame want{
+      {static_cast<std::uint32_t>(field), static_cast<std::uint32_t>(stripe), sec.encoding},
+      sm.rows, sec.body_bytes, sec.crc};
+  std::string why = kColumnSection.check_header(body - kSectionHeaderBytes, want);
+  if (why.empty()) {
+    why = kColumnSection.check_footer(body + sec.body_bytes, want,
+                                      core::Crc32c(body, sec.body_bytes));
+  }
+  if (!why.empty()) corrupt(why);
+  if (sec.encoding == 0) {
+    // String section: offsets that decrease, or a final offset other than
+    // the blob length, would let views run off the mapped bytes.
+    const auto blob_bytes = StringBlobBytes(body, sm.rows);
+    if (!blob_bytes || *blob_bytes != sec.body_bytes - 4 * sm.rows) {
+      corrupt("string offsets inconsistent with blob");
+    }
+  }
+  // Two first readers of one section may both check it; it counts once.
+  if (!checked.exchange(true, std::memory_order_acq_rel)) {
+    bytes_verified_.fetch_add(sec.body_bytes, std::memory_order_relaxed);
+  }
+  return body;
+}
+
+void ColumnSnapshot::ensure_kind_open(std::size_t kind) const {
+  map_kind(kind);
+  const ColumnKindMeta& meta = kinds_[kind].meta;
+  for (std::size_t s = 0; s < meta.stripes.size(); ++s) {
+    for (std::size_t f = 0; f < meta.stripes[s].sections.size(); ++f) section_body(kind, s, f);
+  }
 }
 
 std::unique_ptr<DataRepository> OpenColumnSnapshot(const std::string& dir,

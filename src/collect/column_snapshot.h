@@ -48,16 +48,18 @@
 // one TableView decodes both. Where the snapshot frames each column of a
 // stripe as its own section, a spill section appends whole stripes, each
 // behind its u32 row count. The crash-safety story carries over: the
-// reader verifies every frame, CRC and string column of a kind file
-// against the meta table the first time that kind is touched, and fails
-// closed on any mismatch.
+// reader checks a kind file's header and every section's bounds when it
+// maps the file, and each section's frame, CRC and string offsets against
+// the meta table the first time a read touches that section, so a read of
+// some columns checks only those; it fails closed on any mismatch.
 // Readers get the bytes through core::MappedFile — mmap when the kernel
 // grants it, a buffered read otherwise — and every open is recorded in the
 // core::IoReadStats counters, which is how tests prove a single-figure
 // query touched only its own kind segments. Rows come out through the
 // repository's one RowReader (collect/repository.h), whose column arm is
-// the only loop that decodes stripe views into rows; a reader can also be
-// limited to one stripe, the unit of the per-stripe fleet summary.
+// the only loop that decodes stripe views into rows; a reader can be
+// limited to some fields (a FieldMask) and to one stripe, the unit of the
+// per-stripe fleet summary.
 //
 // The writer is a set of finish-pass consumers (collect/finish.h), one per
 // non-empty kind, so it works from the in-RAM store, a spill directory
@@ -154,11 +156,14 @@ bool SaveColumnSnapshot(const DataRepository& repo, const std::string& dir,
 /// True when `path` names a directory holding a v3 meta file.
 [[nodiscard]] bool IsColumnSnapshotDir(const std::string& path);
 
-/// An opened v3 snapshot. The meta file is read and CRC-verified eagerly;
-/// kind files are mapped and verified lazily, on the first read touching
-/// that kind — the laziness *is* the product guarantee (a figure's query
-/// maps only its own kinds) so it is not an optimisation to remove.
-/// Thread-safe for concurrent reads; lazy opens are mutex-serialised.
+/// An opened v3 snapshot. The meta file is read and CRC-verified eagerly.
+/// A kind file is mapped, its header and section bounds checked, on the
+/// first read touching that kind; a section's frame, CRC32C and string
+/// offsets are checked on the first read touching that section. The
+/// laziness *is* the product guarantee (a figure's query maps only its own
+/// kinds and checks only its own columns) so it is not an optimisation to
+/// remove. Thread-safe for concurrent reads: kind maps are mutex-serialised,
+/// section checks are not (each section has its own flag).
 class ColumnSnapshot {
  public:
   /// Parse + checksum <dir>/snapshot.bsmkmeta. nullptr + *error on failure
@@ -178,26 +183,34 @@ class ColumnSnapshot {
     return kinds_[kind].meta.stripes.size();
   }
 
-  /// Map + frame/CRC-verify kind's column file. First call per kind does
-  /// the work; later calls are a fence check. Throws std::runtime_error
-  /// ("snapshot: corrupt ...") on any mismatch with the meta table.
+  /// Map kind's column file and check every section of it: the whole-kind
+  /// check, built from the same two steps a read takes. Throws
+  /// std::runtime_error ("snapshot: corrupt ...") on any mismatch with the
+  /// meta table.
   void ensure_kind_open(std::size_t kind) const;
 
-  /// Zero-copy view of one stripe of kind T (maps the kind file on first
-  /// use). The view borrows the mapping: valid while this object lives.
-  /// RowReader (collect/repository.h) decodes rows out of these views; a
-  /// kind without rows has no stripes, so reading it touches no file.
+  /// Zero-copy view of the `fields` of one stripe of kind T. The kind file
+  /// is mapped on first use, and each of those fields' sections is checked
+  /// before the view is returned; the other columns stay unchecked and
+  /// absent from the view. The view borrows the mapping: valid while this
+  /// object lives. RowReader (collect/repository.h) decodes rows out of
+  /// these views; a kind without rows has no stripes, so reading it
+  /// touches no file.
   template <typename T>
-  [[nodiscard]] TableView<T> stripe(std::size_t stripe_index) const {
+  [[nodiscard]] TableView<T> stripe(std::size_t stripe_index,
+                                    FieldMask<T> fields = FieldMask<T>::All()) const {
     constexpr std::size_t kKind = kRecordIndexOf<T>;
-    ensure_kind_open(kKind);
-    const KindState& ks = kinds_[kKind];
-    const ColumnStripeMeta& sm = ks.meta.stripes[stripe_index];
     std::array<const char*, TableView<T>::kNumFields> bodies{};
     for (std::size_t f = 0; f < bodies.size(); ++f) {
-      bodies[f] = ks.map.data() + sm.sections[f].body_offset;
+      if (fields.has(f)) bodies[f] = section_body(kKind, stripe_index, f);
     }
-    return TableView<T>(bodies, sm.rows);
+    return TableView<T>(bodies, kinds_[kKind].meta.stripes[stripe_index].rows);
+  }
+
+  /// Body bytes of the sections checked so far, each section counted once:
+  /// what reads have verified, and so paged in, of the kind files.
+  [[nodiscard]] std::uint64_t bytes_verified() const {
+    return bytes_verified_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -206,8 +219,18 @@ class ColumnSnapshot {
   struct KindState {
     ColumnKindMeta meta;
     mutable core::MappedFile map;
-    mutable std::atomic<bool> opened{false};
+    mutable std::atomic<bool> mapped{false};
+    /// One flag per section, stripe-major: set once its frame, CRC32C and
+    /// string offsets have been checked.
+    std::unique_ptr<std::atomic<bool>[]> checked;
   };
+
+  /// Map kind's file and check its header, every section's bounds and that
+  /// nothing trails the last section. Once per kind, under open_mu_.
+  void map_kind(std::size_t kind) const;
+  /// The body of one section, after map_kind and, on the section's first
+  /// read, the check of its frame, CRC32C and string offsets.
+  const char* section_body(std::size_t kind, std::size_t stripe, std::size_t field) const;
 
   std::string dir_;
   DatasetWindows windows_;
@@ -215,6 +238,7 @@ class ColumnSnapshot {
   std::uint64_t total_rows_{0};
   std::array<KindState, kRecordKinds> kinds_;
   mutable std::mutex open_mu_;
+  mutable std::atomic<std::uint64_t> bytes_verified_{0};
 };
 
 /// Open a v3 snapshot as a column-backed DataRepository: windows and homes

@@ -248,9 +248,10 @@ void FinishPass::run() {
   std::stable_sort(order.begin(), order.end(),
                    [](const Stream* a, const Stream* b) { return a->rows() > b->rows(); });
   Scheduler scheduler(order, workers_);
-  const std::size_t threads = std::max<std::size_t>(1, std::min(workers_, steps_in_parallel));
-  ThreadPool pool(static_cast<int>(threads));
-  pool.parallel_for(threads, [&scheduler](std::size_t, int) { scheduler.work(); });
+  const int threads = PoolWorkers(workers_, steps_in_parallel);
+  ThreadPool pool(threads);
+  pool.parallel_for(static_cast<std::size_t>(threads),
+                    [&scheduler](std::size_t, int) { scheduler.work(); });
   scheduler.rethrow();
 }
 

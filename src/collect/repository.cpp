@@ -140,7 +140,8 @@ DataRepository::Counts DataRepository::counts() const {
 // --- the row reader -----------------------------------------------------------
 
 template <typename T>
-RowReader<T>::RowReader(const DataRepository& repo) : columns_(repo.columns()) {
+RowReader<T>::RowReader(const DataRepository& repo, FieldMask<T> fields)
+    : columns_(repo.columns()), fields_(fields) {
   if (columns_ != nullptr) {
     stripe_end_ = columns_->stripes_of_kind(kRecordIndexOf<T>);
   } else if (SpillDir* dir = repo.spill()) {
@@ -151,8 +152,8 @@ RowReader<T>::RowReader(const DataRepository& repo) : columns_(repo.columns()) {
 }
 
 template <typename T>
-RowReader<T>::RowReader(const DataRepository& repo, std::size_t stripe)
-    : columns_(repo.columns()), stripe_(stripe), stripe_end_(stripe + 1) {
+RowReader<T>::RowReader(const DataRepository& repo, std::size_t stripe, FieldMask<T> fields)
+    : columns_(repo.columns()), fields_(fields), stripe_(stripe), stripe_end_(stripe + 1) {
   if (columns_ == nullptr) throw std::logic_error("RowReader: stripes need a column snapshot");
 }
 
@@ -172,11 +173,12 @@ std::span<const T> RowReader<T>::read(std::vector<T>& buffer) {
     spilled_->read(buffer, kReadBatchRows);
     return buffer;
   }
-  // The one stripe decode loop: a batch may span stripes.
+  // The one stripe decode loop: a batch may span stripes. Rows start
+  // value-initialized, so the fields outside the mask stay that way.
   while (buffer.size() < kReadBatchRows && stripe_ < stripe_end_) {
-    const TableView<T> view = columns_->stripe<T>(stripe_);
+    const TableView<T> view = columns_->stripe<T>(stripe_, fields_);
     for (; stripe_row_ < view.rows() && buffer.size() < kReadBatchRows; ++stripe_row_) {
-      view.row(stripe_row_, &buffer.emplace_back());
+      view.row(stripe_row_, &buffer.emplace_back(), fields_);
     }
     if (stripe_row_ == view.rows()) {
       ++stripe_;

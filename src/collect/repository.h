@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "collect/column_view.h"
 #include "collect/records.h"
 #include "collect/sink.h"
 #include "collect/spill.h"
@@ -224,13 +225,14 @@ class DataRepository final : public RecordSink {
   }
 
   /// Call `fn` on every row of kind T in canonical order, one RowReader
-  /// batch at a time; each call on a spilled repository is one merge. The
-  /// summary, export and snapshot writers read through one FinishPass
-  /// (collect/finish.h) instead, so they share that merge. Requires
-  /// finalize_deterministic_order() first on the in-RAM path.
+  /// batch at a time; each call on a spilled repository is one merge. A
+  /// column-backed repository checks and decodes only `fields` (see
+  /// RowReader). The summary, export and snapshot writers read through one
+  /// FinishPass (collect/finish.h) instead, so they share that merge.
+  /// Requires finalize_deterministic_order() first on the in-RAM path.
   template <typename T, typename Fn>
-  void for_each_row(Fn&& fn) const {
-    RowReader<T> reader(*this);
+  void for_each_row(Fn&& fn, FieldMask<T> fields = FieldMask<T>::All()) const {
+    RowReader<T> reader(*this, fields);
     std::vector<T> buffer;
     for (std::span<const T> batch; !(batch = reader.read(buffer)).empty();) {
       repository_detail::EachRow(batch, fn);
@@ -299,16 +301,20 @@ inline constexpr std::size_t kReadBatchRows = 4096;
 /// batches, whichever the backing. Resident rows are handed out in place.
 /// A spilled kind is k-way merged in one level; construction flushes the
 /// logs and opens one cursor per section (collect/spill.h). A column-backed
-/// kind is decoded stripe by stripe into the caller's buffer. Defined in
-/// repository.cpp, with one explicit instantiation per kind.
+/// kind is decoded stripe by stripe into the caller's buffer, and only the
+/// `fields` a reader names are checked and decoded: the other members of
+/// its rows are value-initialized. Resident and spilled rows are whole
+/// already, so those arms ignore the mask. Defined in repository.cpp, with
+/// one explicit instantiation per kind.
 template <typename T>
 class RowReader {
  public:
   /// Every row of kind T. `repo` must be finalised and outlive the reader.
-  explicit RowReader(const DataRepository& repo);
+  explicit RowReader(const DataRepository& repo, FieldMask<T> fields = FieldMask<T>::All());
   /// Only stripe `stripe` of kind T of a column-backed repository: the
   /// unit of per-stripe parallel scans.
-  RowReader(const DataRepository& repo, std::size_t stripe);
+  RowReader(const DataRepository& repo, std::size_t stripe,
+            FieldMask<T> fields = FieldMask<T>::All());
   ~RowReader();
   RowReader(const RowReader&) = delete;
   RowReader& operator=(const RowReader&) = delete;
@@ -323,6 +329,7 @@ class RowReader {
   std::size_t resident_next_{0};
   std::unique_ptr<SpilledRowStream<T>> spilled_;
   const ColumnSnapshot* columns_{nullptr};
+  FieldMask<T> fields_;
   std::size_t stripe_{0};  // next stripe to decode, and the end of the range
   std::size_t stripe_end_{0};
   std::uint64_t stripe_row_{0};

@@ -6,8 +6,13 @@ namespace bismark {
 
 namespace {
 
+/// One plain pass over the cell: find_first_of would call memchr once per
+/// character.
 bool NeedsQuotes(std::string_view cell) {
-  return cell.find_first_of(",\"\n\r") != std::string_view::npos;
+  for (const char c : cell) {
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
+  }
+  return false;
 }
 
 void AppendQuoted(std::string& out, std::string_view cell) {

@@ -7,15 +7,27 @@
 // through their own outputs, so the schedule can never change results.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace bismark {
+
+/// Workers for a pool that runs `tasks` tasks given up to `workers`
+/// threads: never more than there are tasks, at least one, and within int.
+/// A pool sized by it starts no thread that could not get a task, however
+/// large the requested count.
+[[nodiscard]] constexpr int PoolWorkers(std::size_t workers, std::size_t tasks) {
+  const std::size_t capped = std::min(
+      {workers, tasks, static_cast<std::size_t>(std::numeric_limits<int>::max())});
+  return static_cast<int>(std::max<std::size_t>(1, capped));
+}
 
 class ThreadPool {
  public:

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "collect/export.h"
@@ -165,6 +167,47 @@ TEST(ExportGoldenBytes, FullFidelityViewUsesExactCodecs) {
   EXPECT_EQ(out.str(),
             "home,measured_ms,down_bps,up_bps\n"
             "5,2000,19500000,4500000\n");
+
+  // Every integer member type at the ends of its range: the decimal form
+  // keeps the sign and every digit.
+  constexpr int kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  repo.add(UptimeRecord{HomeId{kIntMin}, TimePoint{5}, Duration{kI64Min}});
+  CgnEventRecord cgn;
+  cgn.home = HomeId{kIntMin};
+  cgn.when = TimePoint{kI64Min};
+  cgn.cgn_id = kIntMin;
+  cgn.port_block = kU64Max;
+  cgn.translations_out = kU64Max;
+  repo.add(cgn);
+  TrafficFlowRecord flow;
+  flow.home = HomeId{std::numeric_limits<int>::max()};
+  flow.flow = net::FlowId{kU64Max};
+  flow.first_packet = TimePoint{7};
+  flow.last_packet = TimePoint{std::numeric_limits<std::int64_t>::max()};
+  flow.dst_port = std::numeric_limits<std::uint16_t>::max();
+  flow.bytes_up = Bytes{kI64Min};
+  flow.packets_up = kU64Max;
+  repo.add(flow);
+
+  std::ostringstream uptime;
+  ExportDatasetCsv<UptimeRecord>(repo, uptime);
+  EXPECT_EQ(uptime.str(),
+            "home,reported_ms,uptime_ms\n"
+            "-2147483648,5,-9223372036854775808\n");
+  std::ostringstream events;
+  ExportDatasetCsv<CgnEventRecord>(repo, events);
+  EXPECT_EQ(events.str(),
+            CsvHeader<CgnEventRecord>() +
+                "\n-2147483648,-9223372036854775808,-2147483648,18446744073709551615,0,0,0,0,"
+                "18446744073709551615,0,0,0\n");
+  std::ostringstream flows;
+  ExportDatasetCsv<TrafficFlowRecord>(repo, flows);
+  EXPECT_EQ(flows.str(),
+            CsvHeader<TrafficFlowRecord>() +
+                "\n2147483647,18446744073709551615,7,9223372036854775807,tcp,65535," +
+                net::MacAddress().to_string() + ",-9223372036854775808,0,18446744073709551615,0,,0\n");
 }
 
 TEST(ExportGoldenBytes, HostileFieldsAreRfc4180Quoted) {

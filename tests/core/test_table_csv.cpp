@@ -52,6 +52,7 @@ TEST(CsvWriterTest, EscapesSpecials) {
   EXPECT_EQ(CsvWriter::Escape("has,comma"), "\"has,comma\"");
   EXPECT_EQ(CsvWriter::Escape("has\"quote"), "\"has\"\"quote\"");
   EXPECT_EQ(CsvWriter::Escape("has\nnewline"), "\"has\nnewline\"");
+  EXPECT_EQ(CsvWriter::Escape("has\rreturn"), "\"has\rreturn\"");
 }
 
 TEST(CsvWriterTest, QuotedRowRoundTrip) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -101,6 +103,20 @@ TEST(ThreadPoolTest, WorkerCountIsClampedToOne) {
   ThreadPool pool(-2);
   EXPECT_EQ(pool.workers(), 1);
   EXPECT_GE(ThreadPool::HardwareWorkers(), 1);
+}
+
+TEST(ThreadPoolTest, PoolWorkersCapsAtTasksAndInt) {
+  // Only the count is computed: no pool of these sizes is ever built.
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(PoolWorkers(2147483647, 170), 170);  // analyze --workers 2147483647
+  EXPECT_EQ(PoolWorkers(kHuge, 3), 3);
+  EXPECT_EQ(PoolWorkers(4, kHuge), 4);
+  EXPECT_EQ(PoolWorkers(kHuge, kHuge), kIntMax);
+  EXPECT_EQ(PoolWorkers(std::size_t{1} << 40, std::size_t{1} << 33), kIntMax);
+  EXPECT_EQ(PoolWorkers(0, 5), 1);
+  EXPECT_EQ(PoolWorkers(5, 0), 1);
+  EXPECT_EQ(PoolWorkers(4, 4), 4);
 }
 
 }  // namespace

@@ -503,10 +503,13 @@ void Deployment::run() {
   compute_collector_outages();
   telemetry_.wall_outage_prepass_s = SecondsSince(t_run);
 
-  const int workers =
-      options_.workers > 0 ? options_.workers : ThreadPool::HardwareWorkers();
   const std::vector<ShardSpan> plan = shard_plan();
   const std::size_t shards = plan.size();
+  // No thread, and in fleet mode no segment log, beyond one per shard.
+  const int workers = PoolWorkers(
+      static_cast<std::size_t>(options_.workers > 0 ? options_.workers
+                                                    : ThreadPool::HardwareWorkers()),
+      shards);
 
   // Shards whose rows and homes were recovered from the manifest and must
   // not be re-run (resume only; always all-zero on a fresh run).

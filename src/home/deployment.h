@@ -93,8 +93,8 @@ struct DeploymentOptions {
   /// Worker threads for run(): the roster is split into fixed-size shards,
   /// each simulated on its own sim::Engine with per-home RNG streams
   /// derived from (seed, home id), and merged deterministically. 0 = one
-  /// worker per hardware thread. Repository contents and exports are
-  /// byte-identical for every value.
+  /// worker per hardware thread; never more workers than shards.
+  /// Repository contents and exports are byte-identical for every value.
   int workers{1};
   /// NAT444: place every home behind a carrier-grade NAT tier. Homes are
   /// grouped 64 to a CGN in roster order; each subscriber owns a disjoint
@@ -144,7 +144,9 @@ struct RunTelemetry {
   double wall_outage_prepass_s{0.0};
   double wall_sharded_run_s{0.0};
   double wall_commit_s{0.0};
-  int workers{0};  ///< resolved worker count (options.workers or hardware)
+  /// Threads the run used: options.workers (or the hardware count),
+  /// capped at the shard count.
+  int workers{0};
   std::vector<ThreadPool::WorkerStats> pool;
   /// Deterministic total of engine events executed across all shards;
   /// paired with wall_sharded_run_s it gives the volatile throughput.

@@ -1,6 +1,7 @@
 // Fleet-mode deployment invariants: the --homes roster apportionment, the
-// bounded-memory spill path's byte-identity with the in-RAM path, and
-// worker-count independence of the exports, spilled and in RAM.
+// bounded-memory spill path's byte-identity with the in-RAM path,
+// worker-count independence of the exports, spilled and in RAM, and the
+// cap of threads and segment logs at one per shard.
 #include <unistd.h>
 
 #include <filesystem>
@@ -129,6 +130,37 @@ TEST(FleetMode, ChurnAndConsentSurviveTheSpillPath) {
   // Traffic consent is pinned to the first 25 US homes regardless of N.
   EXPECT_GT(consented, 0);
   EXPECT_LE(consented, 25);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetMode, WorkersBeyondShardsStartNoExtraThreadOrLog) {
+  auto options = BaseOptions();
+  options.homes = 24;
+  options.memory_budget_bytes = 1 << 20;
+  options.workers = 1;
+  const auto dir1 = FreshSpillDir("cap-w1");
+  options.spill_dir = dir1.string();
+  const auto one = Deployment::RunStudy(options);
+  const std::string golden = ExportAllToString(one->repository());
+  ASSERT_FALSE(golden.empty());
+
+  // Far more workers than shards: the pool and the segment logs stop at
+  // one per shard, and the flush threshold with them.
+  options.workers = 64;
+  const auto dir = FreshSpillDir("cap-w64");
+  options.spill_dir = dir.string();
+  const auto wide = Deployment::RunStudy(options);
+  const std::size_t shards = wide->shard_count();
+  ASSERT_LT(shards, 64u);
+  EXPECT_EQ(wide->telemetry().workers, static_cast<int>(shards));
+  std::size_t logs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    logs += name.starts_with("seg-g0-w") && name.ends_with(".bsmkseg");
+  }
+  EXPECT_EQ(logs, shards);
+  EXPECT_EQ(ExportAllToString(wide->repository()), golden);
+  std::filesystem::remove_all(dir1);
   std::filesystem::remove_all(dir);
 }
 

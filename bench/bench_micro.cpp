@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate paths: NAT
 // translation, DNS resolution, interval arithmetic, throughput metering,
-// the household census, the event engine, and the statistics kernels.
+// the household census, the event engine, the statistics kernels, CSV
+// formatting and the spill merge.
 //
 //   build/bench/bench_micro                          # console tables
 //   build/bench/bench_micro --json BENCH_micro.json  # plus JSON artifact
@@ -15,6 +16,8 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -31,6 +34,7 @@
 #include "common.h"
 #include "core/cdf.h"
 #include "core/crc32c.h"
+#include "core/csv.h"
 #include "core/intervals.h"
 #include "core/rng.h"
 #include "core/stats.h"
@@ -530,6 +534,149 @@ void BM_CsvImportAllDatasets(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvImportAllDatasets)->Unit(benchmark::kMillisecond);
 
+/// The string-per-cell path that in-place cells replaced, kept verbatim as
+/// the reference: the nine integer CsvEncode overloads and CsvWriter's
+/// former row building, where every cell is a std::string that is scanned
+/// for quotes and appended to a std::string buffer. The other member types
+/// use collect::CsvEncode, as both paths do.
+namespace string_cells {
+using collect::CsvEncode;
+[[nodiscard]] inline std::string CsvEncode(int v) { return std::to_string(v); }
+[[nodiscard]] inline std::string CsvEncode(std::uint16_t v) { return std::to_string(v); }
+[[nodiscard]] inline std::string CsvEncode(std::int64_t v) { return std::to_string(v); }
+[[nodiscard]] inline std::string CsvEncode(std::uint64_t v) { return std::to_string(v); }
+[[nodiscard]] inline std::string CsvEncode(collect::HomeId v) { return std::to_string(v.value); }
+[[nodiscard]] inline std::string CsvEncode(TimePoint v) { return std::to_string(v.ms); }
+[[nodiscard]] inline std::string CsvEncode(Duration v) { return std::to_string(v.ms); }
+[[nodiscard]] inline std::string CsvEncode(Bytes v) { return std::to_string(v.count); }
+[[nodiscard]] inline std::string CsvEncode(net::FlowId v) { return std::to_string(v.value); }
+
+bool NeedsQuotes(std::string_view cell) {
+  for (const char c : cell) {
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
+  }
+  return false;
+}
+
+void AppendQuoted(std::string& out, std::string_view cell) {
+  out += '"';
+  for (char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+}
+
+/// CsvWriter's former cell, end_row and flush, for a chunk sink.
+class Writer {
+ public:
+  explicit Writer(CsvWriter::Sink sink) : sink_(std::move(sink)) {
+    buf_.reserve(2 * CsvWriter::kChunkBytes);
+  }
+  ~Writer() { flush(); }
+
+  void cell(std::string_view value) {
+    if (row_open_) buf_ += ',';
+    row_open_ = true;
+    if (NeedsQuotes(value)) {
+      AppendQuoted(buf_, value);
+    } else {
+      buf_.append(value);
+    }
+  }
+  void end_row() {
+    buf_ += '\n';
+    row_open_ = false;
+    if (buf_.size() >= CsvWriter::kChunkBytes) flush();
+  }
+  void flush() {
+    if (buf_.empty()) return;
+    sink_(buf_);
+    buf_.clear();
+  }
+
+ private:
+  CsvWriter::Sink sink_;
+  std::string buf_;
+  bool row_open_{false};
+};
+}  // namespace string_cells
+
+/// 2^16 wifi scans shaped like a fleet run's: 10k homes, a two-week
+/// window, zero-heavy AP and client counts.
+const std::vector<collect::WifiScanRecord>& WifiBenchRows() {
+  static const auto* rows = [] {
+    auto* v = new std::vector<collect::WifiScanRecord>;
+    Rng rng(17);
+    for (int i = 0; i < (1 << 16); ++i) {
+      collect::WifiScanRecord scan;
+      scan.home = collect::HomeId{static_cast<int>(rng.uniform_int(0, 9999))};
+      scan.scanned = MakeTime({2012, 11, 1}) + Millis(rng.uniform_int(0, 14LL * 86'400'000));
+      scan.band = rng.bernoulli(0.7) ? wireless::Band::k2_4GHz : wireless::Band::k5GHz;
+      scan.channel = static_cast<int>(rng.uniform_int(1, 11));
+      scan.visible_aps = rng.bernoulli(0.4) ? 0 : static_cast<int>(rng.uniform_int(1, 40));
+      scan.associated_clients = rng.bernoulli(0.5) ? 0 : static_cast<int>(rng.uniform_int(1, 12));
+      v->push_back(scan);
+    }
+    return v;
+  }();
+  return *rows;
+}
+
+/// wifi.csv rows through the reference path: a string per cell.
+void WriteWifiRows(string_cells::Writer& csv, const std::vector<collect::WifiScanRecord>& rows) {
+  const auto columns = collect::Schema<collect::WifiScanRecord>::Release();
+  for (const collect::WifiScanRecord& r : rows) {
+    std::apply([&](const auto&... col) { (csv.cell(string_cells::CsvEncode(r.*col.member)), ...); },
+               columns);
+    csv.end_row();
+  }
+}
+
+/// wifi.csv rows through the exporter's column writes: integer cells in
+/// place.
+void WriteWifiRows(CsvWriter& csv, const std::vector<collect::WifiScanRecord>& rows) {
+  const auto columns = collect::Schema<collect::WifiScanRecord>::Release();
+  for (const collect::WifiScanRecord& r : rows) {
+    std::apply([&](const auto&... col) { (col.write(csv, r), ...); }, columns);
+    csv.end_row();
+  }
+}
+
+/// One thread formatting wifi.csv rows into a chunk sink that only counts
+/// bytes: /0 the reference path, /1 the exporter's. Both write the same
+/// bytes; CI gates the median ratio of the two.
+void BM_CsvWriteWifiRows(benchmark::State& state) {
+  const auto& rows = WifiBenchRows();
+  static const bool same_bytes = [&rows] {
+    std::string reference, in_place;
+    {
+      string_cells::Writer csv([&](std::string_view b) { reference.append(b); });
+      WriteWifiRows(csv, rows);
+    }
+    {
+      CsvWriter csv([&](std::string_view b) { in_place.append(b); });
+      WriteWifiRows(csv, rows);
+    }
+    return reference == in_place;
+  }();
+  if (!same_bytes) state.SkipWithError("the two paths wrote different bytes");
+  std::size_t bytes = 0;
+  const CsvWriter::Sink count = [&bytes](std::string_view chunk) { bytes += chunk.size(); };
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      string_cells::Writer csv(count);
+      WriteWifiRows(csv, rows);
+    } else {
+      CsvWriter csv(count);
+      WriteWifiRows(csv, rows);
+    }
+  }
+  benchmark::DoNotOptimize(bytes);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_CsvWriteWifiRows)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // --- columnar snapshot substrate (DESIGN §14) -------------------------------
 
 /// A v3 columnar snapshot of RecordBenchRepo(), written once per process.
@@ -692,6 +839,61 @@ void BM_SectionVerify(benchmark::State& state) {
                           static_cast<std::int64_t>(repo.total_rows()));
 }
 BENCHMARK(BM_SectionVerify)->Unit(benchmark::kMillisecond);
+
+/// 400 wifi sections of 1000 rows each, one per shard, whose scans
+/// interleave over one window: the merge fan-in of a 10k-home fleet run's
+/// wifi kind, at a fortieth of its rows.
+const collect::DataRepository& MergeBenchRepo() {
+  using namespace collect;
+  static const DataRepository* repo = [] {
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("bsmk-bench-merge-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    const Interval all{TimePoint{0}, TimePoint{1'000'000'000}};
+    auto* r = new DataRepository(DatasetWindows{all, all, all, all, all, all});
+    SpillConfig cfg;
+    cfg.dir = dir.string();
+    cfg.budget_bytes = 256 << 20;  // no flush before a shard commits
+    cfg.workers = 1;
+    r->enable_spill(cfg);
+    Rng rng(19);
+    constexpr int kSections = 400;
+    for (int shard = 0; shard < kSections; ++shard) {
+      IngestBatch batch = r->make_batch();
+      batch.attach_spill(r->spill(), static_cast<std::uint32_t>(shard), 0);
+      for (int i = 0; i < 1000; ++i) {
+        WifiScanRecord scan;
+        scan.home = HomeId{shard * 4 + i % 4};
+        scan.scanned = TimePoint{rng.uniform_int(0, 999'999'999)};
+        scan.channel = static_cast<int>(rng.uniform_int(1, 11));
+        scan.visible_aps = static_cast<int>(rng.uniform_int(0, 40));
+        batch.add_wifi_scan(scan);
+      }
+      r->commit(std::move(batch));
+    }
+    r->finalize_deterministic_order();
+    return r;
+  }();
+  return *repo;
+}
+
+/// The one-level merge of MergeBenchRepo()'s 400 sections, read the way the
+/// finish pass reads a kind: RowReader batches, every section checked.
+void BM_SpillMerge400(benchmark::State& state) {
+  const auto& repo = MergeBenchRepo();
+  for (auto _ : state) {
+    collect::RowReader<collect::WifiScanRecord> reader(repo);
+    std::vector<collect::WifiScanRecord> buffer;
+    std::size_t rows = 0;
+    for (std::span<const collect::WifiScanRecord> batch; !(batch = reader.read(buffer)).empty();) {
+      rows += batch.size();
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(repo.total_rows()));
+}
+BENCHMARK(BM_SpillMerge400)->Unit(benchmark::kMillisecond);
 
 void BM_MacAnonymize(benchmark::State& state) {
   const auto mac = net::MacAddress::FromParts(0x001EC2, 0x123456);

@@ -4,6 +4,8 @@
 #include <array>
 #include <functional>
 #include <iomanip>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <type_traits>
@@ -273,10 +275,20 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
   // One task per (kind, stripe) runs every feeder of that kind over the
   // stripe into the task's own partial, so the scan is embarrassingly
   // parallel. It reads only the fields its feeders name, so it checks and
-  // pages in only their column sections. Determinism comes from the fold
-  // below, which takes partials in stripe index order — a property of the
-  // snapshot, not of how many threads scanned it.
-  std::array<std::vector<FleetPartial>, collect::kRecordKinds> partials;
+  // pages in only their column sections. Determinism comes from the fold,
+  // which takes each kind's partials in stripe index order — a property of
+  // the snapshot, not of how many threads scanned it. Kinds fold into
+  // disjoint parts of the total, so they need no order among themselves.
+  // A task folds its partial, and every later one of its kind that is
+  // waiting, as soon as every lower stripe of its kind is folded: only the
+  // partials of stripes that finish ahead of a lower one are held.
+  struct KindFold {
+    std::vector<std::optional<FleetPartial>> waiting;  // by stripe
+    std::size_t next{0};                               // the lowest stripe not folded
+  };
+  FleetPartial total = EmptyTotal(repo, roster);
+  std::array<KindFold, collect::kRecordKinds> folds;
+  std::mutex fold_mu;  // guards `total` and `folds`
   std::vector<std::function<void()>> tasks;
   collect::ForEachRecordType([&](auto tag) {
     using T = typename decltype(tag)::type;
@@ -285,10 +297,11 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
       if constexpr (std::is_same_v<U, T>) fields = fields | feeder.fields;
     });
     if (fields.empty()) return;
-    std::vector<FleetPartial>& parts = partials[collect::kRecordIndexOf<T>];
-    parts.resize(repo.columns()->stripes_of_kind(collect::kRecordIndexOf<T>));
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      tasks.emplace_back([&repo, &roster, &part = parts[s], s, fields] {
+    KindFold& fold = folds[collect::kRecordIndexOf<T>];
+    fold.waiting.resize(repo.columns()->stripes_of_kind(collect::kRecordIndexOf<T>));
+    for (std::size_t s = 0; s < fold.waiting.size(); ++s) {
+      tasks.emplace_back([&repo, &roster, &total, &fold, &fold_mu, s, fields] {
+        FleetPartial part;
         collect::RowReader<T> reader(repo, s, fields);
         std::vector<T> buffer;
         for (std::span<const T> rows; !(rows = reader.read(buffer)).empty();) {
@@ -296,16 +309,17 @@ FleetSummary SummarizeFleet(const collect::DataRepository& repo, std::size_t wor
             if constexpr (std::is_same_v<U, T>) feeder.feed(roster, rows, part);
           });
         }
+        const std::lock_guard<std::mutex> lock(fold_mu);
+        fold.waiting[s] = std::move(part);
+        for (; fold.next < fold.waiting.size() && fold.waiting[fold.next]; ++fold.next) {
+          FoldPartial(total, std::move(*fold.waiting[fold.next]));
+          fold.waiting[fold.next].reset();
+        }
       });
     }
   });
   ThreadPool pool(PoolWorkers(workers, tasks.size()));
   pool.parallel_for(tasks.size(), [&](std::size_t i, int) { tasks[i](); });
-
-  FleetPartial total = EmptyTotal(repo, roster);
-  for (std::vector<FleetPartial>& parts : partials) {
-    for (FleetPartial& part : parts) FoldPartial(total, std::move(part));
-  }
   return TakeSummary(repo, std::move(total));
 }
 

@@ -96,10 +96,11 @@ class FleetSummarizer {
 /// Parallel variant. On a column-backed repository (collect/
 /// column_snapshot.h) every (kind, stripe) pair becomes one task on a
 /// `workers`-thread pool that runs the kind's feeders over a RowReader of
-/// that stripe, and the per-stripe partials are folded in stripe index
-/// order — the stripe partition is a property of the snapshot, not of the
-/// worker count, so the result is bit-identical for any `workers` (the CI
-/// analyze diff gates on this). Falls back to the serial pass on in-RAM or
+/// that stripe, and each kind's per-stripe partials are folded in stripe
+/// index order, each as soon as every lower stripe of its kind is — the
+/// stripe partition is a property of the snapshot, not of the worker
+/// count, so the result is bit-identical for any `workers` (the CI analyze
+/// diff gates on this). Falls back to the serial pass on in-RAM or
 /// spill-backed repositories.
 [[nodiscard]] FleetSummary SummarizeFleet(const collect::DataRepository& repo,
                                           std::size_t workers);

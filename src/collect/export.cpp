@@ -24,7 +24,7 @@ void WriteHeader(CsvWriter& csv, const Columns& columns) {
 template <typename T, typename Columns>
 void WriteRows(CsvWriter& csv, const Columns& columns, std::span<const T> rows) {
   for (const T& r : rows) {
-    std::apply([&csv, &r](const auto&... col) { (csv.cell(col.encode(r)), ...); }, columns);
+    std::apply([&csv, &r](const auto&... col) { (col.write(csv, r), ...); }, columns);
     csv.end_row();
   }
 }

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -40,6 +41,7 @@
 #include <variant>
 
 #include "collect/records.h"
+#include "core/csv.h"
 #include "core/intervals.h"
 #include "core/time.h"
 #include "core/units.h"
@@ -128,8 +130,11 @@ struct DatasetWindows {
 
 // --- Exact CSV codecs, one overload per member type -------------------------
 //
-// These are lossless: CsvDecode(CsvEncode(v)) == v bit-for-bit, which is
-// what lets the full-fidelity export reproduce a repository exactly.
+// An integer-valued member is written as the integer CsvInteger gives, in
+// place (CsvWriter::integer); every other member as the text CsvEncode
+// gives. Both are lossless: CsvDecode reads back bit-for-bit what was
+// written, which is what lets the full-fidelity export reproduce a
+// repository exactly.
 
 [[nodiscard]] inline bool ParseCsvI64(const std::string& s, std::int64_t& out) {
   const char* begin = s.data();
@@ -155,23 +160,27 @@ struct DatasetWindows {
   }
 }
 
+/// The integer an integer-valued member is written as: the value itself
+/// for a built-in integer type, the count inside a unit or id wrapper.
+template <std::integral I>
+  requires(!std::same_as<I, bool>)
+[[nodiscard]] constexpr I CsvInteger(I v) {
+  return v;
+}
+[[nodiscard]] constexpr int CsvInteger(HomeId v) { return v.value; }
+[[nodiscard]] constexpr std::int64_t CsvInteger(TimePoint v) { return v.ms; }
+[[nodiscard]] constexpr std::int64_t CsvInteger(Duration v) { return v.ms; }
+[[nodiscard]] constexpr std::int64_t CsvInteger(Bytes v) { return v.count; }
+[[nodiscard]] constexpr std::uint64_t CsvInteger(net::FlowId v) { return v.value; }
+
 [[nodiscard]] inline std::string CsvEncode(bool v) { return v ? "1" : "0"; }
-[[nodiscard]] inline std::string CsvEncode(int v) { return std::to_string(v); }
-[[nodiscard]] inline std::string CsvEncode(std::uint16_t v) { return std::to_string(v); }
-[[nodiscard]] inline std::string CsvEncode(std::int64_t v) { return std::to_string(v); }
-[[nodiscard]] inline std::string CsvEncode(std::uint64_t v) { return std::to_string(v); }
 [[nodiscard]] inline std::string CsvEncode(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);  // shortest exact round-trip
   return buf;
 }
 [[nodiscard]] inline std::string CsvEncode(const std::string& v) { return v; }
-[[nodiscard]] inline std::string CsvEncode(HomeId v) { return std::to_string(v.value); }
-[[nodiscard]] inline std::string CsvEncode(TimePoint v) { return std::to_string(v.ms); }
-[[nodiscard]] inline std::string CsvEncode(Duration v) { return std::to_string(v.ms); }
-[[nodiscard]] inline std::string CsvEncode(Bytes v) { return std::to_string(v.count); }
 [[nodiscard]] inline std::string CsvEncode(BitRate v) { return CsvEncode(v.bps); }
-[[nodiscard]] inline std::string CsvEncode(net::FlowId v) { return std::to_string(v.value); }
 [[nodiscard]] inline std::string CsvEncode(net::MacAddress v) { return v.to_string(); }
 [[nodiscard]] inline std::string CsvEncode(net::Protocol v) { return net::ProtocolName(v); }
 [[nodiscard]] inline std::string CsvEncode(wireless::Band v) {
@@ -275,7 +284,7 @@ struct DatasetWindows {
 // --- Columns ----------------------------------------------------------------
 //
 // A CSV view is one column list: a tuple whose every column has a `name`,
-// `encode(row)` and `decode(cell, row)`. The export writers, the row
+// `write(csv, row)` and `decode(cell, row)`. The export writers, the row
 // importer and the header all iterate a column list, never a view.
 
 /// One reflected field: a stable column name and the member it reads. Its
@@ -285,17 +294,34 @@ struct Field {
   const char* name;
   M T::* member;
 
-  [[nodiscard]] std::string encode(const T& r) const { return CsvEncode(r.*member); }
+  /// Append the member's cell to the current row of `csv`.
+  void write(CsvWriter& csv, const T& r) const {
+    if constexpr (requires { CsvInteger(r.*member); }) {
+      csv.integer(CsvInteger(r.*member));
+    } else {
+      csv.cell(CsvEncode(r.*member));
+    }
+  }
   [[nodiscard]] bool decode(const std::string& s, T& r) const { return CsvDecode(s, r.*member); }
 };
 
 /// A release column that no member's exact codec writes: a lossy (%.3f)
-/// or derived value, with its own encode/decode pair.
-template <typename T>
+/// or derived value, with its own encode/decode pair. `encode` gives the
+/// cell's text, or (V integral) an integer written in place, as an
+/// integer-valued member is.
+template <typename T, typename V = std::string>
 struct ReleaseColumn {
   const char* name;
-  std::string (*encode)(const T&);
+  V (*encode)(const T&);
   bool (*decode)(const std::string&, T&);
+
+  void write(CsvWriter& csv, const T& r) const {
+    if constexpr (std::integral<V>) {
+      csv.integer(encode(r));
+    } else {
+      csv.cell(encode(r));
+    }
+  }
 };
 
 /// The historical exporters' lossy numeric rendering ("%.3f"), preserved
@@ -335,8 +361,8 @@ struct Schema<HeartbeatRun> {
   /// it parses and that the run is non-empty.
   static constexpr auto Release() {
     return std::tuple_cat(
-        Fields(), std::tuple{ReleaseColumn<R>{
-                      "heartbeats", [](const R& r) { return std::to_string(r.heartbeat_count()); },
+        Fields(), std::tuple{ReleaseColumn<R, std::int64_t>{
+                      "heartbeats", [](const R& r) { return r.heartbeat_count(); },
                       [](const std::string& s, R& r) {
                         std::int64_t beats = 0;
                         return ParseCsvI64(s, beats) && r.end > r.start;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <compare>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -387,8 +388,10 @@ void VerifySection(const std::string& path, const SectionRef& ref) {
 /// K-way merge of every section of kind T, in canonical stream order. Each
 /// cursor's current row lives in `heads_`, decoded from the stripe its
 /// source is reading; the heap holds only (key, position) pairs, so the
-/// winning row is moved out, never copied, and its slot is refilled in
-/// place.
+/// winning row is moved out, never copied. The winner's entry stays at the
+/// top: its source's next row takes its key there, or the heap's last entry
+/// takes its place once the source is spent, and one sift-down restores the
+/// heap, so a row costs one walk down the heap, not a pop and a push.
 template <typename T>
 class SpilledRowStream<T>::Merge {
  public:
@@ -407,28 +410,30 @@ class SpilledRowStream<T>::Merge {
     for (std::uint32_t order = 0; order < sources_.size(); ++order) {
       if (load(order)) heap_.push_back({Schema<T>::SortKey(heads_[order]), order});
     }
-    std::make_heap(heap_.begin(), heap_.end(), After);
+    std::sort(heap_.begin(), heap_.end());  // an ascending array is a heap
   }
 
   /// Move the next row in merged order into `out`; false once exhausted.
   bool next(std::vector<T>& out) {
     if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), After);
-    const std::uint32_t order = heap_.back().order;
+    const std::uint32_t order = heap_.front().order;
     out.push_back(std::move(heads_[order]));
     if (load(order)) {
-      heap_.back().key = Schema<T>::SortKey(heads_[order]);
-      std::push_heap(heap_.begin(), heap_.end(), After);
+      heap_.front().key = Schema<T>::SortKey(heads_[order]);
     } else {
+      heap_.front() = heap_.back();
       heap_.pop_back();
     }
+    sift_down();
     return true;
   }
 
  private:
+  /// Merge order: SortKey, then stream position. No two entries tie.
   struct Entry {
     decltype(Schema<T>::SortKey(std::declval<const T&>())) key;
     std::uint32_t order;  // position in the canonical stream order
+    auto operator<=>(const Entry&) const = default;
   };
 
   /// One section's cursor and the stripe it is reading.
@@ -438,10 +443,19 @@ class SpilledRowStream<T>::Merge {
     std::uint64_t row{0};  // the stripe's next row
   };
 
-  /// Heap order (the smallest entry on top): SortKey, then stream position.
-  static bool After(const Entry& a, const Entry& b) {
-    if (a.key != b.key) return b.key < a.key;
-    return a.order > b.order;
+  /// Move the top entry down past every child that precedes it.
+  void sift_down() {
+    const std::size_t n = heap_.size();
+    if (n < 2) return;
+    const Entry top = heap_.front();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+      if (!(heap_[child] < top)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = top;
   }
 
   /// Decode source `order`'s next row into its head slot, framing its next
@@ -459,7 +473,7 @@ class SpilledRowStream<T>::Merge {
 
   std::vector<Source> sources_;
   std::vector<T> heads_;
-  std::vector<Entry> heap_;
+  std::vector<Entry> heap_;  // a binary min-heap in Entry order
 };
 
 template <typename T>

@@ -1,5 +1,6 @@
 #include "core/csv.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace bismark {
@@ -15,13 +16,16 @@ bool NeedsQuotes(std::string_view cell) {
   return false;
 }
 
-void AppendQuoted(std::string& out, std::string_view cell) {
-  out += '"';
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
+/// Write `cell` quoted, its quotes doubled, at `out` (room for 2 + 2 x its
+/// size); returns the end.
+char* WriteQuoted(char* out, std::string_view cell) {
+  *out++ = '"';
+  for (const char c : cell) {
+    if (c == '"') *out++ = '"';
+    *out++ = c;
   }
-  out += '"';
+  *out++ = '"';
+  return out;
 }
 
 }  // namespace
@@ -33,7 +37,7 @@ CsvWriter::CsvWriter(std::ostream& out)
       chunk_bytes_(0) {}
 
 CsvWriter::CsvWriter(Sink sink) : sink_(std::move(sink)), chunk_bytes_(kChunkBytes) {
-  buf_.reserve(2 * kChunkBytes);
+  buf_.resize(2 * kChunkBytes);
 }
 
 CsvWriter::~CsvWriter() {
@@ -47,26 +51,26 @@ CsvWriter::~CsvWriter() {
 
 std::string CsvWriter::Escape(const std::string& cell) {
   if (!NeedsQuotes(cell)) return cell;
-  std::string out;
-  AppendQuoted(out, cell);
+  std::string out(2 + 2 * cell.size(), '\0');
+  out.resize(static_cast<std::size_t>(WriteQuoted(out.data(), cell) - out.data()));
   return out;
 }
 
 void CsvWriter::cell(std::string_view value) {
-  if (row_open_) buf_ += ',';
+  const bool quoted = NeedsQuotes(value);
+  char* out = reserve(1 + (quoted ? 2 + 2 * value.size() : value.size()));
+  if (row_open_) *out++ = ',';
   row_open_ = true;
-  if (NeedsQuotes(value)) {
-    AppendQuoted(buf_, value);
-  } else {
-    buf_.append(value);
-  }
+  out = quoted ? WriteQuoted(out, value) : std::copy(value.begin(), value.end(), out);
+  used_ = static_cast<std::size_t>(out - buf_.data());
 }
 
 void CsvWriter::end_row() {
-  buf_ += '\n';
+  *reserve(1) = '\n';
+  ++used_;
   row_open_ = false;
   ++rows_;
-  if (buf_.size() >= chunk_bytes_) flush();
+  if (used_ >= chunk_bytes_) flush();
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
@@ -75,13 +79,13 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
 }
 
 void CsvWriter::flush() {
-  if (buf_.empty()) return;
+  if (used_ == 0) return;
   // Cleared even when the sink throws, so no byte is handed over twice.
   struct Clear {
-    std::string& buf;
-    ~Clear() { buf.clear(); }
-  } clear{buf_};
-  sink_(buf_);
+    std::size_t& used;
+    ~Clear() { used = 0; }
+  } clear{used_};
+  sink_(std::string_view(buf_.data(), used_));
 }
 
 }  // namespace bismark

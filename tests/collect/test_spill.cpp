@@ -149,6 +149,73 @@ TEST(SpillRoundTrip, RowsLongerThanTheReadAhead) {
   std::filesystem::remove_all(dir);
 }
 
+// Ties are what the merge's (SortKey, stream position) order is for. One
+// home of shard 1 writes thousands of rows at one SortKey, which the 4 KiB
+// flush floor cuts into dozens of runs; the other shards write rows at the
+// same timestamp, for that home (ties across shards) and for homes on
+// either side of it, and shard 2's sections hold only earlier rows, so
+// they run dry, each on top of the heap, while every other source still
+// has rows. The merge must give the resident stable sort.
+TEST(SpillRoundTrip, TiedKeysAcrossManyRunsKeepStreamOrder) {
+  const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
+  const TimePoint tie = w.wifi.start + Hours(1);
+  constexpr int kTiedHome = 5;
+  constexpr int kTieShards = 4;
+  const auto emit = [&](RecordSink& sink, int shard) {
+    int seq = 0;
+    const auto scan = [&](int home, TimePoint at) {
+      WifiScanRecord r;
+      r.home = HomeId{home};
+      r.scanned = at;
+      r.channel = shard;        // which shard wrote it
+      r.visible_aps = seq++;    // its append position there
+      sink.add_wifi_scan(r);
+    };
+    if (shard == 1) {
+      for (int i = 0; i < 4000; ++i) scan(kTiedHome, tie);
+    } else if (shard == 2) {
+      for (int i = 0; i < 600; ++i) scan(i % 9, tie - Minutes(1 + i % 5));
+    } else {
+      for (int i = 0; i < 300; ++i) {
+        scan(kTiedHome, tie);
+        scan(kTiedHome - 1 - shard, tie);
+        scan(kTiedHome + 1 + shard, tie);
+      }
+    }
+  };
+  DataRepository ram(w);
+  for (int shard = 0; shard < kTieShards; ++shard) {
+    IngestBatch batch = ram.make_batch();
+    emit(batch, shard);
+    ram.commit(std::move(batch));
+  }
+  ram.finalize_deterministic_order();
+
+  const auto dir = FreshSpillDir("ties");
+  DataRepository spilled(w);
+  SpillConfig cfg;
+  cfg.dir = dir.string();
+  cfg.budget_bytes = 16 << 10;  // threshold clamps to the 4 KiB floor
+  cfg.workers = 2;
+  spilled.enable_spill(cfg);
+  for (int shard = kTieShards - 1; shard >= 0; --shard) {
+    IngestBatch batch = spilled.make_batch();
+    batch.attach_spill(spilled.spill(), static_cast<std::uint32_t>(shard),
+                       static_cast<std::size_t>(shard % 2));
+    emit(batch, shard);
+    spilled.commit(std::move(batch));
+  }
+  spilled.finalize_deterministic_order();
+
+  std::size_t tied_runs = 0;
+  for (const SectionRef& ref : spilled.spill()->sections_of_kind(kRecordIndexOf<WifiScanRecord>)) {
+    tied_runs += ref.shard == 1;
+  }
+  EXPECT_GE(tied_runs, 24u) << "the tied home's rows must span dozens of runs";
+  ExpectSameRows<WifiScanRecord>(ram, spilled);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SpillRoundTrip, RepeatedStreamingReadsAreStable) {
   const auto w = DatasetWindows::Compressed(MakeTime({2012, 10, 1}), 2);
   const auto dir = FreshSpillDir("reread");

@@ -12,6 +12,7 @@
 // `run --snapshot-out` or a CSV release directory written by `run --export`
 // (or examples/world_deployment); it writes nothing and takes no option but
 // --workers (--seed is accepted and unused).
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -51,9 +52,11 @@ namespace {
 /// Shared by `run` and `report`: write the Prometheus text exposition
 /// (--metrics-out) and/or the JSON run report (--run-report) for a finished
 /// study. --deterministic-report strips the report's wall-clock section so
-/// the bytes depend only on (seed, fault seed, roster).
-int WriteObsOutputs(const home::Deployment& study, const ArgParser& args,
-                    const char* tool) {
+/// the bytes depend only on (seed, fault seed, roster). The finish pass runs
+/// after the deployment, so its time comes from the caller: it becomes the
+/// report's `finish_pass` phase and is added to `total_s`.
+int WriteObsOutputs(const home::Deployment& study, const ArgParser& args, const char* tool,
+                    double finish_pass_s) {
   if (const auto path = args.get("metrics-out")) {
     std::ofstream out(*path, std::ios::binary);
     if (!out) {
@@ -70,7 +73,10 @@ int WriteObsOutputs(const home::Deployment& study, const ArgParser& args,
       return 1;
     }
     const bool volatile_section = !args.has("deterministic-report");
-    home::MakeRunReport(study, tool, volatile_section).write_json(out);
+    obs::RunReport report = home::MakeRunReport(study, tool, volatile_section);
+    report.phases.push_back({"finish_pass", finish_pass_s});
+    report.wall_total_s += finish_pass_s;
+    report.write_json(out);
     std::printf("wrote run report to %s%s\n", path->c_str(),
                 volatile_section ? "" : " (deterministic section only)");
   }
@@ -172,7 +178,9 @@ void PrintRecovery(const home::Deployment& study) {
 /// full-fidelity exports and the column snapshot together, whichever of
 /// them were asked for. A resumed run, finished or not, computes its summary
 /// here too. Outputs are reported in a fixed order once all are written.
-void FinishRun(const home::Deployment& study, const ArgParser& args, bool fleet_summary) {
+/// Returns the wall-clock seconds it took.
+double FinishRun(const home::Deployment& study, const ArgParser& args, bool fleet_summary) {
+  const auto start = std::chrono::steady_clock::now();
   const collect::DataRepository& repo = study.repository();
   const int workers = study.options().workers;
   collect::FinishPass pass(repo, workers > 0 ? static_cast<std::size_t>(workers)
@@ -203,6 +211,7 @@ void FinishRun(const home::Deployment& study, const ArgParser& args, bool fleet_
                 full_dir->c_str());
   }
   if (snapshot) std::printf("wrote columnar snapshot to %s/\n", snapshot_dir->c_str());
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
 int CmdRun(const ArgParser& args) {
@@ -267,8 +276,8 @@ int CmdRun(const ArgParser& args) {
 
   // Fleet mode: rows live in spill segments, so the headline distributions
   // come from streaming sketches over the finish pass.
-  FinishRun(*study, args, options.memory_budget_bytes > 0);
-  return WriteObsOutputs(*study, args, "bismark_study run");
+  const double finish_s = FinishRun(*study, args, options.memory_budget_bytes > 0);
+  return WriteObsOutputs(*study, args, "bismark_study run", finish_s);
 }
 
 int CmdReport(const ArgParser& args) {
@@ -284,8 +293,8 @@ int CmdReport(const ArgParser& args) {
     // segments: one merge per kind per analysis call. Fleet mode reports
     // the streaming-sketch distributions of the single finish pass instead.
     PrintBanner("Fleet distributions (streaming)");
-    FinishRun(*study, args, /*fleet_summary=*/true);
-    return WriteObsOutputs(*study, args, "bismark_study report");
+    const double finish_s = FinishRun(*study, args, /*fleet_summary=*/true);
+    return WriteObsOutputs(*study, args, "bismark_study report", finish_s);
   }
 
   PrintBanner("Availability (Section 4)");
@@ -338,8 +347,8 @@ int CmdReport(const ArgParser& args) {
               domains.by_rank[0].volume_share * 100,
               domains.by_rank[0].conns_by_vol_rank * 100,
               domains.whitelisted_volume_share * 100);
-  FinishRun(*study, args, /*fleet_summary=*/false);
-  return WriteObsOutputs(*study, args, "bismark_study report");
+  const double finish_s = FinishRun(*study, args, /*fleet_summary=*/false);
+  return WriteObsOutputs(*study, args, "bismark_study report", finish_s);
 }
 
 int CmdAnalyze(const ArgParser& args) {
